@@ -161,8 +161,6 @@ def field_series(
     records: GraphRecords,
     years: Sequence[int] | Iterable[int],
     hp: Hyperparameters | None = None,
-    *,
-    workers: int = 1,
 ) -> FieldSeries:
     """Snapshot, build, and solve the graph for every year in ``years``."""
     if hp is None:
@@ -176,7 +174,7 @@ def field_series(
         snapshot = snapshot_filter(records, year)
         try:
             graph = build_graph(snapshot)
-            state, report = compute_scores(graph, hp, workers=workers)
+            state, report = compute_scores(graph, hp)
         except EmptyLevelError:
             scores.append(None)
             status.append(YEAR_EMPTY)

@@ -144,16 +144,8 @@ def build_graph(records: GraphRecords) -> ThreeLevelGraph:
         np.zeros(n_papers, dtype=np.int64)
     paper_theorem_ptr = np.zeros(n_papers + 1, dtype=np.int64)
     np.cumsum(pt_counts, out=paper_theorem_ptr[1:])
-    paper_theorem_idx = np.arange(n_theorems, dtype=np.int64)
 
-    field_paper_idx = np.argsort(paper_field, kind="stable").astype(np.int64)
-    fp_counts = np.bincount(paper_field, minlength=n_fields) if n_papers else \
-        np.zeros(n_fields, dtype=np.int64)
-    field_paper_ptr = np.zeros(n_fields + 1, dtype=np.int64)
-    np.cumsum(fp_counts, out=field_paper_ptr[1:])
-
-    for arr in (field_indices, theorem_paper, paper_field, paper_theorem_ptr,
-                paper_theorem_idx, field_paper_ptr, field_paper_idx):
+    for arr in (field_indices, theorem_paper, paper_field, paper_theorem_ptr):
         arr.setflags(write=False)
 
     return ThreeLevelGraph(
@@ -166,7 +158,4 @@ def build_graph(records: GraphRecords) -> ThreeLevelGraph:
         theorem_paper=theorem_paper,
         paper_field=paper_field,
         paper_theorem_ptr=paper_theorem_ptr,
-        paper_theorem_idx=paper_theorem_idx,
-        field_paper_ptr=field_paper_ptr,
-        field_paper_idx=field_paper_idx,
     )

@@ -166,10 +166,9 @@ def build(papers_path, theorems_path, thm_cites_path, paper_cites_path, out_dir)
 @click.option("--group-by-field", is_flag=True, help="Rank within each field.")
 @click.option("--level", "level_choice", type=click.Choice(_RANK_LEVELS),
               default=None, help="Restrict output to one level (default: all).")
-@click.option("--workers", default=1, show_default=True, help="Solver worker threads.")
 def rank(papers_path, theorems_path, thm_cites_path, paper_cites_path,
          alpha_t, alpha_p, beta_p, alpha_f, tol, max_iter,
-         out_dir, top_k, group_by_field, level_choice, workers):
+         out_dir, top_k, group_by_field, level_choice):
     """Run the full pipeline and write per-level ranking tables."""
     hp = _make_hp(alpha_t, alpha_p, beta_p, alpha_f, tol, max_iter)
     if top_k < 1:
@@ -179,7 +178,7 @@ def rank(papers_path, theorems_path, thm_cites_path, paper_cites_path,
         papers_path, theorems_path, thm_cites_path, paper_cites_path)
     graph = build_graph(records)
     try:
-        state, report = compute_scores(graph, hp, workers=workers)
+        state, report = compute_scores(graph, hp)
     except ValueError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
@@ -210,10 +209,9 @@ def rank(papers_path, theorems_path, thm_cites_path, paper_cites_path,
 @out_dir_option
 @click.option("--from-year", required=True, type=int, help="First snapshot year.")
 @click.option("--to-year", required=True, type=int, help="Last snapshot year (inclusive).")
-@click.option("--workers", default=1, show_default=True, help="Solver worker threads.")
 def series(papers_path, theorems_path, thm_cites_path, paper_cites_path,
            alpha_t, alpha_p, beta_p, alpha_f, tol, max_iter,
-           out_dir, from_year, to_year, workers):
+           out_dir, from_year, to_year):
     """Write yearly field-score and cumulative category-ratio tables."""
     hp = _make_hp(alpha_t, alpha_p, beta_p, alpha_f, tol, max_iter)
     if to_year < from_year:
@@ -223,7 +221,7 @@ def series(papers_path, theorems_path, thm_cites_path, paper_cites_path,
         papers_path, theorems_path, thm_cites_path, paper_cites_path)
     years = range(from_year, to_year + 1)
 
-    fs = field_series(records, years, hp, workers=workers)
+    fs = field_series(records, years, hp)
     score_rows = []
     for year, scores, status in zip(fs.years, fs.scores, fs.status):
         cells = [_fmt(s) for s in scores] if scores is not None else [""] * len(FIELD_NAMES)
@@ -251,9 +249,8 @@ def series(papers_path, theorems_path, thm_cites_path, paper_cites_path,
 @corpus_options
 @hyperparameter_options
 @out_dir_option
-@click.option("--workers", default=1, show_default=True, help="Solver worker threads.")
 def impact(papers_path, theorems_path, thm_cites_path, paper_cites_path,
-           alpha_t, alpha_p, beta_p, alpha_f, tol, max_iter, out_dir, workers):
+           alpha_t, alpha_p, beta_p, alpha_f, tol, max_iter, out_dir):
     """Write the field-to-field impact matrix and pairwise asymmetry ratios."""
     hp = _make_hp(alpha_t, alpha_p, beta_p, alpha_f, tol, max_iter)
     out = _ensure_out_dir(out_dir)
@@ -262,7 +259,7 @@ def impact(papers_path, theorems_path, thm_cites_path, paper_cites_path,
     graph = build_graph(records)
     norm = normalize_matrices(graph)
     try:
-        state, report = compute_scores(graph, hp, workers=workers)
+        state, report = compute_scores(graph, hp)
     except ValueError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)

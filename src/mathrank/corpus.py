@@ -7,8 +7,10 @@ Four files make up a corpus:
 * theorem citations: {"src_paper", "src_theorem", "dst_paper", "dst_theorem"}
 * paper citations:   {"src_paper", "dst_paper"}
 
-Field names are fixed; unknown extra fields are ignored. Malformed lines are
-skipped and reported with their line numbers.
+Files are UTF-8 and lines end in LF (a CR before it is stripped). Field
+names are fixed; unknown extra fields are ignored. Malformed lines, including
+lines that are not valid UTF-8, are skipped and reported with their line
+numbers.
 """
 
 from __future__ import annotations
@@ -80,12 +82,14 @@ def _parse_paper_citation(obj: dict) -> PaperCitation:
 def _parse_file(path: str | Path, parse_one: Callable[[dict], object],
                 errors: list[MalformedLine]) -> list:
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    # Lines are read as bytes so that a line that is not UTF-8 is reported
+    # like any other malformed line.
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
             try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
                 obj = json.loads(line)
                 if not isinstance(obj, dict):
                     raise ValueError("record must be a JSON object")

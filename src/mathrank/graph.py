@@ -32,10 +32,7 @@ class ThreeLevelGraph:
     theorem_paper: np.ndarray  # theorem index -> paper index
     paper_field: np.ndarray    # paper index -> local field index
 
-    paper_theorem_ptr: np.ndarray  # paper -> its theorem indices (grouped)
-    paper_theorem_idx: np.ndarray
-    field_paper_ptr: np.ndarray    # local field -> its paper indices (grouped)
-    field_paper_idx: np.ndarray
+    paper_theorem_ptr: np.ndarray  # paper p owns theorems ptr[p] .. ptr[p + 1] - 1
 
     @property
     def n_theorems(self) -> int:
@@ -58,9 +55,7 @@ class ThreeLevelGraph:
         return f"{paper_id}:{theorem_id}"
 
     def theorems_of_paper(self, p: int) -> np.ndarray:
-        lo, hi = self.paper_theorem_ptr[p], self.paper_theorem_ptr[p + 1]
-        return self.paper_theorem_idx[lo:hi]
+        return np.arange(self.paper_theorem_ptr[p], self.paper_theorem_ptr[p + 1])
 
     def papers_of_field(self, f: int) -> np.ndarray:
-        lo, hi = self.field_paper_ptr[f], self.field_paper_ptr[f + 1]
-        return self.field_paper_idx[lo:hi]
+        return np.flatnonzero(self.paper_field == f)

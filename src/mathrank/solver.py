@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .graph import ThreeLevelGraph
 from .sparsemat import SparseWeightMatrix
 
@@ -140,40 +139,35 @@ def iterate_once(
     graph: ThreeLevelGraph,
     norm: NormalizedMatrices,
     hp: Hyperparameters,
-    *,
-    workers: int = 1,
 ) -> ScoreState:
     """One synchronous update of all three levels, then l1 renormalization."""
     n_t, n_p, n_f = graph.n_theorems, graph.n_papers, graph.n_fields
 
     # Theorem level: citations plus the owning paper's score, scaled by the
     # paper-to-theorem population ratio.
-    hat_t = np.empty(n_t)
-    kernels.matvec_csr(*norm.t_norm.csr, state.u_t, hat_t, workers)
+    hat_t = norm.t_norm.matvec(state.u_t)
     hat_t *= hp.alpha_t
     hat_t += (1.0 - hp.alpha_t) * (state.u_p[graph.theorem_paper] / (n_t / n_p))
 
     # Paper level: citations, the owning field's score, and the strongest
     # contained theorem (papers without theorems contribute zero there).
-    hat_p = np.empty(n_p)
-    kernels.matvec_csr(*norm.p_norm.csr, state.u_p, hat_p, workers)
+    hat_p = norm.p_norm.matvec(state.u_p)
     hat_p *= hp.alpha_p
     hat_p += hp.beta_p * (state.u_f[graph.paper_field] / (n_p / n_f))
-    best_theorem = np.empty(n_p)
-    kernels.segment_max(
-        graph.paper_theorem_ptr, graph.paper_theorem_idx, state.u_t,
-        best_theorem, workers)
+    # Theorems are grouped by paper, so reducing between the start offsets of
+    # the papers that own theorems gives each such paper its own maximum.
+    starts = graph.paper_theorem_ptr[:-1]
+    owns = np.diff(graph.paper_theorem_ptr) > 0
+    best_theorem = np.zeros(n_p)
+    best_theorem[owns] = np.maximum.reduceat(state.u_t, starts[owns])
     hat_p += (1.0 - hp.alpha_p - hp.beta_p) * best_theorem
 
     # Field level: citations plus the excess of papers scoring above the
     # uniform paper share.
-    hat_f = np.empty(n_f)
-    kernels.matvec_csr(*norm.f_norm.csr, state.u_f, hat_f, workers)
+    hat_f = norm.f_norm.matvec(state.u_f)
     hat_f *= hp.alpha_f
-    excess = np.empty(n_f)
-    kernels.segment_excess_sum(
-        graph.field_paper_ptr, graph.field_paper_idx, state.u_p,
-        1.0 / n_p, excess, workers)
+    above_share = np.maximum(state.u_p - 1.0 / n_p, 0.0)
+    excess = np.bincount(graph.paper_field, weights=above_share, minlength=n_f)
     hat_f += (1.0 - hp.alpha_f) * excess
 
     return ScoreState(
@@ -202,7 +196,6 @@ def compute_scores(
     graph: ThreeLevelGraph,
     hp: Hyperparameters | None = None,
     *,
-    workers: int = 1,
     initial_state: ScoreState | None = None,
 ) -> tuple[ScoreState, ConvergenceReport]:
     """Iterate from a uniform (or given) state until convergence or the cap.
@@ -217,7 +210,7 @@ def compute_scores(
     history: list[float] = []
     converged = False
     for _ in range(hp.max_iterations):
-        new = iterate_once(state, graph, norm, hp, workers=workers)
+        new = iterate_once(state, graph, norm, hp)
         history.append(residual(state, new))
         state = new
         if history[-1] < hp.tolerance:

@@ -19,6 +19,12 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _sum_by(index: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """out[i] = sum of weights[k] with index[k] == i, added in storage order."""
+    # bincount returns int64 when there are no entries, whatever the weights.
+    return np.bincount(index, weights=weights, minlength=n).astype(np.float64, copy=False)
+
+
 @dataclass(frozen=True)
 class SparseWeightMatrix:
     shape: tuple[int, int]
@@ -85,22 +91,12 @@ class SparseWeightMatrix:
         return _frozen(np.repeat(
             np.arange(self.shape[1], dtype=np.int64), np.diff(self.indptr)))
 
-    def column_sums(self) -> np.ndarray:
-        cs = np.concatenate(([0.0], np.cumsum(self.values)))
-        return cs[self.indptr[1:]] - cs[self.indptr[:-1]]
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """The product M @ x; each row sums its entries in ascending column order."""
+        return _sum_by(self.rowidx, self.values * x[self.colidx], self.shape[0])
 
-    @cached_property
-    def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Row-major view (indptr, colidx, values); columns ascending per row."""
-        n_rows = self.shape[0]
-        order = np.argsort(self.rowidx, kind="stable")
-        colidx = self.colidx[order]
-        values = self.values[order]
-        counts = (np.bincount(self.rowidx, minlength=n_rows)
-                  if self.nnz else np.zeros(n_rows, dtype=np.int64))
-        indptr = np.zeros(n_rows + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return _frozen(indptr), _frozen(colidx), _frozen(values)
+    def column_sums(self) -> np.ndarray:
+        return _sum_by(self.colidx, self.values, self.shape[1])
 
     def iter_entries(self) -> Iterator[tuple[int, int, float]]:
         """(row, col, value) triples in canonical column-major order."""

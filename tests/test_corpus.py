@@ -75,6 +75,18 @@ class TestParse:
         assert [e.line_number for e in errors] == [1, 3, 4, 5]
         assert all(e.path.endswith("papers.jsonl") for e in errors)
 
+    def test_non_utf8_line_reported_with_its_number(self, tmp_path):
+        paths = corpus_paths(tmp_path)
+        write_empty(paths)
+        good = json.dumps({"paper_id": "p1", "theorem_id": "thm 1"}).encode()
+        bad = b'{"paper_id": "p1", "theorem_id": "thm \xff"}'
+        paths[1].write_bytes(good + b"\n" + bad + b"\n")
+        records, errors = parse_corpus(*paths)
+        assert [t.key for t in records.theorems] == [("p1", "thm 1")]
+        assert [(e.line_number, e.path.endswith("theorems.jsonl")) for e in errors] \
+            == [(2, True)]
+        assert "utf-8" in errors[0].reason
+
     def test_unknown_extra_fields_ignored(self, tmp_path):
         paths = corpus_paths(tmp_path)
         write_empty(paths)

@@ -35,18 +35,45 @@ def test_column_sums_with_empty_columns():
     np.testing.assert_array_equal(m.column_sums(), [0.0, 0.0, 4.0])
 
 
-def test_csr_view_matches_dense(rng):
-    m, dense = random_matrix(rng, 9, 9)
-    indptr, colidx, values = m.csr
-    rebuilt = np.zeros(m.shape)
-    for i in range(m.shape[0]):
-        for k in range(indptr[i], indptr[i + 1]):
-            rebuilt[i, colidx[k]] = values[k]
-    np.testing.assert_array_equal(rebuilt, dense)
-    # columns ascend within each row
-    for i in range(m.shape[0]):
-        cols = colidx[indptr[i]:indptr[i + 1]]
-        assert np.all(np.diff(cols) > 0)
+def test_matvec_matches_dense(rng):
+    m, dense = random_matrix(rng, 9, 7)
+    x = rng.random(7)
+    np.testing.assert_allclose(m.matvec(x), dense @ x, atol=1e-15)
+
+
+def test_matvec_of_empty_matrix_is_float_zero():
+    y = SparseWeightMatrix.from_entries((3, 2), []).matvec(np.ones(2))
+    assert y.dtype == np.float64
+    np.testing.assert_array_equal(y, np.zeros(3))
+
+
+def large_random_matrix(rng, n=100_000, nnz=500_000):
+    """n x n with about nnz distinct entries and positive weights."""
+    flat = np.unique(rng.integers(0, n * n, size=nnz))
+    vals = rng.uniform(0.05, 1.0, size=flat.size)
+    return SparseWeightMatrix.from_arrays((n, n), flat // n, flat % n, vals)
+
+
+def longdouble_sums(index, weights, n):
+    out = np.zeros(n, dtype=np.longdouble)
+    np.add.at(out, index, weights.astype(np.longdouble))
+    return out
+
+
+def test_matvec_precision_at_scale(rng):
+    # Each row is a short sum of positive terms, so it must stay within a few
+    # ulps of the extended-precision result however many rows precede it.
+    m = large_random_matrix(rng)
+    x = rng.random(m.shape[1])
+    ref = longdouble_sums(
+        m.rowidx, m.values.astype(np.longdouble) * x[m.colidx], m.shape[0])
+    np.testing.assert_allclose(m.matvec(x), ref.astype(np.float64), rtol=1e-13, atol=0)
+
+
+def test_column_sums_precision_at_scale(rng):
+    m = large_random_matrix(rng)
+    ref = longdouble_sums(m.colidx, m.values, m.shape[1])
+    np.testing.assert_allclose(m.column_sums(), ref.astype(np.float64), rtol=1e-13, atol=0)
 
 
 def test_duplicate_entries_rejected():
