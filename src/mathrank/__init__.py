@@ -16,6 +16,7 @@ from .build import (
     build_field_matrix,
     build_graph,
     paper_edge_weight,
+    restrict_graph,
     theorem_edge_weight,
 )
 from .corpus import parse_corpus, snapshot_filter, write_corpus
@@ -89,6 +90,7 @@ __all__ = [
     "paper_edge_weight",
     "parse_corpus",
     "rank_entities",
+    "restrict_graph",
     "snapshot_filter",
     "theorem_edge_weight",
     "validate_records",

@@ -7,8 +7,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .build import build_graph
-from .corpus import snapshot_filter
+from .build import build_graph, restrict_graph
 from .fields import FIELD_NAMES, N_FIELDS, msc_to_field
 from .graph import ThreeLevelGraph
 from .records import GraphRecords
@@ -162,36 +161,44 @@ def field_series(
     years: Sequence[int] | Iterable[int],
     hp: Hyperparameters | None = None,
 ) -> FieldSeries:
-    """Snapshot, build, and solve the graph for every year in ``years``."""
+    """Solve the cumulative snapshot of every year in ``years``.
+
+    The whole corpus is built once; each year's graph is its restriction to
+    the papers first versioned by December of that year, which equals
+    building ``snapshot_filter(records, year)``. So a fatal issue anywhere
+    in ``records`` (a duplicate or malformed paper, a duplicate theorem, a
+    theorem of an unknown paper) raises BuildError before any year is
+    solved, whatever ``years`` holds. Dangling and self citations are
+    dropped with one warning.
+    """
     if hp is None:
         hp = Hyperparameters()
     years = tuple(years)
     if not years:
         raise ValueError("years must be non-empty")
-    scores: list[np.ndarray | None] = []
-    status: list[str] = []
-    for year in years:
-        snapshot = snapshot_filter(records, year)
-        try:
-            graph = build_graph(snapshot)
-            state, report = compute_scores(graph, hp)
-        except EmptyLevelError:
-            scores.append(None)
-            status.append(YEAR_EMPTY)
-            continue
-        except DegenerateLevelError:
-            # A snapshot can be so sparse that a level's update is all zero
-            # (no citations plus perfectly uniform papers); mark the year
-            # instead of aborting the whole series.
-            scores.append(None)
-            status.append(YEAR_DEGENERATE)
-            continue
-        full = np.zeros(N_FIELDS)
-        full[graph.field_indices] = state.u_f
-        full.setflags(write=False)
-        scores.append(full)
-        status.append(YEAR_OK if report.converged else YEAR_NOT_CONVERGED)
-    return FieldSeries(years, tuple(scores), tuple(status), hp)
+    full_graph = build_graph(records)
+    year_of = {p.paper_id: p.first_version_date.year for p in records.papers}
+    paper_year = np.array([year_of[pid] for pid in full_graph.paper_ids], dtype=np.int64)
+    scores, status = zip(*(_solve_year(restrict_graph(full_graph, paper_year <= year), hp)
+                           for year in years))
+    return FieldSeries(years, scores, status, hp)
+
+
+def _solve_year(graph: ThreeLevelGraph, hp: Hyperparameters) -> tuple[np.ndarray | None, str]:
+    """One year's 13 canonical field scores (None if unsolvable) and status."""
+    try:
+        state, report = compute_scores(graph, hp)
+    except EmptyLevelError:
+        return None, YEAR_EMPTY
+    except DegenerateLevelError:
+        # A snapshot can be so sparse that a level's update is all zero
+        # (no citations plus perfectly uniform papers); mark the year
+        # instead of aborting the whole series.
+        return None, YEAR_DEGENERATE
+    full = np.zeros(N_FIELDS)
+    full[graph.field_indices] = state.u_f
+    full.setflags(write=False)
+    return full, YEAR_OK if report.converged else YEAR_NOT_CONVERGED
 
 
 @dataclass(frozen=True)

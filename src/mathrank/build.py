@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+from itertools import compress
 
 import numpy as np
 
@@ -150,6 +151,63 @@ def build_graph(records: GraphRecords) -> ThreeLevelGraph:
 
     return ThreeLevelGraph(
         theorem_keys=theorem_keys,
+        paper_ids=paper_ids,
+        field_indices=field_indices,
+        t_matrix=t_matrix,
+        p_matrix=p_matrix,
+        f_matrix=f_matrix,
+        theorem_paper=theorem_paper,
+        paper_field=paper_field,
+        paper_theorem_ptr=paper_theorem_ptr,
+    )
+
+
+def _restrict_matrix(
+    matrix: SparseWeightMatrix, keep: np.ndarray, new_index: np.ndarray
+) -> SparseWeightMatrix:
+    """The stored entries whose row and column both survive, reindexed."""
+    both = keep[matrix.rowidx] & keep[matrix.colidx]
+    n = int(np.count_nonzero(keep))
+    return SparseWeightMatrix.from_arrays(
+        (n, n), new_index[matrix.rowidx[both]], new_index[matrix.colidx[both]],
+        matrix.values[both])
+
+
+def restrict_graph(graph: ThreeLevelGraph, keep_papers: np.ndarray) -> ThreeLevelGraph:
+    """The subgraph induced by the papers where ``keep_papers`` is true.
+
+    ``keep_papers`` is a boolean mask aligned with ``graph.paper_ids``. The
+    kept papers' theorems survive, and so do the citations whose endpoints
+    both survive. Edge weights depend only on the two endpoints, and a mask
+    keeps the (paper_id) and (paper_id, theorem_id) order, so the result
+    equals ``build_graph`` of the correspondingly restricted records, array
+    for array.
+    """
+    keep_papers = np.asarray(keep_papers, dtype=bool)
+    if keep_papers.shape != (graph.n_papers,):
+        raise ValueError("keep_papers must be a boolean mask over the graph's papers")
+    keep_theorems = keep_papers[graph.theorem_paper]
+    new_paper = np.cumsum(keep_papers) - 1
+    new_theorem = np.cumsum(keep_theorems) - 1
+
+    t_matrix = _restrict_matrix(graph.t_matrix, keep_theorems, new_theorem)
+    p_matrix = _restrict_matrix(graph.p_matrix, keep_papers, new_paper)
+
+    canonical_field = graph.field_indices[graph.paper_field[keep_papers]]
+    field_indices = np.unique(canonical_field)
+    paper_field = np.searchsorted(field_indices, canonical_field)
+    f_matrix = build_field_matrix(paper_field, int(field_indices.size), p_matrix)
+
+    paper_ids = tuple(compress(graph.paper_ids, keep_papers.tolist()))
+    theorem_paper = new_paper[graph.theorem_paper[keep_theorems]]
+    paper_theorem_ptr = np.zeros(len(paper_ids) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(theorem_paper, minlength=len(paper_ids)), out=paper_theorem_ptr[1:])
+
+    for arr in (field_indices, theorem_paper, paper_field, paper_theorem_ptr):
+        arr.setflags(write=False)
+
+    return ThreeLevelGraph(
+        theorem_keys=tuple(compress(graph.theorem_keys, keep_theorems.tolist())),
         paper_ids=paper_ids,
         field_indices=field_indices,
         t_matrix=t_matrix,

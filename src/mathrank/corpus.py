@@ -168,6 +168,10 @@ def snapshot_filter(records: GraphRecords, year: int) -> GraphRecords:
 
     Theorems and citations are kept only when every paper (or theorem) they
     reference survives, so a snapshot never contains dangling edges.
+
+    This is the reference definition of a yearly snapshot: ``field_series``
+    does not call it, but ``build.restrict_graph`` of the whole corpus's
+    graph to the same papers reproduces ``build_graph`` of its result.
     """
     cutoff = YearMonth(year, 12)
     papers = tuple(p for p in records.papers if p.first_version_date <= cutoff)

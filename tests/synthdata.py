@@ -120,3 +120,21 @@ def shuffled(records: GraphRecords, rng: np.random.Generator) -> GraphRecords:
         theorem_citations=mix(records.theorem_citations),
         paper_citations=mix(records.paper_citations),
     )
+
+
+def with_late_field(records: GraphRecords, code: str, year: int) -> GraphRecords:
+    """Add a paper in a new field, dated ``year``, that cites and is cited
+    by the first paper and theorem of ``records`` at both levels."""
+    late = PaperRecord("q_late", code, frozenset({"late author"}), YearMonth(year, 5))
+    old_paper = records.papers[0].paper_id
+    old = records.theorems[0]
+    return GraphRecords(
+        papers=records.papers + (late,),
+        theorems=records.theorems + (
+            TheoremRecord("q_late", "thm 1"), TheoremRecord("q_late", "thm 2")),
+        theorem_citations=records.theorem_citations + (
+            TheoremCitation("q_late", "thm 1", old.paper_id, old.theorem_id),
+            TheoremCitation(old.paper_id, old.theorem_id, "q_late", "thm 2"),
+            TheoremCitation("q_late", "thm 2", "q_late", "thm 1")),
+        paper_citations=records.paper_citations + (
+            PaperCitation("q_late", old_paper), PaperCitation(old_paper, "q_late")))

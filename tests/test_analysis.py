@@ -1,7 +1,11 @@
+import logging
+
 import numpy as np
 import pytest
 
+import mathrank.analysis
 from mathrank.analysis import (
+    YEAR_DEGENERATE,
     YEAR_EMPTY,
     YEAR_NOT_CONVERGED,
     YEAR_OK,
@@ -11,11 +15,13 @@ from mathrank.analysis import (
     impact_asymmetry,
     rank_entities,
 )
-from mathrank.build import build_graph
+from mathrank.build import BuildError, build_graph
 from mathrank.corpus import snapshot_filter
 from mathrank.fields import FIELD_NAMES
-from mathrank.records import GraphRecords, PaperCitation
+from mathrank.records import GraphRecords, PaperCitation, TheoremCitation
 from mathrank.solver import (
+    DegenerateLevelError,
+    EmptyLevelError,
     Hyperparameters,
     ScoreState,
     compute_scores,
@@ -24,7 +30,7 @@ from mathrank.solver import (
 
 from conftest import paper, theorem
 from oracle import DenseSolver, build_dense, impact_double_sum
-from synthdata import make_random_records
+from synthdata import CODE_POOL, make_random_records, with_late_field
 
 HP = Hyperparameters()
 
@@ -252,6 +258,135 @@ class TestFieldSeries:
         records = make_random_records(rng)
         with pytest.raises(ValueError):
             field_series(records, [], HP)
+
+
+def reference_series(records, years, hp):
+    """(scores, status) per year from a snapshot, build and solve of its own."""
+    out = []
+    for year in years:
+        try:
+            graph = build_graph(snapshot_filter(records, year))
+            state, report = compute_scores(graph, hp)
+        except EmptyLevelError:
+            out.append((None, YEAR_EMPTY))
+            continue
+        except DegenerateLevelError:
+            out.append((None, YEAR_DEGENERATE))
+            continue
+        full = np.zeros(len(FIELD_NAMES))
+        full[graph.field_indices] = state.u_f
+        out.append((full, YEAR_OK if report.converged else YEAR_NOT_CONVERGED))
+    return out
+
+
+def record_calls(monkeypatch, name):
+    """Replace ``mathrank.analysis.<name>`` by a wrapper that records its calls."""
+    calls = []
+    real = getattr(mathrank.analysis, name)
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(mathrank.analysis, name, recording)
+    return calls
+
+
+def assert_bitwise_reference(fs, records, hp):
+    expected = reference_series(records, fs.years, hp)
+    assert fs.status == tuple(status for _, status in expected)
+    for year, got, (want, _) in zip(fs.years, fs.scores, expected):
+        if want is None:
+            assert got is None, year
+        else:
+            assert got.tobytes() == want.tobytes(), year
+
+
+class TestFieldSeriesMatchesSnapshots:
+    """field_series restricts one global build; the per-year loop in
+    reference_series is the definition it must reproduce bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_corpora_bitwise(self, seed):
+        # Some small early snapshots converge slowly; a lower cap keeps the
+        # test fast and turns them into not_converged years.
+        hp = Hyperparameters(max_iterations=500)
+        rng = np.random.default_rng(seed)
+        records = make_random_records(rng, n_papers=30, n_theorems=45)
+        fs = field_series(records, range(1990, 2025), hp)
+        assert fs.status[0] == YEAR_EMPTY and YEAR_OK in fs.status
+        assert_bitwise_reference(fs, records, hp)
+
+    def test_not_converged_years_bitwise(self, rng):
+        records = make_random_records(rng, n_papers=30, n_theorems=45)
+        hp = Hyperparameters(max_iterations=1)
+        fs = field_series(records, range(1990, 2025), hp)
+        assert YEAR_NOT_CONVERGED in fs.status and YEAR_EMPTY in fs.status
+        assert_bitwise_reference(fs, records, hp)
+
+    def test_late_field_bitwise(self, rng):
+        records = with_late_field(
+            make_random_records(rng, n_papers=20, n_theorems=30,
+                                code_pool=[c for c in CODE_POOL if c != "60"]),
+            "60", 2019)
+        fs = field_series(records, range(2010, 2025), HP)
+        prob = FIELD_NAMES.index("Probability")
+        ok = [(year, scores[prob]) for year, scores, status
+              in zip(fs.years, fs.scores, fs.status) if status == YEAR_OK]
+        before = [score for year, score in ok if year < 2019]
+        after = [score for year, score in ok if year >= 2019]
+        assert before and after and max(before) == 0.0 and min(after) > 0.0
+        assert_bitwise_reference(fs, records, HP)
+
+    def test_one_build_for_the_whole_series(self, rng, monkeypatch):
+        calls = record_calls(monkeypatch, "build_graph")
+        records = make_random_records(rng, n_papers=25, n_theorems=40)
+        fs = field_series(records, range(1995, 2024), HP)
+        assert len(fs.years) == 29
+        assert len(calls) == 1
+
+
+class TestFieldSeriesInputContract:
+    """A fatal issue anywhere in the records fails the whole series, before
+    any year is solved, whatever years are requested."""
+
+    def test_duplicate_paper_after_last_year_raises(self, monkeypatch):
+        records = GraphRecords(
+            papers=[paper("p1", date=(2000, 1)), paper("p2", date=(2001, 1)),
+                    paper("p2", date=(2015, 1))],
+            theorems=[theorem("p1", "thm 1"), theorem("p2", "thm 1")],
+            paper_citations=[PaperCitation("p2", "p1")])
+        solves = record_calls(monkeypatch, "compute_scores")
+        with pytest.raises(BuildError, match="duplicate_paper.*p2"):
+            field_series(records, range(1995, 2006), HP)
+        assert solves == []
+
+    def test_theorem_of_unknown_paper_raises(self, monkeypatch):
+        records = GraphRecords(
+            papers=[paper("p1", date=(2000, 1)), paper("p2", date=(2001, 1))],
+            theorems=[theorem("p1", "thm 1"), theorem("ghost", "thm 1")],
+            paper_citations=[PaperCitation("p2", "p1")])
+        solves = record_calls(monkeypatch, "compute_scores")
+        with pytest.raises(BuildError, match="dangling_theorem.*ghost"):
+            field_series(records, range(1995, 2006), HP)
+        assert solves == []
+
+    def test_dangling_and_self_citations_dropped_once(self, rng, caplog):
+        base = make_random_records(rng, n_papers=20, n_theorems=30)
+        p0, t0 = base.papers[0].paper_id, base.theorems[0]
+        records = GraphRecords(
+            papers=base.papers,
+            theorems=base.theorems,
+            theorem_citations=base.theorem_citations + (
+                TheoremCitation(t0.paper_id, t0.theorem_id, "nowhere", "thm 1"),
+                TheoremCitation(t0.paper_id, t0.theorem_id, t0.paper_id, t0.theorem_id)),
+            paper_citations=base.paper_citations + (
+                PaperCitation(p0, "nowhere"), PaperCitation(p0, p0)))
+        with caplog.at_level(logging.WARNING):
+            fs = field_series(records, range(1990, 2025), HP)
+        drops = [r for r in caplog.records if "invalid citation edges" in r.getMessage()]
+        assert [r.getMessage() for r in drops] == ["dropping 4 invalid citation edges"]
+        assert_bitwise_reference(fs, records, HP)
 
 
 class TestCategoryRatios:

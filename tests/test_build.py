@@ -8,8 +8,10 @@ from mathrank.build import (
     build_field_matrix,
     build_graph,
     paper_edge_weight,
+    restrict_graph,
     theorem_edge_weight,
 )
+from mathrank.corpus import snapshot_filter
 from mathrank.records import (
     GraphRecords,
     PaperCitation,
@@ -18,7 +20,7 @@ from mathrank.records import (
 
 import oracle
 from conftest import paper, theorem
-from synthdata import make_random_records, shuffled
+from synthdata import CODE_POOL, make_random_records, shuffled, with_late_field
 
 P_SHARED = paper("x1", authors=("a1", "a2"))
 P_SHARED2 = paper("x2", authors=("a2", "a3"))
@@ -241,3 +243,59 @@ class TestAgainstDenseOracle:
         assert seen_p <= {0.1, 1.0}
         assert seen_t == {0.05, 0.1, 1.0}, "generator should exercise all tiers"
         assert seen_p == {0.1, 1.0}
+
+
+def restriction_corpus(seed: int) -> GraphRecords:
+    """Seed 0 has no theorems, seed 1 a field that first appears in 2019;
+    the rest are random, with theoremless papers. Papers date from
+    1991 to 2023, so 1990 and 2024 bracket them."""
+    rng = np.random.default_rng(seed)
+    if seed == 0:
+        return make_random_records(rng, n_papers=12, n_theorems=0)
+    if seed == 1:
+        records = make_random_records(
+            rng, n_papers=15, n_theorems=20, code_pool=[c for c in CODE_POOL if c != "60"])
+        return with_late_field(records, "60", 2019)
+    n_papers = int(rng.integers(2, 30))
+    return make_random_records(
+        rng, n_papers=n_papers, n_theorems=int(rng.integers(1, 2 * n_papers)))
+
+
+def assert_same_graph(a, b):
+    assert a.paper_ids == b.paper_ids
+    assert a.theorem_keys == b.theorem_keys
+    for name in ("field_indices", "theorem_paper", "paper_field", "paper_theorem_ptr"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+    for name in ("t_matrix", "p_matrix", "f_matrix"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.shape == y.shape, name
+        for part in ("indptr", "rowidx", "values"):
+            u, v = getattr(x, part), getattr(y, part)
+            assert u.dtype == v.dtype and np.array_equal(u, v), (name, part)
+
+
+class TestRestrictGraph:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_equals_build_of_snapshot_every_year(self, seed):
+        records = restriction_corpus(seed)
+        full = build_graph(records)
+        year_of = {p.paper_id: p.first_version_date.year for p in records.papers}
+        paper_year = np.array([year_of[pid] for pid in full.paper_ids])
+        for year in range(1990, 2025):
+            assert_same_graph(restrict_graph(full, paper_year <= year),
+                              build_graph(snapshot_filter(records, year)))
+
+    def test_late_field_absent_then_present(self):
+        records = restriction_corpus(1)
+        full = build_graph(records)
+        late = np.array([pid == "q_late" for pid in full.paper_ids])
+        before = restrict_graph(full, ~late)
+        assert "Probability" not in before.field_names
+        assert "Probability" in full.field_names
+        assert before.n_fields == full.n_fields - 1
+
+    def test_mask_length_must_match_papers(self, rng):
+        full = build_graph(make_random_records(rng, n_papers=5, n_theorems=5))
+        with pytest.raises(ValueError, match="mask"):
+            restrict_graph(full, np.ones(6, dtype=bool))
