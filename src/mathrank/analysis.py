@@ -8,7 +8,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .build import build_graph, restrict_graph
-from .fields import FIELD_NAMES, N_FIELDS, msc_to_field
+from .fields import FIELD_NAMES, N_FIELDS, field_index_column
 from .graph import ThreeLevelGraph
 from .records import GraphRecords
 from .solver import (
@@ -177,7 +177,7 @@ def field_series(
     if not years:
         raise ValueError("years must be non-empty")
     full_graph = build_graph(records)
-    year_of = {p.paper_id: p.first_version_date.year for p in records.papers}
+    year_of = dict(zip(records.paper_id, records.year.tolist()))
     paper_year = np.array([year_of[pid] for pid in full_graph.paper_ids], dtype=np.int64)
     scores, status = zip(*(_solve_year(restrict_graph(full_graph, paper_year <= year), hp)
                            for year in years))
@@ -216,10 +216,8 @@ def category_ratios(
     years = tuple(years)
     if not years:
         raise ValueError("years must be non-empty")
-    paper_years = np.array(
-        [p.first_version_date.year for p in records.papers], dtype=np.int64)
-    paper_fields = np.array(
-        [msc_to_field(p.msc_primary).index for p in records.papers], dtype=np.int64)
+    paper_years = records.year
+    paper_fields = field_index_column(records.msc_primary)
     ratios: list[np.ndarray | None] = []
     for year in years:
         included = paper_years <= year

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import logging
-from itertools import compress
+from functools import partial
+from itertools import chain, compress
 
 import numpy as np
 
-from .fields import msc_to_field
+from .fields import field_index_column
 from .graph import ThreeLevelGraph
-from .records import GraphRecords, PaperRecord, TheoremRecord, validate_records
+from .records import GraphRecords, PaperRecord, TheoremRecord, intern_codes, validate_records
 from .sparsemat import SparseWeightMatrix
 
 log = logging.getLogger(__name__)
@@ -31,11 +32,8 @@ def theorem_edge_weight(
     dst: TheoremRecord,
     src_paper: PaperRecord,
     dst_paper: PaperRecord,
-    cites: bool,
 ) -> float:
     """Weight of the theorem-level edge src -> dst (src's proof cites dst)."""
-    if not cites:
-        return 0.0
     if src.paper_id == dst.paper_id:
         return SAME_PAPER_WEIGHT
     if src_paper.author_ids & dst_paper.author_ids:
@@ -43,10 +41,8 @@ def theorem_edge_weight(
     return INDEPENDENT_WEIGHT
 
 
-def paper_edge_weight(src: PaperRecord, dst: PaperRecord, cites: bool) -> float:
+def paper_edge_weight(src: PaperRecord, dst: PaperRecord) -> float:
     """Weight of the paper-level edge src -> dst (src cites dst)."""
-    if not cites:
-        return 0.0
     if src.author_ids & dst.author_ids:
         return SHARED_AUTHOR_WEIGHT
     return INDEPENDENT_WEIGHT
@@ -68,6 +64,48 @@ def build_field_matrix(
         (n_fields, n_fields), rows, cols, dense[rows, cols])
 
 
+def _str_order(strings: tuple[str, ...]) -> np.ndarray:
+    """rank[i] is the place of strings[i] in Python string order."""
+    rank = np.empty(len(strings), dtype=np.int64)
+    rank[sorted(range(len(strings)), key=strings.__getitem__)] = np.arange(len(strings))
+    return rank
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values, ascending."""
+    values = np.sort(values)
+    first = np.ones(values.size, dtype=bool)
+    first[1:] = values[1:] != values[:-1]
+    return values[first]
+
+
+def _edges(cited: np.ndarray, citer: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct (cited, citer) pairs whose ends are known (>= 0) and differ."""
+    ok = (cited >= 0) & (citer >= 0) & (cited != citer)
+    pairs = _distinct(cited[ok] * n + citer[ok])
+    return pairs // max(n, 1), pairs % max(n, 1)
+
+
+def _share_author(author_ptr: np.ndarray, authors: np.ndarray, n_authors: int,
+                  a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """True where papers a[k] and b[k] have an author in common.
+
+    Paper p's distinct authors are ``authors[author_ptr[p]:author_ptr[p + 1]]``.
+    The key ``k * n_authors + author`` is listed for each author of a[k] and
+    each of b[k]; a key listed twice is an author they share.
+    """
+    def listed(papers: np.ndarray) -> np.ndarray:
+        count = author_ptr[papers + 1] - author_ptr[papers]
+        pair = np.repeat(np.arange(papers.size), count)
+        first = np.repeat(author_ptr[papers] - (np.cumsum(count) - count), count)
+        return pair * n_authors + authors[first + np.arange(pair.size)]
+
+    keys = np.sort(np.concatenate([listed(a), listed(b)]))
+    shared = np.zeros(a.size, dtype=bool)
+    shared[keys[1:][keys[1:] == keys[:-1]] // n_authors] = True
+    return shared
+
+
 def build_graph(records: GraphRecords) -> ThreeLevelGraph:
     """Assemble the three-level graph from validated records.
 
@@ -84,67 +122,63 @@ def build_graph(records: GraphRecords) -> ThreeLevelGraph:
     if report.edge_issues:
         log.warning("dropping %d invalid citation edges", len(report.edge_issues))
 
-    papers = sorted(records.papers, key=lambda p: p.paper_id)
-    paper_ids = tuple(p.paper_id for p in papers)
-    paper_index = {pid: i for i, pid in enumerate(paper_ids)}
-    paper_by_id = {p.paper_id: p for p in papers}
+    codes = records.codes
 
-    theorems = sorted(records.theorems, key=lambda t: t.key)
-    theorem_keys = tuple(t.key for t in theorems)
-    theorem_index = {key: i for i, key in enumerate(theorem_keys)}
+    # Papers by id. index_of[code] is a paper's place in the graph, -1 for
+    # an id no paper record has.
+    order = sorted(range(len(records.paper_id)), key=records.paper_id.__getitem__)
+    paper_ids = tuple(records.paper_id[i] for i in order)
+    n_papers = len(paper_ids)
+    index_of = np.full(len(codes.paper_ids), -1, dtype=np.int64)
+    index_of[codes.paper[order]] = np.arange(n_papers)
 
-    n_papers = len(papers)
-    n_theorems = len(theorems)
+    # Theorems by (paper_id, theorem_id); theorem_of[key code] is a
+    # theorem's place in the graph, -1 for a key no theorem record has.
+    t_order = np.lexsort((_str_order(codes.theorem_ids)[codes.theorem_id],
+                          index_of[codes.theorem_paper]))
+    rows = t_order.tolist()
+    theorem_keys = tuple(zip(map(records.theorem_paper.__getitem__, rows),
+                             map(records.theorem_id.__getitem__, rows)))
+    theorem_paper = index_of[codes.theorem_paper[t_order]]
+    n_theorems = len(theorem_keys)
+    theorem_of = np.full(codes.n_theorem_keys, -1, dtype=np.int64)
+    theorem_of[codes.theorem[t_order]] = np.arange(n_theorems)
 
     # Field axis: populated canonical fields, ascending.
-    canonical_field = np.array(
-        [msc_to_field(p.msc_primary).index for p in papers], dtype=np.int64)
-    field_indices = np.unique(canonical_field)
-    local_of_canonical = {int(c): i for i, c in enumerate(field_indices)}
-    paper_field = np.array(
-        [local_of_canonical[int(c)] for c in canonical_field], dtype=np.int64)
+    canonical_field = field_index_column(records.msc_primary)[order]
+    field_indices = _distinct(canonical_field)
+    paper_field = np.searchsorted(field_indices, canonical_field)
     n_fields = int(field_indices.size)
 
+    # Each paper's distinct authors, grouped by paper.
+    vocab: dict[str, int] = {}
+    author = intern_codes(vocab, tuple(chain.from_iterable(records.author_ids)))
+    n_authors = max(len(vocab), 1)
+    holder = np.repeat(index_of[codes.paper], [len(a) for a in records.author_ids])
+    paper_author = _distinct(holder * n_authors + author)
+    author_ptr = np.zeros(n_papers + 1, dtype=np.int64)
+    np.cumsum(np.bincount(paper_author // n_authors, minlength=n_papers), out=author_ptr[1:])
+    share_author = partial(_share_author, author_ptr, paper_author % n_authors, n_authors)
+
     # Theorem-level matrix: entry (cited, citer).
-    t_edges: set[tuple[int, int]] = set()
-    for tc in records.theorem_citations:
-        src = theorem_index.get(tc.src_key)
-        dst = theorem_index.get(tc.dst_key)
-        if src is None or dst is None or src == dst:
-            continue
-        t_edges.add((dst, src))
-    t_entries = []
-    for dst_i, src_i in sorted(t_edges):
-        src_t, dst_t = theorems[src_i], theorems[dst_i]
-        w = theorem_edge_weight(
-            src_t, dst_t, paper_by_id[src_t.paper_id], paper_by_id[dst_t.paper_id], True)
-        t_entries.append((dst_i, src_i, w))
-    t_matrix = SparseWeightMatrix.from_entries((n_theorems, n_theorems), t_entries)
+    cited, citer = _edges(theorem_of[codes.tc_dst], theorem_of[codes.tc_src], n_theorems)
+    cited_paper, citer_paper = theorem_paper[cited], theorem_paper[citer]
+    weight = np.where(cited_paper == citer_paper, SAME_PAPER_WEIGHT,
+                      np.where(share_author(citer_paper, cited_paper),
+                               SHARED_AUTHOR_WEIGHT, INDEPENDENT_WEIGHT))
+    t_matrix = SparseWeightMatrix.from_arrays((n_theorems, n_theorems), cited, citer, weight)
 
     # Paper-level matrix: entry (cited, citer).
-    p_edges: set[tuple[int, int]] = set()
-    for pc in records.paper_citations:
-        src = paper_index.get(pc.src)
-        dst = paper_index.get(pc.dst)
-        if src is None or dst is None or src == dst:
-            continue
-        p_edges.add((dst, src))
-    p_entries = [
-        (dst_i, src_i, paper_edge_weight(papers[src_i], papers[dst_i], True))
-        for dst_i, src_i in sorted(p_edges)
-    ]
-    p_matrix = SparseWeightMatrix.from_entries((n_papers, n_papers), p_entries)
+    cited, citer = _edges(index_of[codes.pc_dst], index_of[codes.pc_src], n_papers)
+    weight = np.where(share_author(citer, cited), SHARED_AUTHOR_WEIGHT, INDEPENDENT_WEIGHT)
+    p_matrix = SparseWeightMatrix.from_arrays((n_papers, n_papers), cited, citer, weight)
 
     f_matrix = build_field_matrix(paper_field, n_fields, p_matrix)
 
     # Containment maps. Theorems are sorted by (paper_id, theorem_id), so each
     # paper's theorems are contiguous.
-    theorem_paper = np.array(
-        [paper_index[t.paper_id] for t in theorems], dtype=np.int64)
-    pt_counts = np.bincount(theorem_paper, minlength=n_papers) if n_theorems else \
-        np.zeros(n_papers, dtype=np.int64)
     paper_theorem_ptr = np.zeros(n_papers + 1, dtype=np.int64)
-    np.cumsum(pt_counts, out=paper_theorem_ptr[1:])
+    np.cumsum(np.bincount(theorem_paper, minlength=n_papers), out=paper_theorem_ptr[1:])
 
     for arr in (field_indices, theorem_paper, paper_field, paper_theorem_ptr):
         arr.setflags(write=False)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import sys
+from collections import Counter
 from pathlib import Path
 
 import click
@@ -129,16 +130,17 @@ def build(papers_path, theorems_path, thm_cites_path, paper_cites_path, out_dir)
     _write_csv(out / "validation.csv", ["kind", "detail"], issue_rows)
 
     field_counts = {name: 0 for name in FIELD_NAMES}
-    for p in records.papers:
+    for code, count in Counter(records.msc_primary).items():
         try:
-            field_counts[msc_to_field(p.msc_primary).name] += 1
+            field_counts[msc_to_field(code).name] += count
         except ValueError:
             pass
+    n_papers, n_theorems = len(records.paper_id), len(records.theorem_id)
     summary_rows = [
-        ("papers", len(records.papers)),
-        ("theorems", len(records.theorems)),
-        ("theorem_citations", len(records.theorem_citations)),
-        ("paper_citations", len(records.paper_citations)),
+        ("papers", n_papers),
+        ("theorems", n_theorems),
+        ("theorem_citations", len(records.tc_src_paper)),
+        ("paper_citations", len(records.pc_src)),
     ]
     summary_rows += [(f"papers_in.{name}", field_counts[name]) for name in FIELD_NAMES]
     _write_csv(out / "summary.csv", ["metric", "value"], summary_rows)
@@ -148,14 +150,13 @@ def build(papers_path, theorems_path, thm_cites_path, paper_cites_path, out_dir)
         click.echo(f"validation failed: {len(issue_rows)} issues "
                    f"(see {out / 'validation.csv'})", err=True)
         failed = True
-    for level, count in (("paper", len(records.papers)), ("theorem", len(records.theorems))):
+    for level, count in (("paper", n_papers), ("theorem", n_theorems)):
         if count == 0:
             click.echo(f"empty level: no {level}s in the corpus", err=True)
             failed = True
     if failed:
         sys.exit(2)
-    click.echo(f"corpus valid: {len(records.papers)} papers, "
-               f"{len(records.theorems)} theorems")
+    click.echo(f"corpus valid: {n_papers} papers, {n_theorems} theorems")
 
 
 @main.command()

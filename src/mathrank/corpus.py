@@ -8,26 +8,24 @@ Four files make up a corpus:
 * paper citations:   {"src_paper", "dst_paper"}
 
 Files are UTF-8 and lines end in LF (a CR before it is stripped). Field
-names are fixed; unknown extra fields are ignored. Malformed lines, including
-lines that are not valid UTF-8, are skipped and reported with their line
-numbers.
+names are fixed; unknown extra fields are ignored. Dates are ASCII
+``YYYY-MM``. Malformed lines, including lines that are not valid UTF-8 and
+lines nested too deeply to parse, are skipped and reported with their line
+numbers. Each file is read into columns (see GraphRecords), one JSON parse
+per line and no record object per line.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable
 
-from .records import (
-    GraphRecords,
-    PaperCitation,
-    PaperRecord,
-    TheoremCitation,
-    TheoremRecord,
-    YearMonth,
-)
+import numpy as np
+
+from .records import GraphRecords, YearMonth
 
 
 @dataclass(frozen=True)
@@ -37,66 +35,84 @@ class MalformedLine:
     reason: str
 
 
-def _require_str(obj: dict, key: str) -> str:
-    value = obj[key]
-    if not isinstance(value, str):
-        raise ValueError(f"field {key!r} must be a string")
-    return value
+_scan = json.JSONDecoder().scan_once
 
 
-def _parse_paper(obj: dict) -> PaperRecord:
+def _json_object(line: str) -> dict:
+    """The JSON object on one stripped, non-empty line.
+
+    The line is parsed once, by the scanner json.loads uses. Only a line
+    that fails is handed to json.loads itself, so that the reason reported
+    is json.loads' own message.
+    """
+    try:
+        obj, end = _scan(line, 0)
+    except StopIteration:
+        end = -1
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+    if end != len(line):
+        obj = json.loads(line)
+    if not isinstance(obj, dict):
+        raise ValueError("record must be a JSON object")
+    return obj
+
+
+def _string_fields(*keys: str) -> Callable[[dict], tuple[str, ...]]:
+    """A reader of a record's string fields ``keys``, in that order.
+
+    A missing field raises KeyError and a value that is not a string
+    ValueError, for the first offending field in key order.
+    """
+    get = itemgetter(*keys)
+
+    def read(obj: dict) -> tuple[str, ...]:
+        try:
+            values = get(obj)
+        except KeyError:
+            pass
+        else:
+            for value in values:
+                if not isinstance(value, str):
+                    break
+            else:
+                return values
+        # Some field is missing or not a string: name the first, in key order.
+        for key in keys:
+            if not isinstance(obj[key], str):
+                raise ValueError(f"field {key!r} must be a string")
+
+    return read
+
+
+_paper_strings = _string_fields("paper_id", "msc_primary", "first_version_date")
+
+
+def _paper_fields(obj: dict) -> tuple:
     authors = obj["author_ids"]
     if not isinstance(authors, list) or not all(isinstance(a, str) for a in authors):
         raise ValueError("field 'author_ids' must be a list of strings")
-    return PaperRecord(
-        paper_id=_require_str(obj, "paper_id"),
-        msc_primary=_require_str(obj, "msc_primary"),
-        author_ids=frozenset(authors),
-        first_version_date=YearMonth.parse(_require_str(obj, "first_version_date")),
-    )
+    paper_id, msc_primary, date = _paper_strings(obj)
+    year, month = YearMonth.parse(date)
+    return paper_id, msc_primary, tuple(authors), year, month
 
 
-def _parse_theorem(obj: dict) -> TheoremRecord:
-    return TheoremRecord(
-        paper_id=_require_str(obj, "paper_id"),
-        theorem_id=_require_str(obj, "theorem_id"),
-    )
-
-
-def _parse_theorem_citation(obj: dict) -> TheoremCitation:
-    return TheoremCitation(
-        src_paper=_require_str(obj, "src_paper"),
-        src_theorem=_require_str(obj, "src_theorem"),
-        dst_paper=_require_str(obj, "dst_paper"),
-        dst_theorem=_require_str(obj, "dst_theorem"),
-    )
-
-
-def _parse_paper_citation(obj: dict) -> PaperCitation:
-    return PaperCitation(
-        src=_require_str(obj, "src_paper"),
-        dst=_require_str(obj, "dst_paper"),
-    )
-
-
-def _parse_file(path: str | Path, parse_one: Callable[[dict], object],
-                errors: list[MalformedLine]) -> list:
-    out = []
-    # Lines are read as bytes so that a line that is not UTF-8 is reported
-    # like any other malformed line.
+def _read_columns(path: str | Path, fields: Callable[[dict], tuple], names: tuple[str, ...],
+                  errors: list[MalformedLine]) -> dict[str, tuple]:
+    """One file's records as columns ``names``, from ``fields`` of each line."""
+    rows = []
+    # Lines are read as bytes and split at LF only, so that a line that is
+    # not UTF-8 is reported like any other malformed line, and a CR, U+2028
+    # or U+0085 inside a line does not split it.
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
                 line = raw.decode("utf-8").strip()
-                if not line:
-                    continue
-                obj = json.loads(line)
-                if not isinstance(obj, dict):
-                    raise ValueError("record must be a JSON object")
-                out.append(parse_one(obj))
+                if line:
+                    rows.append(fields(_json_object(line)))
             except (ValueError, KeyError) as exc:
                 errors.append(MalformedLine(str(path), lineno, str(exc)))
-    return out
+    return dict(zip(names, zip(*rows))) if rows else dict.fromkeys(names, ())
 
 
 def parse_corpus(
@@ -105,17 +121,23 @@ def parse_corpus(
     theorem_citations_path: str | Path,
     paper_citations_path: str | Path,
 ) -> tuple[GraphRecords, list[MalformedLine]]:
-    """Parse the four corpus files.
+    """Parse the four corpus files into columns.
 
     Returns the parsed records plus a list of malformed lines that were
     skipped. Unreadable files raise OSError.
     """
     errors: list[MalformedLine] = []
-    records = GraphRecords(
-        papers=_parse_file(papers_path, _parse_paper, errors),
-        theorems=_parse_file(theorems_path, _parse_theorem, errors),
-        theorem_citations=_parse_file(theorem_citations_path, _parse_theorem_citation, errors),
-        paper_citations=_parse_file(paper_citations_path, _parse_paper_citation, errors),
+    records = GraphRecords.from_columns(
+        **_read_columns(papers_path, _paper_fields,
+                        ("paper_id", "msc_primary", "author_ids", "year", "month"), errors),
+        **_read_columns(theorems_path, _string_fields("paper_id", "theorem_id"),
+                        ("theorem_paper", "theorem_id"), errors),
+        **_read_columns(theorem_citations_path, _string_fields(
+                            "src_paper", "src_theorem", "dst_paper", "dst_theorem"),
+                        ("tc_src_paper", "tc_src_theorem", "tc_dst_paper", "tc_dst_theorem"),
+                        errors),
+        **_read_columns(paper_citations_path, _string_fields("src_paper", "dst_paper"),
+                        ("pc_src", "pc_dst"), errors),
     )
     return records, errors
 
@@ -137,29 +159,27 @@ def write_corpus(
     """Write records back out in the line-delimited format (parse round-trips)."""
     _write_lines(papers_path, (
         {
-            "paper_id": p.paper_id,
-            "msc_primary": p.msc_primary,
-            "author_ids": sorted(p.author_ids),
-            "first_version_date": str(p.first_version_date),
+            "paper_id": pid,
+            "msc_primary": msc,
+            "author_ids": sorted(set(authors)),
+            "first_version_date": str(YearMonth(year, month)),
         }
-        for p in records.papers
+        for pid, msc, authors, year, month in zip(
+            records.paper_id, records.msc_primary, records.author_ids,
+            records.year.tolist(), records.month.tolist())
     ))
     _write_lines(theorems_path, (
-        {"paper_id": t.paper_id, "theorem_id": t.theorem_id}
-        for t in records.theorems
+        {"paper_id": pid, "theorem_id": tid}
+        for pid, tid in zip(records.theorem_paper, records.theorem_id)
     ))
     _write_lines(theorem_citations_path, (
-        {
-            "src_paper": c.src_paper,
-            "src_theorem": c.src_theorem,
-            "dst_paper": c.dst_paper,
-            "dst_theorem": c.dst_theorem,
-        }
-        for c in records.theorem_citations
+        {"src_paper": sp, "src_theorem": st, "dst_paper": dp, "dst_theorem": dt}
+        for sp, st, dp, dt in zip(records.tc_src_paper, records.tc_src_theorem,
+                                  records.tc_dst_paper, records.tc_dst_theorem)
     ))
     _write_lines(paper_citations_path, (
-        {"src_paper": c.src, "dst_paper": c.dst}
-        for c in records.paper_citations
+        {"src_paper": src, "dst_paper": dst}
+        for src, dst in zip(records.pc_src, records.pc_dst)
     ))
 
 
@@ -173,17 +193,15 @@ def snapshot_filter(records: GraphRecords, year: int) -> GraphRecords:
     does not call it, but ``build.restrict_graph`` of the whole corpus's
     graph to the same papers reproduces ``build_graph`` of its result.
     """
-    cutoff = YearMonth(year, 12)
-    papers = tuple(p for p in records.papers if p.first_version_date <= cutoff)
-    paper_ids = {p.paper_id for p in papers}
-    theorems = tuple(t for t in records.theorems if t.paper_id in paper_ids)
-    theorem_keys = {t.key for t in theorems}
-    theorem_citations = tuple(
-        c for c in records.theorem_citations
-        if c.src_key in theorem_keys and c.dst_key in theorem_keys
-    )
-    paper_citations = tuple(
-        c for c in records.paper_citations
-        if c.src in paper_ids and c.dst in paper_ids
-    )
-    return GraphRecords(papers, theorems, theorem_citations, paper_citations)
+    codes = records.codes
+    # (year, month) <= (year, 12) as tuples
+    keep_papers = (records.year < year) | ((records.year == year) & (records.month <= 12))
+    kept_paper = np.zeros(len(codes.paper_ids), dtype=bool)
+    kept_paper[codes.paper[keep_papers]] = True
+    keep_theorems = kept_paper[codes.theorem_paper]
+    kept_theorem = np.zeros(codes.n_theorem_keys, dtype=bool)
+    kept_theorem[codes.theorem[keep_theorems]] = True
+    return records.select(
+        keep_papers, keep_theorems,
+        kept_theorem[codes.tc_src] & kept_theorem[codes.tc_dst],
+        kept_paper[codes.pc_src] & kept_paper[codes.pc_dst])

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 FIELD_NAMES: tuple[str, ...] = (
     "Algebra",
@@ -75,3 +78,13 @@ def msc_to_field(code: str) -> FieldId:
     if not (code.isascii() and code.isalnum()):
         raise ValueError(f"subject code must be alphanumeric, got {code!r}")
     return _CODE_TO_FIELD.get(code, OTHERS)
+
+
+def field_index_column(codes: Sequence[str]) -> np.ndarray:
+    """``msc_to_field(code).index`` for each code, as int64.
+
+    Each distinct code is classified once, in order of first appearance, so
+    the first invalid code raises as msc_to_field would.
+    """
+    index_of = {code: msc_to_field(code).index for code in dict.fromkeys(codes)}
+    return np.array([index_of[code] for code in codes], dtype=np.int64)

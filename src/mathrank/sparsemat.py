@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -31,21 +31,6 @@ class SparseWeightMatrix:
     indptr: np.ndarray  # int64, one slot per column plus one
     rowidx: np.ndarray  # int64, ascending within each column
     values: np.ndarray  # float64, strictly positive
-
-    @classmethod
-    def from_entries(
-        cls, shape: tuple[int, int], entries: Iterable[tuple[int, int, float]]
-    ) -> "SparseWeightMatrix":
-        entry_list = list(entries)
-        if not entry_list:
-            rows = np.empty(0, dtype=np.int64)
-            cols = np.empty(0, dtype=np.int64)
-            vals = np.empty(0, dtype=np.float64)
-        else:
-            rows = np.array([e[0] for e in entry_list], dtype=np.int64)
-            cols = np.array([e[1] for e in entry_list], dtype=np.int64)
-            vals = np.array([e[2] for e in entry_list], dtype=np.float64)
-        return cls.from_arrays(shape, rows, cols, vals)
 
     @classmethod
     def from_arrays(

@@ -1,0 +1,228 @@
+"""Loop-form parsing, validation and graph assembly: the reference for the
+columnar code.
+
+These are ``parse_corpus``, ``validate_records`` and ``build_graph`` as they
+were written over record objects, one record at a time: ``json.loads`` and a
+record object per line, sets of tuples, and one weight call per edge.
+``test_columnar.py`` requires the columnar versions to give equal records,
+malformed-line reasons and reports, and graphs equal array for array.
+"""
+
+from __future__ import annotations
+
+import json
+
+import numpy as np
+
+from mathrank.corpus import MalformedLine
+from mathrank.build import (
+    BuildError,
+    build_field_matrix,
+    paper_edge_weight,
+    theorem_edge_weight,
+)
+from mathrank.fields import msc_to_field
+from mathrank.graph import ThreeLevelGraph
+from mathrank.records import (
+    GraphRecords,
+    PaperCitation,
+    PaperRecord,
+    TheoremCitation,
+    TheoremRecord,
+    ValidationIssue,
+    ValidationReport,
+    YearMonth,
+)
+from mathrank.sparsemat import SparseWeightMatrix
+
+
+def _require_str(obj: dict, key: str) -> str:
+    value = obj[key]
+    if not isinstance(value, str):
+        raise ValueError(f"field {key!r} must be a string")
+    return value
+
+
+def _parse_paper(obj: dict) -> PaperRecord:
+    authors = obj["author_ids"]
+    if not isinstance(authors, list) or not all(isinstance(a, str) for a in authors):
+        raise ValueError("field 'author_ids' must be a list of strings")
+    return PaperRecord(
+        paper_id=_require_str(obj, "paper_id"),
+        msc_primary=_require_str(obj, "msc_primary"),
+        author_ids=frozenset(authors),
+        first_version_date=YearMonth.parse(_require_str(obj, "first_version_date")),
+    )
+
+
+def _parse_theorem(obj: dict) -> TheoremRecord:
+    return TheoremRecord(_require_str(obj, "paper_id"), _require_str(obj, "theorem_id"))
+
+
+def _parse_theorem_citation(obj: dict) -> TheoremCitation:
+    return TheoremCitation(
+        _require_str(obj, "src_paper"), _require_str(obj, "src_theorem"),
+        _require_str(obj, "dst_paper"), _require_str(obj, "dst_theorem"))
+
+
+def _parse_paper_citation(obj: dict) -> PaperCitation:
+    return PaperCitation(_require_str(obj, "src_paper"), _require_str(obj, "dst_paper"))
+
+
+def _parse_file(path, parse_one, errors: list[MalformedLine]) -> list:
+    out = []
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
+                obj = json.loads(line)
+                if not isinstance(obj, dict):
+                    raise ValueError("record must be a JSON object")
+                out.append(parse_one(obj))
+            except (ValueError, KeyError) as exc:
+                errors.append(MalformedLine(str(path), lineno, str(exc)))
+    return out
+
+
+def parse_corpus_loop(papers_path, theorems_path, theorem_citations_path,
+                      paper_citations_path) -> tuple[GraphRecords, list[MalformedLine]]:
+    errors: list[MalformedLine] = []
+    records = GraphRecords(
+        papers=_parse_file(papers_path, _parse_paper, errors),
+        theorems=_parse_file(theorems_path, _parse_theorem, errors),
+        theorem_citations=_parse_file(theorem_citations_path, _parse_theorem_citation, errors),
+        paper_citations=_parse_file(paper_citations_path, _parse_paper_citation, errors),
+    )
+    return records, errors
+
+
+def validate_records_loop(records: GraphRecords) -> ValidationReport:
+    issues: list[ValidationIssue] = []
+
+    seen_papers: set[str] = set()
+    for p in records.papers:
+        if p.paper_id in seen_papers:
+            issues.append(ValidationIssue("duplicate_paper", p.paper_id))
+        seen_papers.add(p.paper_id)
+        if len(p.msc_primary) != 2 or not (p.msc_primary.isascii() and p.msc_primary.isalnum()):
+            issues.append(ValidationIssue(
+                "malformed_paper", f"{p.paper_id}: bad subject code {p.msc_primary!r}"))
+        if not p.first_version_date.is_valid:
+            issues.append(ValidationIssue(
+                "malformed_paper", f"{p.paper_id}: bad date {p.first_version_date}"))
+
+    seen_theorems: set[tuple[str, str]] = set()
+    for t in records.theorems:
+        if t.key in seen_theorems:
+            issues.append(ValidationIssue("duplicate_theorem", f"{t.paper_id}:{t.theorem_id}"))
+        seen_theorems.add(t.key)
+        if t.paper_id not in seen_papers:
+            issues.append(ValidationIssue(
+                "dangling_theorem", f"{t.paper_id}:{t.theorem_id} references unknown paper"))
+
+    for tc in records.theorem_citations:
+        if tc.src_key == tc.dst_key:
+            issues.append(ValidationIssue(
+                "self_citation", f"theorem {tc.src_paper}:{tc.src_theorem} cites itself"))
+            continue
+        for key, role in ((tc.src_key, "src"), (tc.dst_key, "dst")):
+            if key not in seen_theorems:
+                issues.append(ValidationIssue(
+                    "dangling_theorem_citation",
+                    f"{role} theorem {key[0]}:{key[1]} unknown"))
+
+    for pc in records.paper_citations:
+        if pc.src == pc.dst:
+            issues.append(ValidationIssue("self_citation", f"paper {pc.src} cites itself"))
+            continue
+        for pid, role in ((pc.src, "src"), (pc.dst, "dst")):
+            if pid not in seen_papers:
+                issues.append(ValidationIssue(
+                    "dangling_paper_citation", f"{role} paper {pid} unknown"))
+
+    return ValidationReport(tuple(issues))
+
+
+def _matrix(n: int, entries: list[tuple[int, int, float]]) -> SparseWeightMatrix:
+    rows, cols, vals = (np.array([e[k] for e in entries], dtype=dtype)
+                        for k, dtype in ((0, np.int64), (1, np.int64), (2, np.float64)))
+    return SparseWeightMatrix.from_arrays((n, n), rows, cols, vals)
+
+
+def build_graph_loop(records: GraphRecords) -> ThreeLevelGraph:
+    report = validate_records_loop(records)
+    fatal = report.fatal_issues
+    if fatal:
+        raise BuildError(f"{fatal[0].kind}: {fatal[0].detail}"
+                         + (f" (+{len(fatal) - 1} more)" if len(fatal) > 1 else ""))
+
+    papers = sorted(records.papers, key=lambda p: p.paper_id)
+    paper_ids = tuple(p.paper_id for p in papers)
+    paper_index = {pid: i for i, pid in enumerate(paper_ids)}
+    paper_by_id = {p.paper_id: p for p in papers}
+
+    theorems = sorted(records.theorems, key=lambda t: t.key)
+    theorem_keys = tuple(t.key for t in theorems)
+    theorem_index = {key: i for i, key in enumerate(theorem_keys)}
+
+    n_papers = len(papers)
+    n_theorems = len(theorems)
+
+    canonical_field = np.array(
+        [msc_to_field(p.msc_primary).index for p in papers], dtype=np.int64)
+    field_indices = np.unique(canonical_field)
+    local_of_canonical = {int(c): i for i, c in enumerate(field_indices)}
+    paper_field = np.array(
+        [local_of_canonical[int(c)] for c in canonical_field], dtype=np.int64)
+    n_fields = int(field_indices.size)
+
+    t_edges: set[tuple[int, int]] = set()
+    for tc in records.theorem_citations:
+        src = theorem_index.get(tc.src_key)
+        dst = theorem_index.get(tc.dst_key)
+        if src is None or dst is None or src == dst:
+            continue
+        t_edges.add((dst, src))
+    t_entries = []
+    for dst_i, src_i in sorted(t_edges):
+        src_t, dst_t = theorems[src_i], theorems[dst_i]
+        w = theorem_edge_weight(
+            src_t, dst_t, paper_by_id[src_t.paper_id], paper_by_id[dst_t.paper_id])
+        t_entries.append((dst_i, src_i, w))
+    t_matrix = _matrix(n_theorems, t_entries)
+
+    p_edges: set[tuple[int, int]] = set()
+    for pc in records.paper_citations:
+        src = paper_index.get(pc.src)
+        dst = paper_index.get(pc.dst)
+        if src is None or dst is None or src == dst:
+            continue
+        p_edges.add((dst, src))
+    p_entries = [
+        (dst_i, src_i, paper_edge_weight(papers[src_i], papers[dst_i]))
+        for dst_i, src_i in sorted(p_edges)
+    ]
+    p_matrix = _matrix(n_papers, p_entries)
+
+    f_matrix = build_field_matrix(paper_field, n_fields, p_matrix)
+
+    theorem_paper = np.array(
+        [paper_index[t.paper_id] for t in theorems], dtype=np.int64)
+    pt_counts = np.bincount(theorem_paper, minlength=n_papers) if n_theorems else \
+        np.zeros(n_papers, dtype=np.int64)
+    paper_theorem_ptr = np.zeros(n_papers + 1, dtype=np.int64)
+    np.cumsum(pt_counts, out=paper_theorem_ptr[1:])
+
+    return ThreeLevelGraph(
+        theorem_keys=theorem_keys,
+        paper_ids=paper_ids,
+        field_indices=field_indices,
+        t_matrix=t_matrix,
+        p_matrix=p_matrix,
+        f_matrix=f_matrix,
+        theorem_paper=theorem_paper,
+        paper_field=paper_field,
+        paper_theorem_ptr=paper_theorem_ptr,
+    )

@@ -18,6 +18,7 @@ from mathrank.records import (
     GraphRecords,
     PaperCitation,
     PaperRecord,
+    TheoremCitation,
     YearMonth,
     validate_records,
 )
@@ -216,14 +217,25 @@ def test_criterion_4_weight_scheme_exactness():
     t_a1, t_a2 = theorem("pa", "thm 1"), theorem("pa", "thm 2")
     t_b, t_c = theorem("pb", "thm 1"), theorem("pc", "thm 1")
 
-    assert theorem_edge_weight(t_a1, t_c, p_a, p_c, cites=False) == 0.0
-    assert theorem_edge_weight(t_a1, t_a2, p_a, p_a, cites=True) == 0.05
-    assert theorem_edge_weight(t_a1, t_b, p_a, p_b, cites=True) == 0.1
-    assert theorem_edge_weight(t_a1, t_c, p_a, p_c, cites=True) == 1.0
+    assert theorem_edge_weight(t_a1, t_a2, p_a, p_a) == 0.05
+    assert theorem_edge_weight(t_a1, t_b, p_a, p_b) == 0.1
+    assert theorem_edge_weight(t_a1, t_c, p_a, p_c) == 1.0
 
-    assert paper_edge_weight(p_a, p_c, cites=False) == 0.0
-    assert paper_edge_weight(p_a, p_b, cites=True) == 0.1
-    assert paper_edge_weight(p_a, p_c, cites=True) == 1.0
+    assert paper_edge_weight(p_a, p_b) == 0.1
+    assert paper_edge_weight(p_a, p_c) == 1.0
+
+    # The built matrices hold the same tiers at (cited, citer), and 0 for
+    # every pair without a citation.
+    graph = build_graph(GraphRecords(
+        papers=[p_a, p_b, p_c], theorems=[t_a1, t_a2, t_b, t_c],
+        theorem_citations=[TheoremCitation(*t_a1.key, *t.key) for t in (t_a2, t_b, t_c)],
+        paper_citations=[PaperCitation("pa", "pb"), PaperCitation("pa", "pc")]))
+    want_t = np.zeros((4, 4))
+    want_t[1:, 0] = [0.05, 0.1, 1.0]
+    np.testing.assert_array_equal(graph.t_matrix.to_dense(), want_t)
+    want_p = np.zeros((3, 3))
+    want_p[1:, 0] = [0.1, 1.0]
+    np.testing.assert_array_equal(graph.p_matrix.to_dense(), want_p)
     print("\nACCEPTANCE 4 PASS - exact field table "
           f"({len(oracle.FIELD_OF_CODE)} listed codes + {len(unlisted)} "
           "unlisted) and exact weight tiers {0, 0.05, 0.1, 1} / {0, 0.1, 1}")

@@ -34,26 +34,33 @@ class TestWeightTiers:
     """Exhaustive cases of the piecewise weight definitions."""
 
     def test_theorem_no_citation(self):
-        assert theorem_edge_weight(T1, T3, P_SHARED, P_DISJOINT, cites=False) == 0.0
+        # x3's theorem cites x1's, not the other way round: that pair weighs 0.
+        g = build_graph(GraphRecords(
+            papers=[P_SHARED, P_DISJOINT], theorems=[T1, T3],
+            theorem_citations=[TheoremCitation(*T3.key, *T1.key)]))
+        np.testing.assert_array_equal(g.t_matrix.to_dense(), [[0.0, 1.0], [0.0, 0.0]])
 
     def test_theorem_same_paper(self):
-        assert theorem_edge_weight(T1, T2, P_SHARED, P_SHARED, cites=True) == 0.05
+        assert theorem_edge_weight(T1, T2, P_SHARED, P_SHARED) == 0.05
 
     def test_theorem_cross_paper_shared_author(self):
         t_other = theorem("x2", "thm 1")
-        assert theorem_edge_weight(T1, t_other, P_SHARED, P_SHARED2, cites=True) == 0.1
+        assert theorem_edge_weight(T1, t_other, P_SHARED, P_SHARED2) == 0.1
 
     def test_theorem_cross_paper_disjoint_authors(self):
-        assert theorem_edge_weight(T1, T3, P_SHARED, P_DISJOINT, cites=True) == 1.0
+        assert theorem_edge_weight(T1, T3, P_SHARED, P_DISJOINT) == 1.0
 
     def test_paper_no_citation(self):
-        assert paper_edge_weight(P_SHARED, P_DISJOINT, cites=False) == 0.0
+        g = build_graph(GraphRecords(
+            papers=[P_SHARED, P_DISJOINT], theorems=[T1],
+            paper_citations=[PaperCitation("x3", "x1")]))
+        np.testing.assert_array_equal(g.p_matrix.to_dense(), [[0.0, 1.0], [0.0, 0.0]])
 
     def test_paper_shared_author(self):
-        assert paper_edge_weight(P_SHARED, P_SHARED2, cites=True) == 0.1
+        assert paper_edge_weight(P_SHARED, P_SHARED2) == 0.1
 
     def test_paper_disjoint_authors(self):
-        assert paper_edge_weight(P_SHARED, P_DISJOINT, cites=True) == 1.0
+        assert paper_edge_weight(P_SHARED, P_DISJOINT) == 1.0
 
 
 class TestBuildSmall:

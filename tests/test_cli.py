@@ -357,3 +357,50 @@ class TestDeterminism:
         for name in ("field_scores.csv", "category_ratios.csv",
                      "impact_matrix.csv", "impact_asymmetry.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def append_line(args, flag, line):
+    with open(args[args.index(flag) + 1], "ab") as fh:
+        fh.write(line + b"\n")
+
+
+EXIT_PATHS = {
+    "ok": (0, None),
+    "iteration_cap": (1, None),
+    "malformed_line": (2, lambda args: append_line(args, "--papers", b"{broken json")),
+    "deeply_nested_line": (2, lambda args: append_line(args, "--thm-cites", b"[" * 200_000)),
+    "non_utf8_line": (2, lambda args: append_line(
+        args, "--theorems", b'{"paper_id": "p0001", "theorem_id": "thm \xff"}')),
+    "fatal_record_issue": (2, lambda args: append_line(
+        args, "--theorems", b'{"paper_id": "ghost", "theorem_id": "thm 1"}')),
+    "dangling_citation": (2, lambda args: append_line(
+        args, "--paper-cites", b'{"src_paper": "p0001", "dst_paper": "nowhere"}')),
+}
+
+
+class TestExitCodes:
+    """0 on success, 1 only at the iteration cap, 2 for every kind of bad input."""
+
+    @pytest.mark.parametrize("path", EXIT_PATHS)
+    @pytest.mark.parametrize("command", [
+        ["rank"], ["impact"], ["series", "--from-year", "2023", "--to-year", "2023"]],
+        ids=["rank", "impact", "series"])
+    def test_exit_code(self, tmp_path, runner, solvable_records, command, path):
+        code, spoil = EXIT_PATHS[path]
+        args = corpus_args(tmp_path, solvable_records)
+        if spoil:
+            spoil(args)
+        if path == "iteration_cap":
+            args += ["--max-iter", "1"]
+        result = runner.invoke(main, [*command, *args, "--out-dir", str(tmp_path / "out")])
+        assert result.exit_code == code, result.output
+
+    def test_build_reports_deeply_nested_line(self, tmp_path, runner, tiny_records):
+        args = corpus_args(tmp_path, tiny_records)
+        append_line(args, "--thm-cites", b"[" * 200_000)
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["build", *args, "--out-dir", str(out)])
+        assert result.exit_code == 2, result.output
+        thm_cites = args[args.index("--thm-cites") + 1]
+        assert read_csv(out / "validation.csv")[1:] == [
+            ["malformed_line", f"{thm_cites}:2: JSON nested too deeply"]]

@@ -1,0 +1,210 @@
+"""The columnar parse, validation and build against their loop-form reference
+(``loop_reference.py``), on random corpora with defects of every kind."""
+
+import json
+
+import numpy as np
+import pytest
+from click.testing import CliRunner
+
+import mathrank.records
+from mathrank.build import BuildError, build_graph
+from mathrank.cli import main
+from mathrank.corpus import parse_corpus
+from mathrank.records import GraphRecords, validate_records
+
+from loop_reference import build_graph_loop, parse_corpus_loop, validate_records_loop
+from synthdata import CODE_POOL, make_random_records
+from test_build import assert_same_graph
+from test_cli import corpus_args
+
+# Ids whose order differs between Python strings and numpy "U" arrays (which
+# drop trailing NULs), or between code points and UTF-16 (non-BMP).
+TRICKY_IDS = ["a", "a\x00", "a\x00b", "a-b", "a:b", "\uffff", "\U00010000", "\U0001d538", "é"]
+THEOREM_IDS = ["thm 1", "thm 2", "thm 10", "t\x00", "\U0001d538", "lemma"]
+BAD_CODES = ["5", "4-", "123", "é1", ""]
+BAD_DATES = ["2020-13", "0000-06", "2011-00"]
+MALFORMED = [
+    "not json", "[1, 2]", "{}", '{"a": 1} {"b": 2}', '{"a": 1},{"b": 2}',
+    '{"paper_id": 7, "theorem_id": "x"}', '{"paper_id": 7}', '"str"',
+]
+
+
+def dirty_corpus(rng, fatal: bool) -> dict[str, list[str]]:
+    """Lines of the four files. Without ``fatal`` the records' only defects
+    are dangling and self citations (which the build drops); with it, any
+    defect can appear, and malformed lines too."""
+
+    def one(options):
+        # By index: numpy would turn the strings into "U" and drop trailing NULs.
+        return options[int(rng.integers(len(options)))]
+
+    def some(options, size, replace=True):
+        return [options[i] for i in rng.choice(len(options), size=size, replace=replace)]
+
+    def pick(options, p_bad, bad):
+        return one(bad) if fatal and rng.random() < p_bad else one(options)
+
+    n = int(rng.integers(1, 20))
+    pool = [f"p{i}" for i in range(n)] + TRICKY_IDS
+    paper_ids = some(pool, n, replace=fatal)
+    authors = [f"x{i}" for i in range(4)]
+    dates = [f"{y}-{m:02d}" for y in (1995, 2000, 2020) for m in (1, 6, 12)]
+    papers = [{
+        "paper_id": pid,
+        "msc_primary": pick(CODE_POOL, 0.2, BAD_CODES),
+        "author_ids": some(authors, int(rng.integers(0, 4))),
+        "first_version_date": pick(dates, 0.2, BAD_DATES),
+    } for pid in paper_ids]
+    theorem_papers = pool + ["ghost"] if fatal else paper_ids
+    keys = sorted({(one(theorem_papers), one(THEOREM_IDS))
+                   for _ in range(int(rng.integers(0, 30)))})
+    theorems = [{"paper_id": p, "theorem_id": t} for p, t in keys]
+    if fatal and keys:
+        theorems += some(theorems, 2)
+    rng.shuffle(theorems)
+
+    def theorem_end():
+        if keys and rng.random() < 0.85:
+            return one(keys)
+        return one(pool + ["ghost"]), one(THEOREM_IDS)
+
+    tcs = []
+    for _ in range(int(rng.integers(0, 60))):
+        src = theorem_end()
+        dst = src if rng.random() < 0.1 else theorem_end()
+        tcs.append({"src_paper": src[0], "src_theorem": src[1],
+                    "dst_paper": dst[0], "dst_theorem": dst[1]})
+    ends = paper_ids + ["ghost", "a\x00\x00"]
+    pcs = []
+    for _ in range(int(rng.integers(0, 40))):
+        src = one(ends)
+        dst = src if rng.random() < 0.1 else one(ends)
+        pcs.append({"src_paper": src, "dst_paper": dst})
+
+    lines = {name: [json.dumps(r, ensure_ascii=bool(rng.integers(2))) for r in rows]
+             for name, rows in (("papers", papers), ("theorems", theorems),
+                                ("thm_cites", tcs), ("paper_cites", pcs))}
+    if fatal:
+        for rows in lines.values():
+            for _ in range(int(rng.integers(0, 3))):
+                rows.insert(int(rng.integers(len(rows) + 1)), one(MALFORMED))
+    return lines
+
+
+def write_files(tmp_path, lines):
+    paths = [tmp_path / f"{name}.jsonl" for name in ("papers", "theorems", "thm_cites",
+                                                     "paper_cites")]
+    for path, name in zip(paths, ("papers", "theorems", "thm_cites", "paper_cites")):
+        path.write_text("".join(line + "\n" for line in lines[name]), encoding="utf-8")
+    return paths
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_random_dirty_corpus_matches_loop_reference(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    fatal = seed % 2 == 1
+    paths = write_files(tmp_path, dirty_corpus(rng, fatal))
+    records, errors = parse_corpus(*paths)
+    ref_records, ref_errors = parse_corpus_loop(*paths)
+    assert errors == ref_errors
+    assert records == ref_records
+
+    report = validate_records(records)
+    assert report.issues == validate_records_loop(ref_records).issues
+    if report.fatal_issues:
+        with pytest.raises(BuildError) as got:
+            build_graph(records)
+        with pytest.raises(BuildError) as want:
+            build_graph_loop(ref_records)
+        assert str(got.value) == str(want.value)
+    else:
+        assert_same_graph(build_graph(records), build_graph_loop(ref_records))
+
+
+def test_clean_corpora_match_loop_reference(rng):
+    for _ in range(10):
+        records = make_random_records(rng, n_papers=int(rng.integers(1, 40)),
+                                      n_theorems=int(rng.integers(0, 90)),
+                                      author_pool_size=4)
+        assert validate_records(records).is_clean
+        assert_same_graph(build_graph(records), build_graph_loop(records))
+
+
+def columns(**overrides):
+    base = dict(paper_id=(), msc_primary=(), author_ids=(), year=(), month=(),
+                theorem_paper=(), theorem_id=(), tc_src_paper=(), tc_src_theorem=(),
+                tc_dst_paper=(), tc_dst_theorem=(), pc_src=(), pc_dst=())
+    return GraphRecords.from_columns(**{**base, **overrides})
+
+
+def two_papers(**overrides):
+    return columns(paper_id=("p1", "p2"), msc_primary=("53", "60"),
+                   author_ids=(("a",), ("b",)), year=(2000, 2001), month=(1, 2),
+                   **overrides)
+
+
+class TestValidationEdgeCases:
+    def test_self_citation_of_unknown_theorem_is_only_a_self_citation(self):
+        records = two_papers(tc_src_paper=("ghost",), tc_src_theorem=("t",),
+                             tc_dst_paper=("ghost",), tc_dst_theorem=("t",))
+        report = validate_records(records)
+        assert [(i.kind, i.detail) for i in report.issues] == [
+            ("self_citation", "theorem ghost:t cites itself")]
+        assert report.issues == validate_records_loop(records).issues
+
+    def test_duplicate_paper_with_bad_code_reports_both_in_order(self):
+        records = columns(paper_id=("p1", "p1"), msc_primary=("53", "5"),
+                          author_ids=((), ()), year=(2000, 2000), month=(1, 13))
+        assert [(i.kind, i.detail) for i in validate_records(records).issues] == [
+            ("duplicate_paper", "p1"),
+            ("malformed_paper", "p1: bad subject code '5'"),
+            ("malformed_paper", "p1: bad date 2000-13"),
+        ]
+        assert validate_records(records).issues == validate_records_loop(records).issues
+
+    def test_duplicate_and_empty_author_lists(self):
+        # p1 lists its one author twice and p3 lists none; p3 and p1 share
+        # no author, p2 and p1 do.
+        records = columns(
+            paper_id=("p1", "p2", "p3"), msc_primary=("53", "53", "53"),
+            author_ids=(("a", "a"), ("b", "a"), ()), year=(2000,) * 3, month=(1,) * 3,
+            theorem_paper=("p1", "p2", "p3"), theorem_id=("t",) * 3,
+            tc_src_paper=("p2", "p3"), tc_src_theorem=("t", "t"),
+            tc_dst_paper=("p1", "p1"), tc_dst_theorem=("t", "t"),
+            pc_src=("p2", "p3"), pc_dst=("p1", "p1"))
+        graph = build_graph(records)
+        assert_same_graph(graph, build_graph_loop(records))
+        np.testing.assert_array_equal(graph.p_matrix.to_dense()[0], [0.0, 0.1, 1.0])
+
+    def test_ids_sort_as_python_strings(self):
+        ids = ("\U00010000", "a\x00", "\uffff", "a", "a\x00b")
+        records = columns(
+            paper_id=ids, msc_primary=("53",) * 5, author_ids=((),) * 5,
+            year=(2000,) * 5, month=(1,) * 5,
+            theorem_paper=ids + ("a",), theorem_id=("t\x00",) * 5 + ("t",),
+            pc_src=ids[:4], pc_dst=ids[1:])
+        assert validate_records(records).is_clean
+        graph = build_graph(records)
+        assert graph.paper_ids == tuple(sorted(ids))
+        assert graph.theorem_keys == tuple(sorted(zip(records.theorem_paper,
+                                                      records.theorem_id)))
+        assert_same_graph(graph, build_graph_loop(records))
+
+
+@pytest.mark.parametrize("command", [
+    ["rank"], ["impact"], ["series", "--from-year", "1995", "--to-year", "2023"]])
+def test_validation_runs_once_per_command(tmp_path, rng, monkeypatch, command):
+    records = make_random_records(rng, n_papers=12, n_theorems=30)
+    calls = []
+    find_issues = mathrank.records._find_issues
+
+    def counted(records):
+        calls.append(records)
+        return find_issues(records)
+
+    monkeypatch.setattr(mathrank.records, "_find_issues", counted)
+    result = CliRunner().invoke(main, [*command, *corpus_args(tmp_path, records),
+                                       "--out-dir", str(tmp_path / "out")])
+    assert result.exit_code in (0, 1), result.output
+    assert len(calls) == 1

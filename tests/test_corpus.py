@@ -2,10 +2,11 @@ import json
 
 import pytest
 
-from mathrank.corpus import parse_corpus, snapshot_filter, write_corpus
+from mathrank.corpus import MalformedLine, parse_corpus, snapshot_filter, write_corpus
 from mathrank.records import GraphRecords, PaperCitation, YearMonth, validate_records
 
 from conftest import paper, theorem
+from loop_reference import parse_corpus_loop
 from synthdata import make_random_records
 
 
@@ -109,6 +110,65 @@ class TestParse:
         records, errors = parse_corpus(*paths)
         assert not errors
         assert records.paper_citations == (PaperCitation("a", "b"),)
+
+
+def theorem_line(tid):
+    return json.dumps({"paper_id": "p1", "theorem_id": tid}, ensure_ascii=False).encode()
+
+
+A, B = theorem_line("a"), theorem_line("b")
+
+
+class TestParseEdgeCases:
+    """Theorem files of given bytes: the theorem keys and malformed line
+    numbers parsed, and records and reasons equal to the loop reference's."""
+
+    @pytest.mark.parametrize("data, keys, bad_lines", [
+        pytest.param(A + b"\r\n" + B + b"\r\n", ["a", "b"], [], id="crlf"),
+        pytest.param(b'{"paper_id": "p1",\r"theorem_id": "a"}\n' + B + b"\n",
+                     ["a", "b"], [], id="bare_cr_between_tokens"),
+        pytest.param(b'{"paper_id": "p1", "theorem_id": "a\rb"}\n' + B + b"\n", ["b"], [1],
+                     id="bare_cr_inside_string"),
+        pytest.param(b"\n   \n\t\n" + A + b"\n \r\n", ["a"], [], id="blank_lines"),
+        pytest.param(theorem_line("a\u2028b") + b"\n" + theorem_line("c\x85d") + b"\n{\n",
+                     ["a\u2028b", "c\x85d"], [3], id="u2028_u0085_inside_string"),
+        pytest.param(A + b" " + B + b"\n", [], [1], id="two_objects_space"),
+        pytest.param(A + b"," + B + b"\n", [], [1], id="two_objects_comma"),
+        pytest.param(b"\xef\xbb\xbf" + A + b"\n" + B + b"\n", ["b"], [1], id="utf8_bom"),
+        pytest.param(A + b"\n" + b'{"paper_id": "p\xff"}' + b"\n" + B + b"\n", ["a", "b"], [2],
+                     id="non_utf8_line"),
+        pytest.param(A + b"\n" + B, ["a", "b"], [], id="no_final_newline"),
+    ])
+    def test_matches_loop_reference(self, tmp_path, data, keys, bad_lines):
+        paths = corpus_paths(tmp_path)
+        write_empty(paths)
+        paths[1].write_bytes(data)
+        records, errors = parse_corpus(*paths)
+        assert list(records.theorem_id) == keys
+        assert [e.line_number for e in errors] == bad_lines
+        assert (records, errors) == parse_corpus_loop(*paths)
+
+    def test_deeply_nested_line_is_malformed(self, tmp_path):
+        paths = corpus_paths(tmp_path)
+        write_empty(paths)
+        paths[1].write_bytes(A + b"\n" + b"[" * 200_000 + b"\n" + B + b"\n")
+        records, errors = parse_corpus(*paths)
+        assert list(records.theorem_id) == ["a", "b"]
+        assert errors == [MalformedLine(str(paths[1]), 2, "JSON nested too deeply")]
+        # The per-line json.loads of the loop reference cannot parse it at all.
+        with pytest.raises(RecursionError):
+            parse_corpus_loop(*paths)
+
+    @pytest.mark.parametrize("date", ["2020-06\n", "２０２０-０６", "٢٠٢٠-٠٦"])
+    def test_date_must_be_ascii_year_month(self, tmp_path, date):
+        paths = corpus_paths(tmp_path)
+        write_empty(paths)
+        write_lines(paths[0], [json.dumps({
+            "paper_id": "p1", "msc_primary": "20", "author_ids": [],
+            "first_version_date": date})])
+        records, errors = parse_corpus(*paths)
+        assert not records.paper_id
+        assert [e.reason for e in errors] == [f"expected YYYY-MM, got {date!r}"]
 
 
 class TestRoundTrip:

@@ -17,7 +17,8 @@ class TestYearMonth:
         assert ym == YearMonth(1998, 7)
         assert str(ym) == "1998-07"
 
-    @pytest.mark.parametrize("bad", ["1998/07", "1998-7", "98-07", "199807", ""])
+    @pytest.mark.parametrize("bad", ["1998/07", "1998-7", "98-07", "199807", "",
+                                     "2020-06\n", "２０２０-０６", "٢٠٢٠-٠٦"])
     def test_parse_rejects(self, bad):
         with pytest.raises(ValueError):
             YearMonth.parse(bad)
@@ -99,3 +100,31 @@ class TestValidation:
             paper_citations=[PaperCitation("p1", "missing")])
         (issue,) = validate_records(records).issues
         assert "missing" in issue.detail
+
+
+class TestColumns:
+    COLUMNS = ("paper_id", "msc_primary", "author_ids", "year", "month",
+               "theorem_paper", "theorem_id", "tc_src_paper", "tc_src_theorem",
+               "tc_dst_paper", "tc_dst_theorem", "pc_src", "pc_dst")
+
+    def test_columns_hold_the_records(self, tiny_records):
+        assert tiny_records.paper_id == ("p1", "p2")
+        assert tiny_records.year.tolist() == [1995, 1999]
+        assert tiny_records.tc_dst_theorem == ("thm 1",)
+        again = GraphRecords.from_columns(
+            **{name: getattr(tiny_records, name) for name in self.COLUMNS})
+        assert again == tiny_records
+        assert again.papers == tiny_records.papers
+
+    def test_columns_of_a_table_must_align(self, tiny_records):
+        columns = {name: getattr(tiny_records, name) for name in self.COLUMNS}
+        with pytest.raises(ValueError, match="differ in length"):
+            GraphRecords.from_columns(**{**columns, "month": [1]})
+        with pytest.raises(TypeError):
+            GraphRecords.from_columns(**{**columns, "extra": ()})
+
+    def test_immutable(self, tiny_records):
+        with pytest.raises(AttributeError):
+            tiny_records.paper_id = ()
+        with pytest.raises(ValueError):
+            tiny_records.year[0] = 2000

@@ -68,12 +68,11 @@ class TestHyperparameters:
 
 class TestColumnNormalize:
     def test_uniform_column(self):
-        m = SparseWeightMatrix.from_entries((2, 1), [(0, 0, 1.0), (1, 0, 1.0)])
+        m = SparseWeightMatrix.from_arrays((2, 1), [0, 1], [0, 0], [1.0, 1.0])
         np.testing.assert_allclose(column_normalize(m).values, [0.5, 0.5])
 
     def test_tiered_column(self):
-        m = SparseWeightMatrix.from_entries(
-            (3, 1), [(0, 0, 0.05), (1, 0, 0.1), (2, 0, 1.0)])
+        m = SparseWeightMatrix.from_arrays((3, 1), [0, 1, 2], [0, 0, 0], [0.05, 0.1, 1.0])
         normalized = column_normalize(m).values
         np.testing.assert_allclose(
             normalized, np.array([0.05, 0.1, 1.0]) / 1.15, atol=1e-15)
@@ -81,7 +80,7 @@ class TestColumnNormalize:
             normalized, [0.04348, 0.08696, 0.86957], atol=5e-6)
 
     def test_zero_column_stays_zero(self):
-        m = SparseWeightMatrix.from_entries((2, 3), [(0, 0, 2.0), (1, 2, 4.0)])
+        m = SparseWeightMatrix.from_arrays((2, 3), [0, 1], [0, 2], [2.0, 4.0])
         normalized = column_normalize(m)
         dense = normalized.to_dense()
         np.testing.assert_array_equal(dense[:, 1], [0.0, 0.0])

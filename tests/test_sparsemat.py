@@ -4,6 +4,12 @@ import pytest
 from mathrank.sparsemat import SparseWeightMatrix
 
 
+def from_entries(shape, entries):
+    """The matrix of (row, col, value) triples, through from_arrays."""
+    rows, cols, vals = zip(*entries) if entries else ((), (), ())
+    return SparseWeightMatrix.from_arrays(shape, rows, cols, vals)
+
+
 def random_matrix(rng, n_rows, n_cols, density=0.2):
     dense = (rng.random((n_rows, n_cols)) < density) * rng.random((n_rows, n_cols))
     rows, cols = np.nonzero(dense)
@@ -12,7 +18,7 @@ def random_matrix(rng, n_rows, n_cols, density=0.2):
 
 
 def test_entries_stored_column_major():
-    m = SparseWeightMatrix.from_entries(
+    m = from_entries(
         (3, 3), [(2, 1, 0.5), (0, 0, 1.0), (1, 1, 0.1), (0, 2, 2.0)])
     assert list(m.iter_entries()) == [
         (0, 0, 1.0), (1, 1, 0.1), (2, 1, 0.5), (0, 2, 2.0)]
@@ -31,7 +37,7 @@ def test_column_sums(rng):
 
 
 def test_column_sums_with_empty_columns():
-    m = SparseWeightMatrix.from_entries((2, 3), [(0, 2, 3.0), (1, 2, 1.0)])
+    m = from_entries((2, 3), [(0, 2, 3.0), (1, 2, 1.0)])
     np.testing.assert_array_equal(m.column_sums(), [0.0, 0.0, 4.0])
 
 
@@ -42,7 +48,7 @@ def test_matvec_matches_dense(rng):
 
 
 def test_matvec_of_empty_matrix_is_float_zero():
-    y = SparseWeightMatrix.from_entries((3, 2), []).matvec(np.ones(2))
+    y = from_entries((3, 2), []).matvec(np.ones(2))
     assert y.dtype == np.float64
     np.testing.assert_array_equal(y, np.zeros(3))
 
@@ -78,30 +84,30 @@ def test_column_sums_precision_at_scale(rng):
 
 def test_duplicate_entries_rejected():
     with pytest.raises(ValueError, match="duplicate"):
-        SparseWeightMatrix.from_entries((2, 2), [(0, 1, 1.0), (0, 1, 2.0)])
+        from_entries((2, 2), [(0, 1, 1.0), (0, 1, 2.0)])
 
 
 @pytest.mark.parametrize("entry", [(-1, 0, 1.0), (2, 0, 1.0), (0, -1, 1.0), (0, 2, 1.0)])
 def test_out_of_bounds_rejected(entry):
     with pytest.raises(ValueError, match="out of bounds"):
-        SparseWeightMatrix.from_entries((2, 2), [entry])
+        from_entries((2, 2), [entry])
 
 
 @pytest.mark.parametrize("weight", [0.0, -0.5])
 def test_nonpositive_weights_rejected(weight):
     with pytest.raises(ValueError, match="positive"):
-        SparseWeightMatrix.from_entries((2, 2), [(0, 1, weight)])
+        from_entries((2, 2), [(0, 1, weight)])
 
 
 def test_empty_matrix():
-    m = SparseWeightMatrix.from_entries((4, 4), [])
+    m = from_entries((4, 4), [])
     assert m.nnz == 0
     np.testing.assert_array_equal(m.to_dense(), np.zeros((4, 4)))
     np.testing.assert_array_equal(m.column_sums(), np.zeros(4))
 
 
 def test_with_values_keeps_pattern():
-    m = SparseWeightMatrix.from_entries((2, 2), [(0, 1, 1.0), (1, 0, 2.0)])
+    m = from_entries((2, 2), [(0, 1, 1.0), (1, 0, 2.0)])
     m2 = m.with_values(np.array([0.5, 0.25]))
     assert list(m2.iter_entries()) == [(1, 0, 0.5), (0, 1, 0.25)]
     with pytest.raises(ValueError):
@@ -109,7 +115,7 @@ def test_with_values_keeps_pattern():
 
 
 def test_arrays_are_read_only():
-    m = SparseWeightMatrix.from_entries((2, 2), [(0, 1, 1.0)])
+    m = from_entries((2, 2), [(0, 1, 1.0)])
     with pytest.raises(ValueError):
         m.values[0] = 2.0
     with pytest.raises(ValueError):
