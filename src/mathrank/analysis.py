@@ -41,23 +41,33 @@ class RankingTable:
     rows: tuple[RankingRow, ...]
 
 
-def _level_entities(graph: ThreeLevelGraph, state: ScoreState, level: str):
-    """(entity_id, owning field name, score) triples for one level."""
-    names = graph.field_names
+def _level_columns(graph: ThreeLevelGraph, state: ScoreState, level: str):
+    """One level's scores, each entity's local field index and its label function."""
     if level == "theorem":
-        fields = graph.paper_field[graph.theorem_paper]
-        return [
-            (graph.theorem_label(i), names[fields[i]], float(state.u_t[i]))
-            for i in range(graph.n_theorems)
-        ]
+        return state.u_t, graph.paper_field[graph.theorem_paper], graph.theorem_label
     if level == "paper":
-        return [
-            (graph.paper_ids[i], names[graph.paper_field[i]], float(state.u_p[i]))
-            for i in range(graph.n_papers)
-        ]
+        return state.u_p, graph.paper_field, graph.paper_ids.__getitem__
     if level == "field":
-        return [(names[i], names[i], float(state.u_f[i])) for i in range(graph.n_fields)]
+        return state.u_f, np.arange(graph.n_fields), graph.field_names.__getitem__
     raise ValueError(f"unknown level {level!r}")
+
+
+def _top(scores: np.ndarray, members: np.ndarray, top_k: int,
+         label) -> tuple[list[str], np.ndarray]:
+    """Labels and indices of the ``top_k`` members with the highest scores, in
+    order of descending score, then label, then index.
+
+    Only the members scoring at least the k-th largest score, every tie at
+    the cut included, are labelled and sorted.
+    """
+    member_scores = scores[members]
+    cut = member_scores.size - top_k
+    if cut > 0:
+        members = members[member_scores >= np.partition(member_scores, cut)[cut]]
+    by_label = sorted((label(i), i) for i in members.tolist())
+    chosen = np.fromiter((i for _, i in by_label), dtype=np.int64, count=len(by_label))
+    order = np.argsort(-scores[chosen], kind="stable")[:top_k].tolist()
+    return [by_label[k][0] for k in order], chosen[order]
 
 
 def rank_entities(
@@ -74,21 +84,20 @@ def rank_entities(
     """
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
-    entities = _level_entities(graph, state, level)
-    entities.sort(key=lambda e: (-e[2], e[0]))
-    rows: list[RankingRow] = []
+    scores, field_of, label = _level_columns(graph, state, level)
     if group_by_field:
-        for field_name in graph.field_names:
-            in_field = [e for e in entities if e[1] == field_name][:top_k]
-            rows.extend(
-                RankingRow(r, eid, fname, score)
-                for r, (eid, fname, score) in enumerate(in_field, start=1)
-            )
+        groups = [np.flatnonzero(field_of == f) for f in range(graph.n_fields)]
     else:
-        rows = [
-            RankingRow(r, eid, fname, score)
-            for r, (eid, fname, score) in enumerate(entities[:top_k], start=1)
-        ]
+        groups = [np.arange(scores.size)]
+    names = graph.field_names
+    rows: list[RankingRow] = []
+    for members in groups:
+        labels, chosen = _top(scores, members, top_k, label)
+        rows.extend(
+            RankingRow(r, eid, names[f], score)
+            for r, (eid, f, score) in enumerate(
+                zip(labels, field_of[chosen].tolist(), scores[chosen].tolist()), start=1)
+        )
     return RankingTable(level=level, grouped=group_by_field, rows=tuple(rows))
 
 

@@ -228,7 +228,7 @@ def restrict_graph(graph: ThreeLevelGraph, keep_papers: np.ndarray) -> ThreeLeve
     p_matrix = _restrict_matrix(graph.p_matrix, keep_papers, new_paper)
 
     canonical_field = graph.field_indices[graph.paper_field[keep_papers]]
-    field_indices = np.unique(canonical_field)
+    field_indices = _distinct(canonical_field)
     paper_field = np.searchsorted(field_indices, canonical_field)
     f_matrix = build_field_matrix(paper_field, int(field_indices.size), p_matrix)
 

@@ -88,16 +88,9 @@ class ConvergenceReport:
 def column_normalize(matrix: SparseWeightMatrix) -> SparseWeightMatrix:
     """Divide every nonzero column by its sum; zero columns stay zero.
 
-    Stored weights must be strictly positive, so every column holding an
-    entry has a positive sum and normalizes to exactly unit mass.
+    The result is ``matrix.column_normalized``, computed once per matrix.
     """
-    if matrix.nnz == 0:
-        return matrix
-    if not np.all(matrix.values > 0):
-        raise ValueError("stored weights must be strictly positive")
-    sums = matrix.column_sums()
-    per_entry = np.repeat(sums, np.diff(matrix.indptr))
-    return matrix.with_values(matrix.values / per_entry)
+    return matrix.column_normalized
 
 
 def normalize_matrices(graph: ThreeLevelGraph) -> NormalizedMatrices:
@@ -154,12 +147,10 @@ def iterate_once(
     hat_p = norm.p_norm.matvec(state.u_p)
     hat_p *= hp.alpha_p
     hat_p += hp.beta_p * (state.u_f[graph.paper_field] / (n_p / n_f))
-    # Theorems are grouped by paper, so reducing between the start offsets of
-    # the papers that own theorems gives each such paper its own maximum.
-    starts = graph.paper_theorem_ptr[:-1]
-    owns = np.diff(graph.paper_theorem_ptr) > 0
+    # Scores are nonnegative, so a maximum started from zero is each owning
+    # paper's own maximum and zero for a paper without theorems.
     best_theorem = np.zeros(n_p)
-    best_theorem[owns] = np.maximum.reduceat(state.u_t, starts[owns])
+    np.maximum.at(best_theorem, graph.theorem_paper, state.u_t)
     hat_p += (1.0 - hp.alpha_p - hp.beta_p) * best_theorem
 
     # Field level: citations plus the excess of papers scoring above the

@@ -76,6 +76,20 @@ class SparseWeightMatrix:
         return _frozen(np.repeat(
             np.arange(self.shape[1], dtype=np.int64), np.diff(self.indptr)))
 
+    @cached_property
+    def column_normalized(self) -> "SparseWeightMatrix":
+        """Every nonzero column divided by its sum; zero columns stay zero.
+
+        Stored weights must be strictly positive, so every column holding an
+        entry has a positive sum and normalizes to exactly unit mass.
+        """
+        if self.nnz == 0:
+            return self
+        if not np.all(self.values > 0):
+            raise ValueError("stored weights must be strictly positive")
+        per_entry = np.repeat(self.column_sums(), np.diff(self.indptr))
+        return self.with_values(self.values / per_entry)
+
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """The product M @ x; each row sums its entries in ascending column order."""
         return _sum_by(self.rowidx, self.values * x[self.colidx], self.shape[0])

@@ -1,11 +1,17 @@
-"""Loop-form parsing, validation and graph assembly: the reference for the
-columnar code.
+"""Loop-form references for the array code.
 
-These are ``parse_corpus``, ``validate_records`` and ``build_graph`` as they
-were written over record objects, one record at a time: ``json.loads`` and a
+``parse_corpus_loop``, ``validate_records_loop`` and ``build_graph_loop`` are
+``parse_corpus``, ``validate_records`` and ``build_graph`` as they were
+written over record objects, one record at a time: ``json.loads`` and a
 record object per line, sets of tuples, and one weight call per edge.
 ``test_columnar.py`` requires the columnar versions to give equal records,
 malformed-line reasons and reports, and graphs equal array for array.
+
+``rank_entities_loop`` builds an (id, field, score) triple for every entity
+and sorts them all; ``iterate_once_reduceat`` takes each paper's strongest
+theorem with ``np.maximum.reduceat`` over the papers that own theorems.
+``test_analysis.py`` and ``test_solver.py`` require ``rank_entities`` to
+give equal tables and ``iterate_once`` bitwise-equal states.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ import json
 
 import numpy as np
 
+from mathrank.analysis import RankingRow, RankingTable
 from mathrank.corpus import MalformedLine
 from mathrank.build import (
     BuildError,
@@ -33,6 +40,7 @@ from mathrank.records import (
     ValidationReport,
     YearMonth,
 )
+from mathrank.solver import ScoreState, _l1_normalize
 from mathrank.sparsemat import SparseWeightMatrix
 
 
@@ -225,4 +233,77 @@ def build_graph_loop(records: GraphRecords) -> ThreeLevelGraph:
         theorem_paper=theorem_paper,
         paper_field=paper_field,
         paper_theorem_ptr=paper_theorem_ptr,
+    )
+
+
+def _level_entities(graph: ThreeLevelGraph, state: ScoreState, level: str):
+    """(entity_id, owning field name, score) triples for one level."""
+    names = graph.field_names
+    if level == "theorem":
+        fields = graph.paper_field[graph.theorem_paper]
+        return [
+            (graph.theorem_label(i), names[fields[i]], float(state.u_t[i]))
+            for i in range(graph.n_theorems)
+        ]
+    if level == "paper":
+        return [
+            (graph.paper_ids[i], names[graph.paper_field[i]], float(state.u_p[i]))
+            for i in range(graph.n_papers)
+        ]
+    if level == "field":
+        return [(names[i], names[i], float(state.u_f[i])) for i in range(graph.n_fields)]
+    raise ValueError(f"unknown level {level!r}")
+
+
+def rank_entities_loop(graph: ThreeLevelGraph, state: ScoreState, level: str,
+                       top_k: int = 10, group_by_field: bool = False) -> RankingTable:
+    if top_k < 1:
+        raise ValueError(f"top_k must be >= 1, got {top_k}")
+    entities = _level_entities(graph, state, level)
+    entities.sort(key=lambda e: (-e[2], e[0]))
+    rows: list[RankingRow] = []
+    if group_by_field:
+        for field_name in graph.field_names:
+            in_field = [e for e in entities if e[1] == field_name][:top_k]
+            rows.extend(
+                RankingRow(r, eid, fname, score)
+                for r, (eid, fname, score) in enumerate(in_field, start=1)
+            )
+    else:
+        rows = [
+            RankingRow(r, eid, fname, score)
+            for r, (eid, fname, score) in enumerate(entities[:top_k], start=1)
+        ]
+    return RankingTable(level=level, grouped=group_by_field, rows=tuple(rows))
+
+
+def iterate_once_reduceat(state, graph, norm, hp) -> ScoreState:
+    n_t, n_p, n_f = graph.n_theorems, graph.n_papers, graph.n_fields
+
+    hat_t = norm.t_norm.matvec(state.u_t)
+    hat_t *= hp.alpha_t
+    hat_t += (1.0 - hp.alpha_t) * (state.u_p[graph.theorem_paper] / (n_t / n_p))
+
+    hat_p = norm.p_norm.matvec(state.u_p)
+    hat_p *= hp.alpha_p
+    hat_p += hp.beta_p * (state.u_f[graph.paper_field] / (n_p / n_f))
+    # Theorems are grouped by paper, so reducing between the start offsets of
+    # the papers that own theorems gives each such paper its own maximum.
+    starts = graph.paper_theorem_ptr[:-1]
+    owns = np.diff(graph.paper_theorem_ptr) > 0
+    best_theorem = np.zeros(n_p)
+    best_theorem[owns] = np.maximum.reduceat(state.u_t, starts[owns])
+    hat_p += (1.0 - hp.alpha_p - hp.beta_p) * best_theorem
+
+    hat_f = norm.f_norm.matvec(state.u_f)
+    hat_f *= hp.alpha_f
+    above_share = np.maximum(state.u_p - 1.0 / n_p, 0.0)
+    excess = np.bincount(graph.paper_field, weights=above_share, minlength=n_f)
+    hat_f += (1.0 - hp.alpha_f) * excess
+
+    return ScoreState(
+        u_t=_l1_normalize(hat_t, "theorem"),
+        u_p=_l1_normalize(hat_p, "paper"),
+        u_f=_l1_normalize(hat_f, "field"),
+        iteration=state.iteration + 1,
     )

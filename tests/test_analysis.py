@@ -29,6 +29,7 @@ from mathrank.solver import (
 )
 
 from conftest import paper, theorem
+from loop_reference import rank_entities_loop
 from oracle import DenseSolver, build_dense, impact_double_sum
 from synthdata import CODE_POOL, make_random_records, with_late_field
 
@@ -110,6 +111,71 @@ class TestRankEntities:
         t1 = rank_entities(graph, state, "theorem", top_k=10, group_by_field=True)
         t2 = rank_entities(graph, state, "theorem", top_k=10, group_by_field=True)
         assert t1 == t2
+
+
+def planted_ties_state(rng, graph, n_values):
+    """Scores drawn from ``n_values`` distinct values, so equal scores abound."""
+    pool = rng.random(n_values)
+    return ScoreState(*(rng.choice(pool, size=n) for n in
+                        (graph.n_theorems, graph.n_papers, graph.n_fields)))
+
+
+def tie_splitting_k(scores):
+    """A top_k whose cut falls between two equal scores (None if none does)."""
+    ordered = np.sort(scores)[::-1]
+    splits = np.flatnonzero(ordered[1:] == ordered[:-1]) + 1
+    return int(splits[0]) if splits.size else None
+
+
+class TestRankEntitiesMatchesLoop:
+    """The array ranking against the sort-everything loop it replaced."""
+
+    @pytest.mark.parametrize("level", ["theorem", "paper", "field"])
+    @pytest.mark.parametrize("group_by_field", [False, True])
+    def test_random_graphs_with_planted_ties(self, rng, level, group_by_field):
+        split_seen = False
+        for n_values in (2, 3, 5, 1000):
+            records = make_random_records(rng, n_papers=40, n_theorems=90)
+            graph = build_graph(records)
+            state = planted_ties_state(rng, graph, n_values)
+            scores = {"theorem": state.u_t, "paper": state.u_p, "field": state.u_f}[level]
+            n = scores.size
+            split = tie_splitting_k(scores)
+            split_seen |= split is not None
+            for top_k in {1, n, n + 5, split or 1}:
+                assert rank_entities(graph, state, level, top_k, group_by_field) == \
+                    rank_entities_loop(graph, state, level, top_k, group_by_field)
+        assert split_seen
+
+    @pytest.mark.parametrize("group_by_field", [False, True])
+    def test_label_order_differs_from_key_order(self, group_by_field):
+        # ("a", "x") < ("a-b", "x") as keys, but "a-b:x" < "a:x" as labels.
+        records = GraphRecords(papers=[paper("a"), paper("a-b")],
+                               theorems=[theorem("a", "x"), theorem("a-b", "x")])
+        graph = build_graph(records)
+        assert graph.theorem_keys == (("a", "x"), ("a-b", "x"))
+        state = ScoreState(np.full(2, 0.5), np.full(2, 0.5), np.array([1.0]))
+        for top_k in (1, 2, 3):
+            table = rank_entities(graph, state, "theorem", top_k, group_by_field)
+            assert [r.entity_id for r in table.rows] == ["a-b:x", "a:x"][:top_k]
+            assert table == rank_entities_loop(graph, state, "theorem", top_k, group_by_field)
+
+    def test_fields_tie_break_on_names(self):
+        # Canonical order puts Algebra before AlgGeom; their names sort the other way.
+        records = GraphRecords(papers=[paper("pa", msc="06"), paper("pb", msc="11")],
+                               theorems=[theorem("pa", "x"), theorem("pb", "x")])
+        graph = build_graph(records)
+        assert graph.field_names == ("Algebra", "AlgGeom")
+        state = ScoreState(np.full(2, 0.5), np.full(2, 0.5), np.full(2, 0.5))
+        table = rank_entities(graph, state, "field", top_k=1)
+        assert [r.entity_id for r in table.rows] == ["AlgGeom"]
+        assert table == rank_entities_loop(graph, state, "field", top_k=1)
+
+    def test_unknown_level(self):
+        graph = three_paper_graph()
+        state = ScoreState(np.full(3, 1 / 3), np.full(3, 1 / 3), np.array([1.0]))
+        with pytest.raises(ValueError, match="unknown level"):
+            rank_entities(graph, state, "author")
 
 
 class TestFieldImpact:

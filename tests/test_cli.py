@@ -11,6 +11,7 @@ from mathrank.corpus import write_corpus
 from mathrank.fields import FIELD_NAMES
 from mathrank.records import GraphRecords, PaperCitation
 from mathrank.solver import Hyperparameters, compute_scores, normalize_matrices
+from mathrank.sparsemat import SparseWeightMatrix
 from mathrank.analysis import field_impact
 
 from conftest import paper, theorem
@@ -328,6 +329,21 @@ class TestImpact:
             assert src != dst
             if ratio != "":
                 assert float(ratio) >= 0.0
+
+    def test_each_matrix_normalized_once(self, tmp_path, runner, solvable_records,
+                                         monkeypatch):
+        normalized = []
+        column_sums = SparseWeightMatrix.column_sums
+
+        def counted(matrix):
+            normalized.append(id(matrix))
+            return column_sums(matrix)
+
+        monkeypatch.setattr(SparseWeightMatrix, "column_sums", counted)
+        result = runner.invoke(main, ["impact", *corpus_args(tmp_path, solvable_records),
+                                      "--out-dir", str(tmp_path / "out")])
+        assert result.exit_code == 0, result.output
+        assert len(normalized) == 3 and len(set(normalized)) == 3
 
 
 class TestDeterminism:

@@ -20,6 +20,7 @@ from mathrank.solver import (
 )
 
 from conftest import paper, theorem
+from loop_reference import iterate_once_reduceat
 from oracle import DenseSolver, build_dense
 from synthdata import make_random_records
 
@@ -85,6 +86,20 @@ class TestColumnNormalize:
         dense = normalized.to_dense()
         np.testing.assert_array_equal(dense[:, 1], [0.0, 0.0])
         np.testing.assert_allclose(dense.sum(axis=0), [1.0, 0.0, 1.0], atol=1e-12)
+
+    def test_computed_once_per_matrix(self, rng):
+        graph = build_graph(make_random_records(rng, n_papers=15, n_theorems=40))
+        first, second = normalize_matrices(graph), normalize_matrices(graph)
+        for matrix, a, b in zip((graph.t_matrix, graph.p_matrix, graph.f_matrix),
+                                (first.t_norm, first.p_norm, first.f_norm),
+                                (second.t_norm, second.p_norm, second.f_norm)):
+            assert a is b is column_normalize(matrix) is matrix.column_normalized
+
+    def test_non_positive_weight_rejected_every_time(self):
+        m = SparseWeightMatrix((1, 1), np.array([0, 1]), np.array([0]), np.array([0.0]))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="strictly positive"):
+                column_normalize(m)
 
     def test_nonzero_columns_sum_to_one(self, rng):
         for _ in range(10):
@@ -222,6 +237,38 @@ class TestIterateOnce:
             for state, ref_state in states_side_by_side(records, HP, n_steps=5):
                 for level, ref_level in zip(state.levels(), ref_state):
                     np.testing.assert_allclose(level, ref_level, atol=1e-13)
+
+    @pytest.mark.parametrize("theoremless", [(0,), (5, 6), (-1,), (0, 5, -1), ()],
+                             ids=["first", "middle", "last", "first_middle_last", "none"])
+    def test_bitwise_equal_to_reduceat_step(self, rng, theoremless):
+        for _ in range(5):
+            records = make_random_records(rng, n_papers=12, n_theorems=40)
+            ids = sorted(p.paper_id for p in records.papers)
+            dropped = {ids[k] for k in theoremless}
+            theorems = [t for t in records.theorems if t.paper_id not in dropped]
+            # Every paper outside ``dropped`` owns a theorem.
+            owners = {t.paper_id for t in theorems}
+            theorems += [theorem(pid, "extra") for pid in ids
+                         if pid not in owners and pid not in dropped]
+            kept = {t.key for t in theorems}
+            records = GraphRecords(
+                papers=records.papers, theorems=theorems,
+                theorem_citations=[c for c in records.theorem_citations
+                                   if c.src_key in kept and c.dst_key in kept],
+                paper_citations=records.paper_citations)
+            graph = build_graph(records)
+            owns = np.diff(graph.paper_theorem_ptr) > 0
+            assert [pid for pid, o in zip(graph.paper_ids, owns) if not o] == sorted(dropped)
+            norm = normalize_matrices(graph)
+            raw = [rng.random(n) for n in (graph.n_theorems, graph.n_papers, graph.n_fields)]
+            for state in (init_state(graph), ScoreState(*[v / v.sum() for v in raw])):
+                for _ in range(6):
+                    new = iterate_once(state, graph, norm, HP)
+                    ref = iterate_once_reduceat(state, graph, norm, HP)
+                    assert new.iteration == ref.iteration
+                    for level, ref_level in zip(new.levels(), ref.levels()):
+                        assert level.tobytes() == ref_level.tobytes()
+                    state = new
 
     def test_normalized_and_nonnegative_after_every_step(self, rng):
         for _ in range(5):
