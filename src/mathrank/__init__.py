@@ -15,9 +15,7 @@ from .build import (
     BuildError,
     build_field_matrix,
     build_graph,
-    paper_edge_weight,
     restrict_graph,
-    theorem_edge_weight,
 )
 from .corpus import parse_corpus, snapshot_filter, write_corpus
 from .fields import FIELD_NAMES, FIELDS, FieldId, msc_to_field
@@ -39,9 +37,7 @@ from .solver import (
     Hyperparameters,
     NormalizedMatrices,
     ScoreState,
-    column_normalize,
     compute_scores,
-    has_converged,
     init_state,
     iterate_once,
     normalize_matrices,
@@ -77,22 +73,18 @@ __all__ = [
     "build_field_matrix",
     "build_graph",
     "category_ratios",
-    "column_normalize",
     "compute_scores",
     "field_impact",
     "field_series",
-    "has_converged",
     "impact_asymmetry",
     "init_state",
     "iterate_once",
     "msc_to_field",
     "normalize_matrices",
-    "paper_edge_weight",
     "parse_corpus",
     "rank_entities",
     "restrict_graph",
     "snapshot_filter",
-    "theorem_edge_weight",
     "validate_records",
     "write_corpus",
 ]

@@ -10,7 +10,7 @@ import numpy as np
 
 from .fields import field_index_column
 from .graph import ThreeLevelGraph
-from .records import GraphRecords, PaperRecord, TheoremRecord, intern_codes, validate_records
+from .records import GraphRecords, intern_codes, validate_records
 from .sparsemat import SparseWeightMatrix
 
 log = logging.getLogger(__name__)
@@ -25,27 +25,6 @@ INDEPENDENT_WEIGHT = 1.0
 
 class BuildError(ValueError):
     """Records failed validation in a way that prevents assembly."""
-
-
-def theorem_edge_weight(
-    src: TheoremRecord,
-    dst: TheoremRecord,
-    src_paper: PaperRecord,
-    dst_paper: PaperRecord,
-) -> float:
-    """Weight of the theorem-level edge src -> dst (src's proof cites dst)."""
-    if src.paper_id == dst.paper_id:
-        return SAME_PAPER_WEIGHT
-    if src_paper.author_ids & dst_paper.author_ids:
-        return SHARED_AUTHOR_WEIGHT
-    return INDEPENDENT_WEIGHT
-
-
-def paper_edge_weight(src: PaperRecord, dst: PaperRecord) -> float:
-    """Weight of the paper-level edge src -> dst (src cites dst)."""
-    if src.author_ids & dst.author_ids:
-        return SHARED_AUTHOR_WEIGHT
-    return INDEPENDENT_WEIGHT
 
 
 def build_field_matrix(
@@ -106,6 +85,26 @@ def _share_author(author_ptr: np.ndarray, authors: np.ndarray, n_authors: int,
     return shared
 
 
+def _assemble(theorem_keys: tuple[tuple[str, str], ...], paper_ids: tuple[str, ...],
+              canonical_field: np.ndarray, theorem_paper: np.ndarray,
+              t_matrix: SparseWeightMatrix, p_matrix: SparseWeightMatrix) -> ThreeLevelGraph:
+    """The graph of the given parts, paper p lying in canonical field
+    ``canonical_field[p]``.
+
+    The field axis is the populated canonical fields, ascending, and the
+    field matrix is counted from ``p_matrix``. The index arrays are frozen.
+    """
+    field_indices = _distinct(canonical_field)
+    paper_field = np.searchsorted(field_indices, canonical_field)
+    for arr in (field_indices, theorem_paper, paper_field):
+        arr.setflags(write=False)
+    return ThreeLevelGraph(
+        theorem_keys=theorem_keys, paper_ids=paper_ids, field_indices=field_indices,
+        t_matrix=t_matrix, p_matrix=p_matrix,
+        f_matrix=build_field_matrix(paper_field, int(field_indices.size), p_matrix),
+        theorem_paper=theorem_paper, paper_field=paper_field)
+
+
 def build_graph(records: GraphRecords) -> ThreeLevelGraph:
     """Assemble the three-level graph from validated records.
 
@@ -144,12 +143,6 @@ def build_graph(records: GraphRecords) -> ThreeLevelGraph:
     theorem_of = np.full(codes.n_theorem_keys, -1, dtype=np.int64)
     theorem_of[codes.theorem[t_order]] = np.arange(n_theorems)
 
-    # Field axis: populated canonical fields, ascending.
-    canonical_field = field_index_column(records.msc_primary)[order]
-    field_indices = _distinct(canonical_field)
-    paper_field = np.searchsorted(field_indices, canonical_field)
-    n_fields = int(field_indices.size)
-
     # Each paper's distinct authors, grouped by paper.
     vocab: dict[str, int] = {}
     author = intern_codes(vocab, tuple(chain.from_iterable(records.author_ids)))
@@ -173,27 +166,8 @@ def build_graph(records: GraphRecords) -> ThreeLevelGraph:
     weight = np.where(share_author(citer, cited), SHARED_AUTHOR_WEIGHT, INDEPENDENT_WEIGHT)
     p_matrix = SparseWeightMatrix.from_arrays((n_papers, n_papers), cited, citer, weight)
 
-    f_matrix = build_field_matrix(paper_field, n_fields, p_matrix)
-
-    # Containment maps. Theorems are sorted by (paper_id, theorem_id), so each
-    # paper's theorems are contiguous.
-    paper_theorem_ptr = np.zeros(n_papers + 1, dtype=np.int64)
-    np.cumsum(np.bincount(theorem_paper, minlength=n_papers), out=paper_theorem_ptr[1:])
-
-    for arr in (field_indices, theorem_paper, paper_field, paper_theorem_ptr):
-        arr.setflags(write=False)
-
-    return ThreeLevelGraph(
-        theorem_keys=theorem_keys,
-        paper_ids=paper_ids,
-        field_indices=field_indices,
-        t_matrix=t_matrix,
-        p_matrix=p_matrix,
-        f_matrix=f_matrix,
-        theorem_paper=theorem_paper,
-        paper_field=paper_field,
-        paper_theorem_ptr=paper_theorem_ptr,
-    )
+    return _assemble(theorem_keys, paper_ids, field_index_column(records.msc_primary)[order],
+                     theorem_paper, t_matrix, p_matrix)
 
 
 def _restrict_matrix(
@@ -217,37 +191,16 @@ def restrict_graph(graph: ThreeLevelGraph, keep_papers: np.ndarray) -> ThreeLeve
     equals ``build_graph`` of the correspondingly restricted records, array
     for array.
     """
-    keep_papers = np.asarray(keep_papers, dtype=bool)
-    if keep_papers.shape != (graph.n_papers,):
+    keep_papers = np.asarray(keep_papers)
+    if keep_papers.dtype != bool or keep_papers.shape != (graph.n_papers,):
         raise ValueError("keep_papers must be a boolean mask over the graph's papers")
     keep_theorems = keep_papers[graph.theorem_paper]
     new_paper = np.cumsum(keep_papers) - 1
     new_theorem = np.cumsum(keep_theorems) - 1
-
-    t_matrix = _restrict_matrix(graph.t_matrix, keep_theorems, new_theorem)
-    p_matrix = _restrict_matrix(graph.p_matrix, keep_papers, new_paper)
-
-    canonical_field = graph.field_indices[graph.paper_field[keep_papers]]
-    field_indices = _distinct(canonical_field)
-    paper_field = np.searchsorted(field_indices, canonical_field)
-    f_matrix = build_field_matrix(paper_field, int(field_indices.size), p_matrix)
-
-    paper_ids = tuple(compress(graph.paper_ids, keep_papers.tolist()))
-    theorem_paper = new_paper[graph.theorem_paper[keep_theorems]]
-    paper_theorem_ptr = np.zeros(len(paper_ids) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(theorem_paper, minlength=len(paper_ids)), out=paper_theorem_ptr[1:])
-
-    for arr in (field_indices, theorem_paper, paper_field, paper_theorem_ptr):
-        arr.setflags(write=False)
-
-    return ThreeLevelGraph(
-        theorem_keys=tuple(compress(graph.theorem_keys, keep_theorems.tolist())),
-        paper_ids=paper_ids,
-        field_indices=field_indices,
-        t_matrix=t_matrix,
-        p_matrix=p_matrix,
-        f_matrix=f_matrix,
-        theorem_paper=theorem_paper,
-        paper_field=paper_field,
-        paper_theorem_ptr=paper_theorem_ptr,
-    )
+    return _assemble(
+        tuple(compress(graph.theorem_keys, keep_theorems.tolist())),
+        tuple(compress(graph.paper_ids, keep_papers.tolist())),
+        graph.field_indices[graph.paper_field[keep_papers]],
+        new_paper[graph.theorem_paper[keep_theorems]],
+        _restrict_matrix(graph.t_matrix, keep_theorems, new_theorem),
+        _restrict_matrix(graph.p_matrix, keep_papers, new_paper))

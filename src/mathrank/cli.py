@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import sys
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
@@ -109,6 +110,29 @@ def _load_valid_corpus(papers_path, theorems_path, thm_cites_path, paper_cites_p
     return records
 
 
+@contextmanager
+def _solved(graph, hp: Hyperparameters):
+    """Solve, yielding the state and the comment lines for the output files.
+
+    A graph the solver rejects exits 2. Once the body has written its files,
+    a run that hit the iteration cap warns and exits 1.
+    """
+    try:
+        state, report = compute_scores(graph, hp)
+    except ValueError as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(2)
+    comments = None
+    if not report.converged:
+        comments = [f"not_converged after {report.iterations} iterations; "
+                    f"residual {report.residual:.6g}"]
+    yield state, comments
+    if not report.converged:
+        click.echo(f"warning: solver did not converge within {hp.max_iterations} "
+                   f"iterations (residual {report.residual:.6g})", err=True)
+        sys.exit(1)
+
+
 @click.group()
 def main():
     """Build citation graphs, compute influence scores, export analyses."""
@@ -178,30 +202,16 @@ def rank(papers_path, theorems_path, thm_cites_path, paper_cites_path,
     records = _load_valid_corpus(
         papers_path, theorems_path, thm_cites_path, paper_cites_path)
     graph = build_graph(records)
-    try:
-        state, report = compute_scores(graph, hp)
-    except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-
-    comments = None
-    if not report.converged:
-        comments = [f"not_converged after {report.iterations} iterations; "
-                    f"residual {report.residual:.6g}"]
-    levels = (level_choice,) if level_choice else _RANK_LEVELS
-    for level in levels:
-        table = rank_entities(graph, state, level, top_k=top_k,
-                              group_by_field=group_by_field)
-        _write_csv(
-            out / f"rankings_{level}.csv",
-            ["rank", "id", "field", "score"],
-            [(r.rank, r.entity_id, r.field, _fmt(r.score)) for r in table.rows],
-            comments=comments,
-        )
-    if not report.converged:
-        click.echo(f"warning: solver did not converge within {hp.max_iterations} "
-                   f"iterations (residual {report.residual:.6g})", err=True)
-        sys.exit(1)
+    with _solved(graph, hp) as (state, comments):
+        for level in (level_choice,) if level_choice else _RANK_LEVELS:
+            table = rank_entities(graph, state, level, top_k=top_k,
+                                  group_by_field=group_by_field)
+            _write_csv(
+                out / f"rankings_{level}.csv",
+                ["rank", "id", "field", "score"],
+                [(r.rank, r.entity_id, r.field, _fmt(r.score)) for r in table.rows],
+                comments=comments,
+            )
 
 
 @main.command()
@@ -259,36 +269,22 @@ def impact(papers_path, theorems_path, thm_cites_path, paper_cites_path,
         papers_path, theorems_path, thm_cites_path, paper_cites_path)
     graph = build_graph(records)
     norm = normalize_matrices(graph)
-    try:
-        state, report = compute_scores(graph, hp)
-    except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-
-    comments = None
-    if not report.converged:
-        comments = [f"not_converged after {report.iterations} iterations; "
-                    f"residual {report.residual:.6g}"]
-
-    matrix = field_impact(graph, norm, state.u_p)
-    full = matrix.expand_canonical()
-    _write_csv(
-        out / "impact_matrix.csv",
-        ["field", *FIELD_NAMES],
-        [[FIELD_NAMES[i], *(_fmt(v) for v in full[i])] for i in range(len(FIELD_NAMES))],
-        comments=comments,
-    )
-    _write_csv(
-        out / "impact_asymmetry.csv",
-        ["source", "target", "ratio"],
-        [(src, dst, "" if ratio is None else _fmt(ratio))
-         for src, dst, ratio in impact_asymmetry(matrix)],
-        comments=comments,
-    )
-    if not report.converged:
-        click.echo(f"warning: solver did not converge within {hp.max_iterations} "
-                   f"iterations (residual {report.residual:.6g})", err=True)
-        sys.exit(1)
+    with _solved(graph, hp) as (state, comments):
+        matrix = field_impact(graph, norm, state.u_p)
+        full = matrix.expand_canonical()
+        _write_csv(
+            out / "impact_matrix.csv",
+            ["field", *FIELD_NAMES],
+            [[FIELD_NAMES[i], *(_fmt(v) for v in full[i])] for i in range(len(FIELD_NAMES))],
+            comments=comments,
+        )
+        _write_csv(
+            out / "impact_asymmetry.csv",
+            ["source", "target", "ratio"],
+            [(src, dst, "" if ratio is None else _fmt(ratio))
+             for src, dst, ratio in impact_asymmetry(matrix)],
+            comments=comments,
+        )
 
 
 if __name__ == "__main__":

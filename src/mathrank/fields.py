@@ -66,17 +66,20 @@ for _name, _codes in CODE_GROUPS.items():
         _CODE_TO_FIELD[_code] = _field
 
 
+def is_subject_code(code: object) -> bool:
+    """True for a string of exactly two ASCII letters or digits."""
+    return isinstance(code, str) and len(code) == 2 and code.isascii() and code.isalnum()
+
+
 def msc_to_field(code: str) -> FieldId:
     """Classify a two-character subject code into one of the 13 fields.
 
     Codes are matched as exact two-character strings (leading zeros matter).
-    Codes not in any group map to Others. Raises ValueError for inputs that
-    are not exactly two ASCII alphanumeric characters.
+    Codes not in any group map to Others. Raises ValueError for anything
+    ``is_subject_code`` rejects.
     """
-    if not isinstance(code, str) or len(code) != 2:
-        raise ValueError(f"subject code must be exactly 2 characters, got {code!r}")
-    if not (code.isascii() and code.isalnum()):
-        raise ValueError(f"subject code must be alphanumeric, got {code!r}")
+    if not is_subject_code(code):
+        raise ValueError(f"subject code must be two ASCII letters or digits, got {code!r}")
     return _CODE_TO_FIELD.get(code, OTHERS)
 
 

@@ -32,8 +32,6 @@ class ThreeLevelGraph:
     theorem_paper: np.ndarray  # theorem index -> paper index
     paper_field: np.ndarray    # paper index -> local field index
 
-    paper_theorem_ptr: np.ndarray  # paper p owns theorems ptr[p] .. ptr[p + 1] - 1
-
     @property
     def n_theorems(self) -> int:
         return len(self.theorem_keys)
@@ -53,9 +51,3 @@ class ThreeLevelGraph:
     def theorem_label(self, i: int) -> str:
         paper_id, theorem_id = self.theorem_keys[i]
         return f"{paper_id}:{theorem_id}"
-
-    def theorems_of_paper(self, p: int) -> np.ndarray:
-        return np.arange(self.paper_theorem_ptr[p], self.paper_theorem_ptr[p + 1])
-
-    def papers_of_field(self, f: int) -> np.ndarray:
-        return np.flatnonzero(self.paper_field == f)

@@ -10,6 +10,8 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
+from .fields import is_subject_code
+
 # ASCII digits only, the whole string: ``\d`` would also take other scripts'
 # digits, and ``$`` a trailing newline.
 _YEAR_MONTH_RE = re.compile(r"([0-9]{4})-([0-9]{2})")
@@ -342,10 +344,6 @@ def _repeats(keys: np.ndarray) -> np.ndarray:
     return repeat
 
 
-def _bad_code(code: str) -> bool:
-    return len(code) != 2 or not (code.isascii() and code.isalnum())
-
-
 def _find_issues(records: GraphRecords) -> ValidationReport:
     """The checks behind validate_records, over whole columns.
 
@@ -363,7 +361,7 @@ def _find_issues(records: GraphRecords) -> ValidationReport:
     dup_paper = _repeats(c.paper)
     code_vocab: dict[str, int] = {}
     msc_code = intern_codes(code_vocab, msc)
-    bad_code = np.array([_bad_code(k) for k in code_vocab], dtype=bool)[msc_code]
+    bad_code = ~np.array([is_subject_code(k) for k in code_vocab], dtype=bool)[msc_code]
     year, month = records.year, records.month
     bad_date = ~((year >= 1) & (month >= 1) & (month <= 12))  # YearMonth.is_valid
     for i in np.flatnonzero(dup_paper | bad_code | bad_date).tolist():

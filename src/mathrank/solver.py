@@ -85,19 +85,12 @@ class ConvergenceReport:
     residual_history: tuple[float, ...]
 
 
-def column_normalize(matrix: SparseWeightMatrix) -> SparseWeightMatrix:
-    """Divide every nonzero column by its sum; zero columns stay zero.
-
-    The result is ``matrix.column_normalized``, computed once per matrix.
-    """
-    return matrix.column_normalized
-
-
 def normalize_matrices(graph: ThreeLevelGraph) -> NormalizedMatrices:
+    """The graph's column-normalized matrices, computed once per matrix."""
     return NormalizedMatrices(
-        t_norm=column_normalize(graph.t_matrix),
-        p_norm=column_normalize(graph.p_matrix),
-        f_norm=column_normalize(graph.f_matrix),
+        t_norm=graph.t_matrix.column_normalized,
+        p_norm=graph.p_matrix.column_normalized,
+        f_norm=graph.f_matrix.column_normalized,
     )
 
 
@@ -177,10 +170,6 @@ def residual(prev: ScoreState, new: ScoreState) -> float:
             raise ValueError("score states have mismatched dimensions")
         diffs.append(float(np.sum(np.abs(b - a))))
     return max(diffs)
-
-
-def has_converged(prev: ScoreState, new: ScoreState, hp: Hyperparameters) -> bool:
-    return residual(prev, new) < hp.tolerance
 
 
 def compute_scores(

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
 
 import numpy as np
 
@@ -96,12 +95,6 @@ class SparseWeightMatrix:
 
     def column_sums(self) -> np.ndarray:
         return _sum_by(self.colidx, self.values, self.shape[1])
-
-    def iter_entries(self) -> Iterator[tuple[int, int, float]]:
-        """(row, col, value) triples in canonical column-major order."""
-        colidx = self.colidx
-        for k in range(self.nnz):
-            yield int(self.rowidx[k]), int(colidx[k]), float(self.values[k])
 
     def to_dense(self) -> np.ndarray:
         dense = np.zeros(self.shape, dtype=np.float64)

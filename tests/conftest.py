@@ -11,6 +11,11 @@ from mathrank.records import (
 )
 
 
+def entries(m):
+    """(row, col, value) triples in storage order."""
+    return list(zip(m.rowidx.tolist(), m.colidx.tolist(), m.values.tolist()))
+
+
 def paper(pid, msc="53", authors=("a1",), date=(2000, 6)):
     return PaperRecord(pid, msc, frozenset(authors), YearMonth(*date))
 

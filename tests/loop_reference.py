@@ -6,6 +6,8 @@ written over record objects, one record at a time: ``json.loads`` and a
 record object per line, sets of tuples, and one weight call per edge.
 ``test_columnar.py`` requires the columnar versions to give equal records,
 malformed-line reasons and reports, and graphs equal array for array.
+``theorem_edge_weight`` and ``paper_edge_weight`` are the weight tiers as
+scalar definitions, one edge at a time.
 
 ``rank_entities_loop`` builds an (id, field, score) triple for every entity
 and sorts them all; ``iterate_once_reduceat`` takes each paper's strongest
@@ -23,10 +25,11 @@ import numpy as np
 from mathrank.analysis import RankingRow, RankingTable
 from mathrank.corpus import MalformedLine
 from mathrank.build import (
+    INDEPENDENT_WEIGHT,
+    SAME_PAPER_WEIGHT,
+    SHARED_AUTHOR_WEIGHT,
     BuildError,
     build_field_matrix,
-    paper_edge_weight,
-    theorem_edge_weight,
 )
 from mathrank.fields import msc_to_field
 from mathrank.graph import ThreeLevelGraph
@@ -153,6 +156,27 @@ def validate_records_loop(records: GraphRecords) -> ValidationReport:
     return ValidationReport(tuple(issues))
 
 
+def theorem_edge_weight(
+    src: TheoremRecord,
+    dst: TheoremRecord,
+    src_paper: PaperRecord,
+    dst_paper: PaperRecord,
+) -> float:
+    """Weight of the theorem-level edge src -> dst (src's proof cites dst)."""
+    if src.paper_id == dst.paper_id:
+        return SAME_PAPER_WEIGHT
+    if src_paper.author_ids & dst_paper.author_ids:
+        return SHARED_AUTHOR_WEIGHT
+    return INDEPENDENT_WEIGHT
+
+
+def paper_edge_weight(src: PaperRecord, dst: PaperRecord) -> float:
+    """Weight of the paper-level edge src -> dst (src cites dst)."""
+    if src.author_ids & dst.author_ids:
+        return SHARED_AUTHOR_WEIGHT
+    return INDEPENDENT_WEIGHT
+
+
 def _matrix(n: int, entries: list[tuple[int, int, float]]) -> SparseWeightMatrix:
     rows, cols, vals = (np.array([e[k] for e in entries], dtype=dtype)
                         for k, dtype in ((0, np.int64), (1, np.int64), (2, np.float64)))
@@ -218,10 +242,6 @@ def build_graph_loop(records: GraphRecords) -> ThreeLevelGraph:
 
     theorem_paper = np.array(
         [paper_index[t.paper_id] for t in theorems], dtype=np.int64)
-    pt_counts = np.bincount(theorem_paper, minlength=n_papers) if n_theorems else \
-        np.zeros(n_papers, dtype=np.int64)
-    paper_theorem_ptr = np.zeros(n_papers + 1, dtype=np.int64)
-    np.cumsum(pt_counts, out=paper_theorem_ptr[1:])
 
     return ThreeLevelGraph(
         theorem_keys=theorem_keys,
@@ -232,7 +252,6 @@ def build_graph_loop(records: GraphRecords) -> ThreeLevelGraph:
         f_matrix=f_matrix,
         theorem_paper=theorem_paper,
         paper_field=paper_field,
-        paper_theorem_ptr=paper_theorem_ptr,
     )
 
 
@@ -289,8 +308,9 @@ def iterate_once_reduceat(state, graph, norm, hp) -> ScoreState:
     hat_p += hp.beta_p * (state.u_f[graph.paper_field] / (n_p / n_f))
     # Theorems are grouped by paper, so reducing between the start offsets of
     # the papers that own theorems gives each such paper its own maximum.
-    starts = graph.paper_theorem_ptr[:-1]
-    owns = np.diff(graph.paper_theorem_ptr) > 0
+    count = np.bincount(graph.theorem_paper, minlength=n_p)
+    starts = np.cumsum(count) - count
+    owns = count > 0
     best_theorem = np.zeros(n_p)
     best_theorem[owns] = np.maximum.reduceat(state.u_t, starts[owns])
     hat_p += (1.0 - hp.alpha_p - hp.beta_p) * best_theorem

@@ -225,7 +225,7 @@ class TestFieldImpact:
             # papers that cite anything.
             cites_something = np.diff(graph.p_matrix.indptr) > 0
             for f in range(graph.n_fields):
-                papers_in_f = graph.papers_of_field(f)
+                papers_in_f = np.flatnonzero(graph.paper_field == f)
                 expected = state.u_p[papers_in_f][cites_something[papers_in_f]].sum()
                 assert abs(impact.values[:, f].sum() - expected) < 1e-12
 

@@ -3,14 +3,7 @@ import logging
 import numpy as np
 import pytest
 
-from mathrank.build import (
-    BuildError,
-    build_field_matrix,
-    build_graph,
-    paper_edge_weight,
-    restrict_graph,
-    theorem_edge_weight,
-)
+from mathrank.build import BuildError, build_field_matrix, build_graph, restrict_graph
 from mathrank.corpus import snapshot_filter
 from mathrank.records import (
     GraphRecords,
@@ -19,7 +12,8 @@ from mathrank.records import (
 )
 
 import oracle
-from conftest import paper, theorem
+from conftest import entries, paper, theorem
+from loop_reference import paper_edge_weight, theorem_edge_weight
 from synthdata import CODE_POOL, make_random_records, shuffled, with_late_field
 
 P_SHARED = paper("x1", authors=("a1", "a2"))
@@ -81,14 +75,14 @@ class TestBuildSmall:
             theorems=[theorem("p1", "thm 1"), theorem("p2", "thm 1")],
             paper_citations=[PaperCitation("p2", "p1")])
         g = build_graph(records)
-        assert list(g.p_matrix.iter_entries()) == [(0, 1, 1.0)]
-        assert list(g.f_matrix.iter_entries()) == [(0, 0, 1.0)]
+        assert entries(g.p_matrix) == [(0, 1, 1.0)]
+        assert entries(g.f_matrix) == [(0, 0, 1.0)]
 
     def test_matrix_direction_theorem_level(self, tiny_records):
         # (p2, thm 1) cites (p1, thm 1): theorems sort as p1:thm1=0, p2:thm1=1,
         # so the entry sits at row 0 (cited), column 1 (citer).
         g = build_graph(tiny_records)
-        assert list(g.t_matrix.iter_entries()) == [(0, 1, 1.0)]
+        assert entries(g.t_matrix) == [(0, 1, 1.0)]
 
     def test_shared_author_weights_in_matrices(self):
         records = GraphRecords(
@@ -97,8 +91,8 @@ class TestBuildSmall:
             theorem_citations=[TheoremCitation("p2", "thm 1", "p1", "thm 1")],
             paper_citations=[PaperCitation("p2", "p1")])
         g = build_graph(records)
-        assert list(g.t_matrix.iter_entries()) == [(0, 1, 0.1)]
-        assert list(g.p_matrix.iter_entries()) == [(0, 1, 0.1)]
+        assert entries(g.t_matrix) == [(0, 1, 0.1)]
+        assert entries(g.p_matrix) == [(0, 1, 0.1)]
 
     def test_same_paper_theorem_citation_weight(self):
         records = GraphRecords(
@@ -106,7 +100,7 @@ class TestBuildSmall:
             theorems=[theorem("p1", "thm 1"), theorem("p1", "thm 2")],
             theorem_citations=[TheoremCitation("p1", "thm 1", "p1", "thm 2")])
         g = build_graph(records)
-        assert list(g.t_matrix.iter_entries()) == [(1, 0, 0.05)]
+        assert entries(g.t_matrix) == [(1, 0, 0.05)]
 
     def test_duplicate_citations_collapse(self):
         records = GraphRecords(
@@ -119,16 +113,14 @@ class TestBuildSmall:
     def test_mappings_mutually_consistent(self, rng):
         records = make_random_records(rng, n_papers=15, n_theorems=40)
         g = build_graph(records)
-        for p in range(g.n_papers):
-            for t in g.theorems_of_paper(p):
-                assert g.theorem_paper[t] == p
-        assert sorted(t for p in range(g.n_papers) for t in g.theorems_of_paper(p)) \
-            == list(range(g.n_theorems))
+        # Each paper's theorems are contiguous and its own; every field
+        # holds a paper.
+        owned = [np.flatnonzero(g.theorem_paper == p) for p in range(g.n_papers)]
+        assert np.concatenate(owned).tolist() == list(range(g.n_theorems))
+        for p, theorems in enumerate(owned):
+            assert all(g.theorem_keys[t][0] == g.paper_ids[p] for t in theorems)
         for f in range(g.n_fields):
-            for p in g.papers_of_field(f):
-                assert g.paper_field[p] == f
-        assert sorted(p for f in range(g.n_fields) for p in g.papers_of_field(f)) \
-            == list(range(g.n_papers))
+            assert np.flatnonzero(g.paper_field == f).size > 0
 
 
 class TestBuildErrors:
@@ -271,7 +263,7 @@ def restriction_corpus(seed: int) -> GraphRecords:
 def assert_same_graph(a, b):
     assert a.paper_ids == b.paper_ids
     assert a.theorem_keys == b.theorem_keys
-    for name in ("field_indices", "theorem_paper", "paper_field", "paper_theorem_ptr"):
+    for name in ("field_indices", "theorem_paper", "paper_field"):
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and np.array_equal(x, y), name
     for name in ("t_matrix", "p_matrix", "f_matrix"):
@@ -304,5 +296,16 @@ class TestRestrictGraph:
 
     def test_mask_length_must_match_papers(self, rng):
         full = build_graph(make_random_records(rng, n_papers=5, n_theorems=5))
-        with pytest.raises(ValueError, match="mask"):
-            restrict_graph(full, np.ones(6, dtype=bool))
+        for mask in (np.ones(6, dtype=bool), np.arange(5), np.array([1.0, 0.5, 0, 0, 0])):
+            with pytest.raises(ValueError, match="mask"):
+                restrict_graph(full, mask)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_graph_arrays_are_read_only(self, seed):
+        full = build_graph(restriction_corpus(seed))
+        keep = np.arange(full.n_papers) % 2 == 0
+        for g in (full, restrict_graph(full, keep)):
+            arrays = [g.field_indices, g.theorem_paper, g.paper_field]
+            for m in (g.t_matrix, g.p_matrix, g.f_matrix):
+                arrays += [m.indptr, m.rowidx, m.values]
+            assert not any(a.flags.writeable for a in arrays)

@@ -314,7 +314,7 @@ class TestImpact:
         cites_something = np.diff(graph.p_matrix.indptr) > 0
         for local_f in range(graph.n_fields):
             canonical = graph.field_indices[local_f]
-            papers_in_f = graph.papers_of_field(local_f)
+            papers_in_f = np.flatnonzero(graph.paper_field == local_f)
             expected = state.u_p[papers_in_f][cites_something[papers_in_f]].sum()
             # printed precision is 12 significant digits
             assert abs(matrix[:, canonical].sum() - expected) < 1e-11

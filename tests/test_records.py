@@ -1,9 +1,11 @@
 import pytest
 
+from mathrank.fields import msc_to_field
 from mathrank.records import (
     GraphRecords,
     PaperCitation,
     TheoremCitation,
+    ValidationIssue,
     YearMonth,
     validate_records,
 )
@@ -89,6 +91,14 @@ class TestValidation:
         records = GraphRecords(papers=[paper("p1", msc="5")])
         report = validate_records(records)
         assert report.counts() == {"malformed_paper": 1}
+
+    @pytest.mark.parametrize("code", [60, None, b"60", "٦٠"])
+    def test_codes_msc_to_field_rejects_are_issues(self, code):
+        # msc_to_field rejects the same codes, so the two rules agree.
+        with pytest.raises(ValueError):
+            msc_to_field(code)
+        (issue,) = validate_records(GraphRecords(papers=[paper("p1", msc=code)])).issues
+        assert issue == ValidationIssue("malformed_paper", f"p1: bad subject code {code!r}")
 
     def test_malformed_date(self):
         records = GraphRecords(papers=[paper("p1", date=(1998, 13))])

@@ -3,10 +3,12 @@ import pytest
 
 from mathrank.sparsemat import SparseWeightMatrix
 
+from conftest import entries
 
-def from_entries(shape, entries):
+
+def from_entries(shape, triples):
     """The matrix of (row, col, value) triples, through from_arrays."""
-    rows, cols, vals = zip(*entries) if entries else ((), (), ())
+    rows, cols, vals = zip(*triples) if triples else ((), (), ())
     return SparseWeightMatrix.from_arrays(shape, rows, cols, vals)
 
 
@@ -20,7 +22,7 @@ def random_matrix(rng, n_rows, n_cols, density=0.2):
 def test_entries_stored_column_major():
     m = from_entries(
         (3, 3), [(2, 1, 0.5), (0, 0, 1.0), (1, 1, 0.1), (0, 2, 2.0)])
-    assert list(m.iter_entries()) == [
+    assert entries(m) == [
         (0, 0, 1.0), (1, 1, 0.1), (2, 1, 0.5), (0, 2, 2.0)]
     assert m.nnz == 4
     assert list(m.colidx) == [0, 1, 1, 2]
@@ -109,7 +111,7 @@ def test_empty_matrix():
 def test_with_values_keeps_pattern():
     m = from_entries((2, 2), [(0, 1, 1.0), (1, 0, 2.0)])
     m2 = m.with_values(np.array([0.5, 0.25]))
-    assert list(m2.iter_entries()) == [(1, 0, 0.5), (0, 1, 0.25)]
+    assert entries(m2) == [(1, 0, 0.5), (0, 1, 0.25)]
     with pytest.raises(ValueError):
         m.with_values(np.array([1.0]))
 
