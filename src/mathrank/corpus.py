@@ -11,13 +11,22 @@ Files are UTF-8 and lines end in LF (a CR before it is stripped). Field
 names are fixed; unknown extra fields are ignored. Dates are ASCII
 ``YYYY-MM``. Malformed lines, including lines that are not valid UTF-8 and
 lines nested too deeply to parse, are skipped and reported with their line
-numbers. Each file is read into columns (see GraphRecords), one JSON parse
-per line and no record object per line.
+numbers. Each file is read into columns (see GraphRecords), with no record
+object per line.
+
+The three tables of string fields are read in chunks of whole lines, with
+one regular expression per table. A line in their canonical form, the
+table's keys in order with ``json.dumps``' separators and values free of
+quotes, backslashes, control characters and undecodable bytes, goes
+straight into the columns: ``json.loads`` would return exactly the strings
+the expression captures. Every other line, and each line of the papers
+file, is parsed on its own with the JSON scanner.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
@@ -97,22 +106,83 @@ def _paper_fields(obj: dict) -> tuple:
     return paper_id, msc_primary, tuple(authors), year, month
 
 
-def _read_columns(path: str | Path, fields: Callable[[dict], tuple], names: tuple[str, ...],
-                  errors: list[MalformedLine]) -> dict[str, tuple]:
-    """One file's records as columns ``names``, from ``fields`` of each line."""
-    rows = []
-    # Lines are read as bytes and split at LF only, so that a line that is
-    # not UTF-8 is reported like any other malformed line, and a CR, U+2028
-    # or U+0085 inside a line does not split it.
+def _read_line(raw: bytes, fields: Callable[[dict], tuple], path: str | Path, lineno: int,
+               errors: list[MalformedLine]) -> tuple | None:
+    """``fields`` of the record on one line, or None for a blank line or for
+    a malformed one, which is reported in ``errors``.
+
+    Files are read as bytes and split at LF only, so that a CR, U+2028 or
+    U+0085 inside a line does not split it. The line is decoded here, so
+    that a line that is not UTF-8 is reported like any other malformed line.
+    """
+    try:
+        line = raw.decode("utf-8").strip()
+        if line:
+            return fields(_json_object(line))
+    except (ValueError, KeyError) as exc:
+        errors.append(MalformedLine(str(path), lineno, str(exc)))
+    return None
+
+
+def _read_papers(path: str | Path, errors: list[MalformedLine]) -> dict[str, tuple]:
+    """The papers file's records as columns, one line at a time."""
     with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                line = raw.decode("utf-8").strip()
-                if line:
-                    rows.append(fields(_json_object(line)))
-            except (ValueError, KeyError) as exc:
-                errors.append(MalformedLine(str(path), lineno, str(exc)))
+        rows = [row for lineno, raw in enumerate(fh, start=1)
+                if (row := _read_line(raw, _paper_fields, path, lineno, errors)) is not None]
+    names = ("paper_id", "msc_primary", "author_ids", "year", "month")
     return dict(zip(names, zip(*rows))) if rows else dict.fromkeys(names, ())
+
+
+# A JSON string that json.loads returns as written: no quote, no backslash
+# escape, no control character, and none of the U+DC80-U+DCFF that the
+# "surrogateescape" decoding gives the bytes of a line that is not UTF-8.
+_PLAIN_STRING = r'"([^"\\\x00-\x1f\udc80-\udcff]*)"'
+
+
+def _line_pattern(keys: tuple[str, ...]) -> re.Pattern:
+    """Matches each line of a chunk once: a canonical line of a table of
+    string fields ``keys`` as one group per value and "}", anything else as
+    a last group holding the whole line."""
+    body = ", ".join(f'"{key}": {_PLAIN_STRING}' for key in keys)
+    return re.compile(rf"^(?:\{{{body}(\}})\r?|(.*))$", re.M)
+
+
+_CHUNK_BYTES = 1 << 18
+
+
+def _read_strings(path: str | Path, keys: tuple[str, ...], names: tuple[str, ...],
+                  errors: list[MalformedLine]) -> dict[str, list]:
+    """A file of records of string fields ``keys`` as columns ``names``.
+
+    Each chunk of whole lines is matched by one pattern. Each run of
+    canonical lines extends the columns at once, and each line between runs
+    is read by ``_read_line``, in its place.
+    """
+    pattern, fields, closer = _line_pattern(keys), _string_fields(*keys), len(keys)
+    columns = [[] for _ in keys]
+    first = 1
+    with open(path, "rb") as fh:
+        while chunk := fh.readlines(_CHUNK_BYTES):
+            # One match per line, and after a final LF an empty one, never read.
+            matches = pattern.findall(b"".join(chunk).decode("utf-8", "surrogateescape"))
+            groups = list(zip(*matches))
+            closers, start = groups[closer], 0
+            while start < len(chunk):
+                # The canonical lines up to the next line that is not, then that line.
+                try:
+                    stop = closers.index("", start)
+                except ValueError:
+                    stop = len(chunk)
+                for column, values in zip(columns, groups):
+                    column.extend(values[start:stop])
+                if stop < len(chunk):
+                    row = _read_line(chunk[stop], fields, path, first + stop, errors)
+                    if row is not None:
+                        for column, value in zip(columns, row):
+                            column.append(value)
+                start = stop + 1
+            first += len(chunk)
+    return dict(zip(names, columns))
 
 
 def parse_corpus(
@@ -128,15 +198,14 @@ def parse_corpus(
     """
     errors: list[MalformedLine] = []
     records = GraphRecords.from_columns(
-        **_read_columns(papers_path, _paper_fields,
-                        ("paper_id", "msc_primary", "author_ids", "year", "month"), errors),
-        **_read_columns(theorems_path, _string_fields("paper_id", "theorem_id"),
+        **_read_papers(papers_path, errors),
+        **_read_strings(theorems_path, ("paper_id", "theorem_id"),
                         ("theorem_paper", "theorem_id"), errors),
-        **_read_columns(theorem_citations_path, _string_fields(
-                            "src_paper", "src_theorem", "dst_paper", "dst_theorem"),
+        **_read_strings(theorem_citations_path,
+                        ("src_paper", "src_theorem", "dst_paper", "dst_theorem"),
                         ("tc_src_paper", "tc_src_theorem", "tc_dst_paper", "tc_dst_theorem"),
                         errors),
-        **_read_columns(paper_citations_path, _string_fields("src_paper", "dst_paper"),
+        **_read_strings(paper_citations_path, ("src_paper", "dst_paper"),
                         ("pc_src", "pc_dst"), errors),
     )
     return records, errors

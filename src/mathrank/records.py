@@ -230,10 +230,16 @@ class GraphRecords:
         raise AttributeError("GraphRecords is immutable")
 
     def select(self, papers, theorems, theorem_citations, paper_citations) -> "GraphRecords":
-        """The records at the rows where each table's boolean mask is true."""
+        """The records at the rows where each table's boolean mask is true.
+
+        Raises ValueError for a mask that is not boolean or not as long as
+        its table.
+        """
         columns = {}
         for table, mask in zip(_TABLES, (papers, theorems, theorem_citations, paper_citations)):
-            mask = np.asarray(mask, dtype=bool)
+            mask = np.asarray(mask)
+            if mask.dtype != bool or mask.shape != (len(getattr(self, table[0])),):
+                raise ValueError(f"the mask of {table[0]} must be a boolean mask over its rows")
             for name in table:
                 column = getattr(self, name)
                 columns[name] = (column[mask] if name in _ARRAY_COLUMNS

@@ -117,7 +117,8 @@ def validate_records_loop(records: GraphRecords) -> ValidationReport:
         if p.paper_id in seen_papers:
             issues.append(ValidationIssue("duplicate_paper", p.paper_id))
         seen_papers.add(p.paper_id)
-        if len(p.msc_primary) != 2 or not (p.msc_primary.isascii() and p.msc_primary.isalnum()):
+        code = p.msc_primary
+        if not (isinstance(code, str) and len(code) == 2 and code.isascii() and code.isalnum()):
             issues.append(ValidationIssue(
                 "malformed_paper", f"{p.paper_id}: bad subject code {p.msc_primary!r}"))
         if not p.first_version_date.is_valid:

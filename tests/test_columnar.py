@@ -163,6 +163,16 @@ class TestValidationEdgeCases:
         ]
         assert validate_records(records).issues == validate_records_loop(records).issues
 
+    @pytest.mark.parametrize("code", [
+        pytest.param(60, id="int"), pytest.param(None, id="none"),
+        pytest.param(b"60", id="bytes"), pytest.param("6", id="one_character"),
+        pytest.param("٦٠", id="arabic_indic_digits"), pytest.param("6\n", id="newline")])
+    def test_subject_codes_that_are_not_two_ascii_characters(self, code):
+        records = columns(paper_id=("p1",), msc_primary=(code,), author_ids=((),),
+                          year=(2000,), month=(1,))
+        assert [i.kind for i in validate_records(records).issues] == ["malformed_paper"]
+        assert validate_records(records).issues == validate_records_loop(records).issues
+
     def test_duplicate_and_empty_author_lists(self):
         # p1 lists its one author twice and p3 lists none; p3 and p1 share
         # no author, p2 and p1 do.

@@ -2,7 +2,13 @@ import json
 
 import pytest
 
-from mathrank.corpus import MalformedLine, parse_corpus, snapshot_filter, write_corpus
+from mathrank.corpus import (
+    _CHUNK_BYTES,
+    MalformedLine,
+    parse_corpus,
+    snapshot_filter,
+    write_corpus,
+)
 from mathrank.records import GraphRecords, PaperCitation, YearMonth, validate_records
 
 from conftest import paper, theorem
@@ -118,34 +124,139 @@ def theorem_line(tid):
 
 A, B = theorem_line("a"), theorem_line("b")
 
+# The tables of string fields: the file's index in corpus_paths, its keys and
+# the column of its last key.
+STRING_TABLES = {
+    "theorems": (1, ("paper_id", "theorem_id"), "theorem_id"),
+    "theorem_citations": (2, ("src_paper", "src_theorem", "dst_paper", "dst_theorem"),
+                          "tc_dst_theorem"),
+    "paper_citations": (3, ("src_paper", "dst_paper"), "pc_dst"),
+}
+
+
+def for_table(data, keys):
+    """Theorem-file bytes as lines of the table of ``keys``. Its last key
+    stands where "theorem_id" is and the key before it where "paper_id" is,
+    with the same values; any keys before those come first, with "p1"."""
+    head = "".join(f'"{key}": "p1", ' for key in keys[:-2]) + f'"{keys[-2]}": "'
+    return data.replace(b'"paper_id": "', head.encode()).replace(
+        b'"theorem_id"', f'"{keys[-1]}"'.encode())
+
+
+# Theorem files, the theorem ids parsed from them and the numbers of their
+# malformed lines.
+EDGE_CASES = [
+    pytest.param(A + b"\r\n" + B + b"\r\n", ["a", "b"], [], id="crlf"),
+    pytest.param(b'{"paper_id": "p1",\r"theorem_id": "a"}\n' + B + b"\n",
+                 ["a", "b"], [], id="bare_cr_between_tokens"),
+    pytest.param(b'{"paper_id": "p1", "theorem_id": "a\rb"}\n' + B + b"\n", ["b"], [1],
+                 id="bare_cr_inside_string"),
+    pytest.param(b"\n   \n\t\n" + A + b"\n \r\n", ["a"], [], id="blank_lines"),
+    pytest.param(theorem_line("a\u2028b") + b"\n" + theorem_line("c\x85d") + b"\n{\n",
+                 ["a\u2028b", "c\x85d"], [3], id="u2028_u0085_inside_string"),
+    pytest.param(A + b" " + B + b"\n", [], [1], id="two_objects_space"),
+    pytest.param(A + b"," + B + b"\n", [], [1], id="two_objects_comma"),
+    pytest.param(b"\xef\xbb\xbf" + A + b"\n" + B + b"\n", ["b"], [1], id="utf8_bom"),
+    pytest.param(A + b"\n" + b'{"paper_id": "p\xff"}' + b"\n" + B + b"\n", ["a", "b"], [2],
+                 id="non_utf8_line"),
+    pytest.param(A + b"\n" + B, ["a", "b"], [], id="no_final_newline"),
+    # Lines next to the canonical form: each parses only as JSON, or not at all.
+    pytest.param(b'{"paper_id": "p1", "theorem_id": "\\u0041"}\n' + B + b"\n", ["A", "b"], [],
+                 id="unicode_escape"),
+    pytest.param(b'{"paper_id": "p1", "theorem_id": "a\\"\\\\"}\n', ['a"\\'], [],
+                 id="quote_and_backslash_escapes"),
+    pytest.param(b'{"theorem_id": "a", "paper_id": "p1"}\n' + B + b"\n", ["a", "b"], [],
+                 id="reordered_keys"),
+    pytest.param(b'{"paper_id": "p1", "theorem_id": "x", "theorem_id": "a"}\n', ["a"], [],
+                 id="duplicate_key"),
+    pytest.param(b'{"paper_id": "p1", "theorem_id": "a", "extra": "z"}\n', ["a"], [],
+                 id="extra_key"),
+    pytest.param(b'{"paper_id": "p1","theorem_id": "a"}\n{"paper_id": "p1", "theorem_id":"b"}\n',
+                 ["a", "b"], [], id="compact_separators"),
+    pytest.param(b"  " + A + b"\n\t" + B + b" \n", ["a", "b"], [],
+                 id="leading_and_trailing_spaces"),
+    pytest.param(A + b"\n\n \n{\n" + B + b"\n" + A + b"\n", ["a", "b", "a"], [4],
+                 id="blank_lines_then_malformed"),
+    pytest.param(A + b"\r\r\n" + B + b"\r", ["a", "b"], [], id="two_crs_and_final_cr"),
+    pytest.param(b'{"paper_id": "p1", "theorem_id": "a\tb"}\n'
+                 b'{"paper_id": "p1", "theorem_id": "c\x01"}\n' + B + b"\n",
+                 ["b"], [1, 2], id="raw_tab_and_u0001_inside_string"),
+    pytest.param(b'{"paper_id": "p1", "theorem_id": "a\x1f"}\n'
+                 b'{"paper_id": "p1", "theorem_id": "\x7f"}\n',
+                 ["\x7f"], [1], id="raw_u001f_and_u007f_inside_string"),
+    pytest.param(A + b"\n" + b'{"paper_id": "p1", "theorem_id": "a\xff"}\n' + B + b"\n",
+                 ["a", "b"], [2], id="invalid_utf8_in_canonical_line"),
+    pytest.param(b'{"paper_id": "p1", "theorem_id": "\xed\xa0\x80"}\n' + B + b"\n", ["b"], [1],
+                 id="encoded_surrogate_in_canonical_line"),
+    pytest.param(b'{"paper_id": "p1", "theorem_id": "a\xe2"}\n' + B + b"\n", ["b"], [1],
+                 id="truncated_utf8_in_canonical_line"),
+    pytest.param(b'{"paper_id": "p1", "theorem_id": "a\xe2\n' + B + b"\n", ["b"], [1],
+                 id="truncated_utf8_at_line_end"),
+    pytest.param(B + b'\n{"paper_id": "p1", "theorem_id": "\xe2', ["b"], [2],
+                 id="truncated_utf8_at_file_end"),
+    pytest.param(b'{"paper_id": "p1", "theorem_id": "\\udcff"}\n', ["\udcff"], [],
+                 id="escaped_lone_surrogate"),
+    pytest.param(b'{"paper_id": "", "theorem_id": ""}\n' + A + b"\n", ["", "a"], [],
+                 id="empty_values"),
+    pytest.param(b'{"paper_id": "p1", "theorem_id": 7}\n' + A + b"\n", ["a"], [1],
+                 id="non_string_value"),
+    pytest.param(b'{"paper_id": "p1", "theorem_id": ["a"]}\n' + A + b"\n", ["a"], [1],
+                 id="list_value"),
+    pytest.param(b'{"paper_id": "p1"}\n{"paper_id": "p1", "theorem_id": "a"\n', [], [1, 2],
+                 id="missing_key_and_unclosed_object"),
+    pytest.param(theorem_line("é\U0001d538\uffff") + b"\n", ["é\U0001d538\uffff"], [],
+                 id="non_ascii_values"),
+]
+
+
+def assert_matches_loop_reference(tmp_path, table, data, values, bad_lines):
+    index, keys, column = STRING_TABLES[table]
+    paths = corpus_paths(tmp_path)
+    write_empty(paths)
+    paths[index].write_bytes(for_table(data, keys))
+    records, errors = parse_corpus(*paths)
+    assert list(getattr(records, column)) == values
+    assert [e.line_number for e in errors] == bad_lines
+    assert (records, errors) == parse_corpus_loop(*paths)
+
 
 class TestParseEdgeCases:
-    """Theorem files of given bytes: the theorem keys and malformed line
-    numbers parsed, and records and reasons equal to the loop reference's."""
+    """Files of given bytes: the last key's values and malformed line numbers
+    parsed, and records and reasons equal to the loop reference's."""
 
-    @pytest.mark.parametrize("data, keys, bad_lines", [
-        pytest.param(A + b"\r\n" + B + b"\r\n", ["a", "b"], [], id="crlf"),
-        pytest.param(b'{"paper_id": "p1",\r"theorem_id": "a"}\n' + B + b"\n",
-                     ["a", "b"], [], id="bare_cr_between_tokens"),
-        pytest.param(b'{"paper_id": "p1", "theorem_id": "a\rb"}\n' + B + b"\n", ["b"], [1],
-                     id="bare_cr_inside_string"),
-        pytest.param(b"\n   \n\t\n" + A + b"\n \r\n", ["a"], [], id="blank_lines"),
-        pytest.param(theorem_line("a\u2028b") + b"\n" + theorem_line("c\x85d") + b"\n{\n",
-                     ["a\u2028b", "c\x85d"], [3], id="u2028_u0085_inside_string"),
-        pytest.param(A + b" " + B + b"\n", [], [1], id="two_objects_space"),
-        pytest.param(A + b"," + B + b"\n", [], [1], id="two_objects_comma"),
-        pytest.param(b"\xef\xbb\xbf" + A + b"\n" + B + b"\n", ["b"], [1], id="utf8_bom"),
-        pytest.param(A + b"\n" + b'{"paper_id": "p\xff"}' + b"\n" + B + b"\n", ["a", "b"], [2],
-                     id="non_utf8_line"),
-        pytest.param(A + b"\n" + B, ["a", "b"], [], id="no_final_newline"),
-    ])
-    def test_matches_loop_reference(self, tmp_path, data, keys, bad_lines):
+    @pytest.mark.parametrize("data, values, bad_lines", EDGE_CASES)
+    def test_matches_loop_reference(self, tmp_path, data, values, bad_lines):
+        assert_matches_loop_reference(tmp_path, "theorems", data, values, bad_lines)
+
+    @pytest.mark.parametrize("table", ["theorem_citations", "paper_citations"])
+    @pytest.mark.parametrize("data, values, bad_lines", EDGE_CASES)
+    def test_citation_files_match_loop_reference(self, tmp_path, table, data, values,
+                                                 bad_lines):
+        assert_matches_loop_reference(tmp_path, table, data, values, bad_lines)
+
+    @pytest.mark.parametrize("table", list(STRING_TABLES))
+    def test_line_numbers_across_chunks(self, tmp_path, table):
+        # Lines of 128 bytes: a chunk ends with the line that passes its size,
+        # so each chunk holds per_chunk lines. Malformed lines (a "]" for the
+        # closing "}") are the first and last of the first two chunks.
+        index, keys, column = STRING_TABLES[table]
+        per_chunk = _CHUNK_BYTES // 128 + 1
+        n = 2 * per_chunk + 500
+        stub = json.dumps({**dict.fromkeys(keys[:-1], "p1"), keys[-1]: ""})
+        lines = [json.dumps({**dict.fromkeys(keys[:-1], "p1"),
+                             keys[-1]: f"{i:0{127 - len(stub)}d}"}) for i in range(1, n + 1)]
+        bad = [1, per_chunk, per_chunk + 1, 2 * per_chunk]
+        for lineno in bad:
+            lines[lineno - 1] = lines[lineno - 1][:-1] + "]"
+        assert {len(line) for line in lines} == {127}
         paths = corpus_paths(tmp_path)
         write_empty(paths)
-        paths[1].write_bytes(data)
+        write_lines(paths[index], lines)
+        with open(paths[index], "rb") as fh:
+            assert len(fh.readlines(_CHUNK_BYTES)) == per_chunk
         records, errors = parse_corpus(*paths)
-        assert list(records.theorem_id) == keys
-        assert [e.line_number for e in errors] == bad_lines
+        assert [e.line_number for e in errors] == bad
+        assert len(getattr(records, column)) == n - len(bad)
         assert (records, errors) == parse_corpus_loop(*paths)
 
     def test_deeply_nested_line_is_malformed(self, tmp_path):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from mathrank.fields import msc_to_field
@@ -138,3 +139,27 @@ class TestColumns:
             tiny_records.paper_id = ()
         with pytest.raises(ValueError):
             tiny_records.year[0] = 2000
+
+    def test_select_keeps_the_masked_rows(self, tiny_records):
+        kept = tiny_records.select([True, False], np.array([True, False]), [False], [True])
+        assert kept.paper_id == ("p1",)
+        assert kept.year.tolist() == [1995]
+        assert kept.theorem_paper == ("p1",)
+        assert kept.tc_src_paper == ()
+        assert kept.pc_src == ("p2",)
+
+    @pytest.mark.parametrize("table, mask", [
+        pytest.param(0, np.arange(2), id="int_papers"),
+        pytest.param(0, [1.0, 0.5], id="float_papers"),
+        pytest.param(0, [True], id="short_papers"),
+        pytest.param(1, [True], id="short_theorems"),
+        pytest.param(2, [True, True], id="long_theorem_citations"),
+        pytest.param(3, [], id="empty_list_paper_citations"),
+        pytest.param(3, [[True]], id="2d_paper_citations"),
+    ])
+    def test_select_rejects_masks_not_boolean_or_of_another_length(self, tiny_records,
+                                                                    table, mask):
+        masks = [[True, True], [True, True], [True], [True]]
+        masks[table] = mask
+        with pytest.raises(ValueError, match="boolean mask"):
+            tiny_records.select(*masks)
