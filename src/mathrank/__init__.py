@@ -11,12 +11,7 @@ from .analysis import (
     impact_asymmetry,
     rank_entities,
 )
-from .build import (
-    BuildError,
-    build_field_matrix,
-    build_graph,
-    restrict_graph,
-)
+from .build import BuildError, build_graph, restrict_graph
 from .corpus import parse_corpus, snapshot_filter, write_corpus
 from .fields import FIELD_NAMES, FIELDS, FieldId, msc_to_field
 from .graph import ThreeLevelGraph
@@ -70,7 +65,6 @@ __all__ = [
     "ThreeLevelGraph",
     "ValidationReport",
     "YearMonth",
-    "build_field_matrix",
     "build_graph",
     "category_ratios",
     "compute_scores",

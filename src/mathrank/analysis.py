@@ -123,10 +123,9 @@ def field_impact(
     n = graph.n_fields
     values = np.zeros((n, n))
     pn = norm.p_norm
-    if pn.nnz:
-        src_fields = graph.paper_field[pn.rowidx]   # cited side
-        dst_fields = graph.paper_field[pn.colidx]   # citing side
-        np.add.at(values, (src_fields, dst_fields), pn.values * u_p[pn.colidx])
+    src_fields = graph.paper_field[pn.rowidx]   # cited side
+    dst_fields = graph.paper_field[pn.colidx]   # citing side
+    np.add.at(values, (src_fields, dst_fields), pn.values * u_p[pn.colidx])
     return ImpactMatrix(field_indices=graph.field_indices, values=values)
 
 
@@ -162,7 +161,6 @@ class FieldSeries:
     years: tuple[int, ...]
     scores: tuple[np.ndarray | None, ...]
     status: tuple[str, ...]
-    hyperparameters: Hyperparameters
 
 
 def field_series(
@@ -190,7 +188,7 @@ def field_series(
     paper_year = np.array([year_of[pid] for pid in full_graph.paper_ids], dtype=np.int64)
     scores, status = zip(*(_solve_year(restrict_graph(full_graph, paper_year <= year), hp)
                            for year in years))
-    return FieldSeries(years, scores, status, hp)
+    return FieldSeries(years, scores, status)
 
 
 def _solve_year(graph: ThreeLevelGraph, hp: Hyperparameters) -> tuple[np.ndarray | None, str]:

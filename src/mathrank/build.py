@@ -36,8 +36,7 @@ def build_field_matrix(
     citer in field j) connected at the paper level.
     """
     dense = np.zeros((n_fields, n_fields), dtype=np.float64)
-    if p_matrix.nnz:
-        np.add.at(dense, (paper_field[p_matrix.rowidx], paper_field[p_matrix.colidx]), 1.0)
+    np.add.at(dense, (paper_field[p_matrix.rowidx], paper_field[p_matrix.colidx]), 1.0)
     rows, cols = np.nonzero(dense)
     return SparseWeightMatrix.from_arrays(
         (n_fields, n_fields), rows, cols, dense[rows, cols])

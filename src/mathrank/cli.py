@@ -32,7 +32,7 @@ from .build import build_graph
 from .corpus import parse_corpus
 from .fields import FIELD_NAMES, msc_to_field
 from .records import validate_records
-from .solver import Hyperparameters, compute_scores, normalize_matrices
+from .solver import DegenerateLevelError, Hyperparameters, compute_scores, normalize_matrices
 
 _RANK_LEVELS = ("theorem", "paper", "field")
 
@@ -119,7 +119,7 @@ def _solved(graph, hp: Hyperparameters):
     """
     try:
         state, report = compute_scores(graph, hp)
-    except ValueError as exc:
+    except (ValueError, DegenerateLevelError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
     comments = None

@@ -1,8 +1,9 @@
-"""Column-compressed sparse weight matrices with a deterministic layout.
+"""Sparse weight matrices stored as coordinate arrays in a deterministic order.
 
 Entry (i, j) holds the weight of entity j citing entity i, so column j
-collects the outgoing citations of entity j. Entries are stored
-column-major, rows ascending within each column; absent entries are zero.
+collects the outgoing citations of entity j. The stored entries are three
+aligned arrays (row index, column index, value) in column-major order, rows
+ascending within each column; absent entries are zero.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ def _sum_by(index: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
 @dataclass(frozen=True)
 class SparseWeightMatrix:
     shape: tuple[int, int]
-    indptr: np.ndarray  # int64, one slot per column plus one
     rowidx: np.ndarray  # int64, ascending within each column
+    colidx: np.ndarray  # int64, ascending
     values: np.ndarray  # float64, strictly positive
 
     @classmethod
@@ -53,41 +54,24 @@ class SparseWeightMatrix:
             if same.any():
                 k = int(np.flatnonzero(same)[0])
                 raise ValueError(f"duplicate entry at ({rows[k]}, {cols[k]})")
-        counts = np.bincount(cols, minlength=n_cols) if cols.size else np.zeros(n_cols, dtype=np.int64)
-        indptr = np.zeros(n_cols + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return cls(shape, _frozen(indptr), _frozen(rows), _frozen(vals.copy()))
+        return cls(shape, _frozen(rows), _frozen(cols), _frozen(vals))
 
     @property
     def nnz(self) -> int:
         return int(self.values.size)
-
-    def with_values(self, values: np.ndarray) -> "SparseWeightMatrix":
-        """Same sparsity pattern, new values."""
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != self.values.shape:
-            raise ValueError("value array does not match the sparsity pattern")
-        return SparseWeightMatrix(self.shape, self.indptr, self.rowidx, _frozen(values.copy()))
-
-    @cached_property
-    def colidx(self) -> np.ndarray:
-        """Column index of each stored entry, aligned with rowidx/values."""
-        return _frozen(np.repeat(
-            np.arange(self.shape[1], dtype=np.int64), np.diff(self.indptr)))
 
     @cached_property
     def column_normalized(self) -> "SparseWeightMatrix":
         """Every nonzero column divided by its sum; zero columns stay zero.
 
         Stored weights must be strictly positive, so every column holding an
-        entry has a positive sum and normalizes to exactly unit mass.
+        entry has a positive sum and normalizes to exactly unit mass. The
+        result shares this matrix's index arrays.
         """
-        if self.nnz == 0:
-            return self
         if not np.all(self.values > 0):
             raise ValueError("stored weights must be strictly positive")
-        per_entry = np.repeat(self.column_sums(), np.diff(self.indptr))
-        return self.with_values(self.values / per_entry)
+        values = self.values / self.column_sums()[self.colidx]
+        return SparseWeightMatrix(self.shape, self.rowidx, self.colidx, _frozen(values))
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """The product M @ x; each row sums its entries in ascending column order."""

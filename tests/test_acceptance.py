@@ -253,7 +253,7 @@ def test_criterion_5_impact_identity(rng):
         state, _ = compute_scores(graph, hp)  # identity holds converged or not
         impact = field_impact(graph, norm, state.u_p)
 
-        cites_something = np.diff(graph.p_matrix.indptr) > 0
+        cites_something = graph.p_matrix.column_sums() > 0
         for f in range(graph.n_fields):
             papers_in_f = np.flatnonzero(graph.paper_field == f)
             expected = state.u_p[papers_in_f][cites_something[papers_in_f]].sum()

@@ -207,7 +207,7 @@ class TestDeterminism:
                      (g1.f_matrix, g2.f_matrix)):
             assert a.values.tobytes() == b.values.tobytes()
             assert a.rowidx.tobytes() == b.rowidx.tobytes()
-            assert a.indptr.tobytes() == b.indptr.tobytes()
+            assert a.colidx.tobytes() == b.colidx.tobytes()
         np.testing.assert_array_equal(g1.theorem_paper, g2.theorem_paper)
         np.testing.assert_array_equal(g1.paper_field, g2.paper_field)
 
@@ -269,7 +269,7 @@ def assert_same_graph(a, b):
     for name in ("t_matrix", "p_matrix", "f_matrix"):
         x, y = getattr(a, name), getattr(b, name)
         assert x.shape == y.shape, name
-        for part in ("indptr", "rowidx", "values"):
+        for part in ("rowidx", "colidx", "values"):
             u, v = getattr(x, part), getattr(y, part)
             assert u.dtype == v.dtype and np.array_equal(u, v), (name, part)
 
@@ -307,5 +307,5 @@ class TestRestrictGraph:
         for g in (full, restrict_graph(full, keep)):
             arrays = [g.field_indices, g.theorem_paper, g.paper_field]
             for m in (g.t_matrix, g.p_matrix, g.f_matrix):
-                arrays += [m.indptr, m.rowidx, m.values]
+                arrays += [m.rowidx, m.colidx, m.values]
             assert not any(a.flags.writeable for a in arrays)

@@ -311,7 +311,7 @@ class TestImpact:
         state, _ = compute_scores(graph, Hyperparameters())
         rows = read_csv(out / "impact_matrix.csv")
         matrix = np.array([[float(v) for v in row[1:]] for row in rows[1:]])
-        cites_something = np.diff(graph.p_matrix.indptr) > 0
+        cites_something = graph.p_matrix.column_sums() > 0
         for local_f in range(graph.n_fields):
             canonical = graph.field_indices[local_f]
             papers_in_f = np.flatnonzero(graph.paper_field == local_f)
@@ -394,6 +394,12 @@ EXIT_PATHS = {
 }
 
 
+# Two uncited papers in different fields: the field level's update is all zero.
+DEGENERATE = GraphRecords(
+    papers=[paper("p1", msc="05"), paper("p2", msc="35")],
+    theorems=[theorem("p1", "thm 1"), theorem("p2", "thm 1")])
+
+
 class TestExitCodes:
     """0 on success, 1 only at the iteration cap, 2 for every kind of bad input."""
 
@@ -410,6 +416,22 @@ class TestExitCodes:
             args += ["--max-iter", "1"]
         result = runner.invoke(main, [*command, *args, "--out-dir", str(tmp_path / "out")])
         assert result.exit_code == code, result.output
+
+    @pytest.mark.parametrize("command", ["rank", "impact"])
+    def test_degenerate_level_exits_two(self, tmp_path, runner, command):
+        result = runner.invoke(main, [command, *corpus_args(tmp_path, DEGENERATE),
+                                      "--out-dir", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "error: field level produced an all-zero update" in result.output
+
+    def test_degenerate_year_marked_in_series(self, tmp_path, runner):
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["series", *corpus_args(tmp_path, DEGENERATE),
+                                      "--from-year", "2023", "--to-year", "2023",
+                                      "--out-dir", str(out)])
+        assert result.exit_code == 0, result.output
+        assert read_csv(out / "field_scores.csv")[1][:2] == ["2023", "degenerate"]
 
     def test_build_reports_deeply_nested_line(self, tmp_path, runner, tiny_records):
         args = corpus_args(tmp_path, tiny_records)

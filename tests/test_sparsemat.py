@@ -108,12 +108,12 @@ def test_empty_matrix():
     np.testing.assert_array_equal(m.column_sums(), np.zeros(4))
 
 
-def test_with_values_keeps_pattern():
-    m = from_entries((2, 2), [(0, 1, 1.0), (1, 0, 2.0)])
-    m2 = m.with_values(np.array([0.5, 0.25]))
-    assert entries(m2) == [(1, 0, 0.5), (0, 1, 0.25)]
-    with pytest.raises(ValueError):
-        m.with_values(np.array([1.0]))
+def test_normalized_shares_index_arrays():
+    m = from_entries((2, 2), [(0, 1, 1.0), (1, 1, 3.0), (1, 0, 2.0)])
+    normalized = m.column_normalized
+    assert normalized.rowidx is m.rowidx
+    assert normalized.colidx is m.colidx
+    assert entries(normalized) == [(1, 0, 1.0), (0, 1, 0.25), (1, 1, 0.75)]
 
 
 def test_arrays_are_read_only():
@@ -122,3 +122,5 @@ def test_arrays_are_read_only():
         m.values[0] = 2.0
     with pytest.raises(ValueError):
         m.rowidx[0] = 1
+    with pytest.raises(ValueError):
+        m.colidx[0] = 0
