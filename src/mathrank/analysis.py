@@ -53,21 +53,50 @@ def _level_columns(graph: ThreeLevelGraph, state: ScoreState, level: str):
 
 
 def _top(scores: np.ndarray, members: np.ndarray, top_k: int,
-         label) -> tuple[list[str], np.ndarray]:
+         label) -> tuple[list[str], list[int]]:
     """Labels and indices of the ``top_k`` members with the highest scores, in
-    order of descending score, then label, then index.
+    order of descending score, then label by code point, then index.
 
     Only the members scoring at least the k-th largest score, every tie at
-    the cut included, are labelled and sorted.
+    the cut included, are labelled and ordered.
     """
     member_scores = scores[members]
     cut = member_scores.size - top_k
     if cut > 0:
-        members = members[member_scores >= np.partition(member_scores, cut)[cut]]
-    by_label = sorted((label(i), i) for i in members.tolist())
-    chosen = np.fromiter((i for _, i in by_label), dtype=np.int64, count=len(by_label))
-    order = np.argsort(-scores[chosen], kind="stable")[:top_k].tolist()
-    return [by_label[k][0] for k in order], chosen[order]
+        keep = member_scores >= np.partition(member_scores, cut)[cut]
+        members, member_scores = members[keep], member_scores[keep]
+    labels = list(map(label, members.tolist()))
+    # A stable sort of positions gives equal labels their index order.
+    label_rank = np.empty(len(labels), dtype=np.int64)
+    label_rank[sorted(range(len(labels)), key=labels.__getitem__)] = np.arange(len(labels))
+    order = np.lexsort((label_rank, -member_scores))[:top_k].tolist()
+    return [labels[k] for k in order], members[order].tolist()
+
+
+def ranking_columns(
+    graph: ThreeLevelGraph,
+    state: ScoreState,
+    level: str,
+    top_k: int = 10,
+    group_by_field: bool = False,
+) -> tuple[list[int], list[str], list[str], list[float]]:
+    """The rows of ``rank_entities`` as four aligned columns: rank, entity
+    id, field name and score."""
+    if top_k < 1:
+        raise ValueError(f"top_k must be >= 1, got {top_k}")
+    scores, field_of, label = _level_columns(graph, state, level)
+    if group_by_field:
+        groups = [np.flatnonzero(field_of == f) for f in range(graph.n_fields)]
+    else:
+        groups = [np.arange(scores.size)]
+    ranks, ids, chosen = [], [], []
+    for members in groups:
+        labels, top = _top(scores, members, top_k, label)
+        ranks.extend(range(1, len(labels) + 1))
+        ids.extend(labels)
+        chosen.extend(top)
+    fields = list(map(graph.field_names.__getitem__, field_of[chosen].tolist()))
+    return ranks, ids, fields, scores[chosen].tolist()
 
 
 def rank_entities(
@@ -82,23 +111,9 @@ def rank_entities(
     With ``group_by_field`` the table holds up to ``top_k`` rows per field
     (fields in canonical order, rank restarting at 1 within each field).
     """
-    if top_k < 1:
-        raise ValueError(f"top_k must be >= 1, got {top_k}")
-    scores, field_of, label = _level_columns(graph, state, level)
-    if group_by_field:
-        groups = [np.flatnonzero(field_of == f) for f in range(graph.n_fields)]
-    else:
-        groups = [np.arange(scores.size)]
-    names = graph.field_names
-    rows: list[RankingRow] = []
-    for members in groups:
-        labels, chosen = _top(scores, members, top_k, label)
-        rows.extend(
-            RankingRow(r, eid, names[f], score)
-            for r, (eid, f, score) in enumerate(
-                zip(labels, field_of[chosen].tolist(), scores[chosen].tolist()), start=1)
-        )
-    return RankingTable(level=level, grouped=group_by_field, rows=tuple(rows))
+    columns = ranking_columns(graph, state, level, top_k, group_by_field)
+    return RankingTable(level=level, grouped=group_by_field,
+                        rows=tuple(map(RankingRow, *columns)))
 
 
 @dataclass(frozen=True)

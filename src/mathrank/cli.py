@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 solver did not converge (outputs still written),
 from __future__ import annotations
 
 import csv
+import io
 import sys
 from collections import Counter
 from contextlib import contextmanager
@@ -26,7 +27,7 @@ from .analysis import (
     field_impact,
     field_series,
     impact_asymmetry,
-    rank_entities,
+    ranking_columns,
 )
 from .build import build_graph
 from .corpus import parse_corpus
@@ -48,6 +49,33 @@ def _write_csv(path: Path, header: list[str], rows, comments: list[str] | None =
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def _may_need_quoting(text: str) -> bool:
+    """Whether text holds a character that csv.writer may not write bare.
+
+    Python 3.13 quotes a lone CR, which 3.10-3.12 write bare; 3.10 refuses
+    a NUL, which later versions write bare.
+    """
+    return any(c in text for c in ',"\r\n\0')
+
+
+def _id_cell(entity_id: str) -> str:
+    """The id as this Python's csv.writer writes it in a row."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([entity_id])
+    return buf.getvalue()[:-1]
+
+
+def _write_rankings(path: Path, ranks, ids, fields, scores, comments: list[str] | None):
+    """A rankings table, byte for byte what _write_csv writes for these rows."""
+    if _may_need_quoting("".join(ids)):
+        ids = [_id_cell(i) if _may_need_quoting(i) else i for i in ids]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        for comment in comments or []:
+            fh.write(f"# {comment}\n")
+        fh.write("rank,id,field,score\n")
+        fh.write("".join(map("{},{},{},{:.12g}\n".format, ranks, ids, fields, scores)))
 
 
 def corpus_options(f):
@@ -204,14 +232,8 @@ def rank(papers_path, theorems_path, thm_cites_path, paper_cites_path,
     graph = build_graph(records)
     with _solved(graph, hp) as (state, comments):
         for level in (level_choice,) if level_choice else _RANK_LEVELS:
-            table = rank_entities(graph, state, level, top_k=top_k,
-                                  group_by_field=group_by_field)
-            _write_csv(
-                out / f"rankings_{level}.csv",
-                ["rank", "id", "field", "score"],
-                [(r.rank, r.entity_id, r.field, _fmt(r.score)) for r in table.rows],
-                comments=comments,
-            )
+            columns = ranking_columns(graph, state, level, top_k, group_by_field)
+            _write_rankings(out / f"rankings_{level}.csv", *columns, comments)
 
 
 @main.command()

@@ -56,10 +56,6 @@ class SparseWeightMatrix:
                 raise ValueError(f"duplicate entry at ({rows[k]}, {cols[k]})")
         return cls(shape, _frozen(rows), _frozen(cols), _frozen(vals))
 
-    @property
-    def nnz(self) -> int:
-        return int(self.values.size)
-
     @cached_property
     def column_normalized(self) -> "SparseWeightMatrix":
         """Every nonzero column divided by its sum; zero columns stay zero.

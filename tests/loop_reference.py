@@ -13,7 +13,9 @@ scalar definitions, one edge at a time.
 and sorts them all; ``iterate_once_reduceat`` takes each paper's strongest
 theorem with ``np.maximum.reduceat`` over the papers that own theorems.
 ``test_analysis.py`` and ``test_solver.py`` require ``rank_entities`` to
-give equal tables and ``iterate_once`` bitwise-equal states.
+give equal tables and ``iterate_once`` bitwise-equal states, and
+``test_cli.py`` requires ``rank`` to write ``rank_entities_loop``'s tables
+byte for byte as ``csv.writer`` writes them.
 """
 
 from __future__ import annotations

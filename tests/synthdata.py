@@ -12,6 +12,7 @@ from mathrank.records import (
     TheoremRecord,
     YearMonth,
 )
+from mathrank.solver import ScoreState
 
 # A spread of subject codes hitting every field plus unlisted ones (Others).
 CODE_POOL = [
@@ -105,6 +106,13 @@ def make_random_records(
                 papers[int(i)].paper_id, papers[int(j)].paper_id))
 
     return GraphRecords(papers, theorems, theorem_citations, paper_citations)
+
+
+def planted_ties_state(rng: np.random.Generator, graph, n_values: int) -> ScoreState:
+    """Scores drawn from ``n_values`` distinct values, so equal scores abound."""
+    pool = rng.random(n_values)
+    return ScoreState(*(rng.choice(pool, size=n) for n in
+                        (graph.n_theorems, graph.n_papers, graph.n_fields)))
 
 
 def shuffled(records: GraphRecords, rng: np.random.Generator) -> GraphRecords:

@@ -31,7 +31,7 @@ from mathrank.solver import (
 from conftest import paper, theorem
 from loop_reference import rank_entities_loop
 from oracle import DenseSolver, build_dense, impact_double_sum
-from synthdata import CODE_POOL, make_random_records, with_late_field
+from synthdata import CODE_POOL, make_random_records, planted_ties_state, with_late_field
 
 HP = Hyperparameters()
 
@@ -111,13 +111,6 @@ class TestRankEntities:
         t1 = rank_entities(graph, state, "theorem", top_k=10, group_by_field=True)
         t2 = rank_entities(graph, state, "theorem", top_k=10, group_by_field=True)
         assert t1 == t2
-
-
-def planted_ties_state(rng, graph, n_values):
-    """Scores drawn from ``n_values`` distinct values, so equal scores abound."""
-    pool = rng.random(n_values)
-    return ScoreState(*(rng.choice(pool, size=n) for n in
-                        (graph.n_theorems, graph.n_papers, graph.n_fields)))
 
 
 def tie_splitting_k(scores):

@@ -61,7 +61,7 @@ class TestBuildSmall:
     def test_single_paper_no_citations(self, singleton_records):
         g = build_graph(singleton_records)
         assert g.n_theorems == 1 and g.n_papers == 1 and g.n_fields == 1
-        assert g.t_matrix.nnz == 0 and g.p_matrix.nnz == 0 and g.f_matrix.nnz == 0
+        assert all(m.values.size == 0 for m in (g.t_matrix, g.p_matrix, g.f_matrix))
         assert list(g.theorem_paper) == [0]
         assert list(g.paper_field) == [0]
         assert g.field_names == ("Probability",)
@@ -108,7 +108,7 @@ class TestBuildSmall:
             theorems=[theorem("p1", "thm 1")],
             paper_citations=[PaperCitation("p2", "p1"), PaperCitation("p2", "p1")])
         g = build_graph(records)
-        assert g.p_matrix.nnz == 1
+        assert g.p_matrix.values.size == 1
 
     def test_mappings_mutually_consistent(self, rng):
         records = make_random_records(rng, n_papers=15, n_theorems=40)
@@ -141,7 +141,7 @@ class TestBuildErrors:
             paper_citations=[PaperCitation("p2", "p1"), PaperCitation("p2", "nowhere")])
         with caplog.at_level(logging.WARNING):
             g = build_graph(records)
-        assert g.p_matrix.nnz == 1
+        assert g.p_matrix.values.size == 1
         assert "dropping 1 invalid citation edges" in caplog.text
 
     def test_self_citation_dropped(self):
@@ -149,13 +149,13 @@ class TestBuildErrors:
             papers=[paper("p1")],
             theorems=[theorem("p1", "thm 1")],
             paper_citations=[PaperCitation("p1", "p1")])
-        assert build_graph(records).p_matrix.nnz == 0
+        assert build_graph(records).p_matrix.values.size == 0
 
 
 class TestFieldMatrix:
     def test_no_citations_zero_matrix(self, singleton_records):
         g = build_graph(singleton_records)
-        assert g.f_matrix.nnz == 0
+        assert g.f_matrix.values.size == 0
 
     def test_three_pairs_same_field_pair(self):
         # Three papers in field Analysis (42) each cited by a distinct paper
@@ -192,7 +192,7 @@ class TestFieldMatrix:
     def test_total_equals_collapsed_citation_pairs(self, rng):
         records = make_random_records(rng, n_papers=20, n_theorems=10)
         g = build_graph(records)
-        assert g.f_matrix.to_dense().sum() == g.p_matrix.nnz
+        assert g.f_matrix.to_dense().sum() == g.p_matrix.values.size
 
 
 class TestDeterminism:

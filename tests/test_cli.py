@@ -1,21 +1,24 @@
 import csv
+import io
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import mathrank.cli
 from mathrank.build import build_graph
 from mathrank.cli import main
 from mathrank.corpus import write_corpus
 from mathrank.fields import FIELD_NAMES
-from mathrank.records import GraphRecords, PaperCitation
+from mathrank.records import GraphRecords, PaperCitation, TheoremCitation
 from mathrank.solver import Hyperparameters, compute_scores, normalize_matrices
 from mathrank.sparsemat import SparseWeightMatrix
 from mathrank.analysis import field_impact
 
 from conftest import paper, theorem
-from synthdata import make_random_records
+from loop_reference import rank_entities_loop
+from synthdata import make_random_records, planted_ties_state
 
 
 @pytest.fixture
@@ -204,6 +207,115 @@ class TestRank:
                   for i in range(graph.n_theorems)}
         for _, tid, _, score in rows:
             assert abs(float(score) - labels[tid]) <= 1e-11 * max(labels[tid], 1e-300)
+
+
+RANK_LEVELS = ("theorem", "paper", "field")
+
+
+def loop_rankings_bytes(graph, state, level, top_k, group_by_field):
+    """A rankings file's header and rows as csv.writer writes the loop reference's table."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["rank", "id", "field", "score"])
+    writer.writerows((r.rank, r.entity_id, r.field, format(r.score, ".12g"))
+                     for r in rank_entities_loop(graph, state, level, top_k, group_by_field).rows)
+    return buf.getvalue().encode("utf-8")
+
+
+@pytest.fixture
+def planted_scores(request, monkeypatch):
+    """Make ``rank`` write planted-tie scores in place of the solved ones,
+    drawn from ``request.param`` distinct values (3 by default).
+
+    The solver still runs, so its report (and the exit code) is real. Returns
+    the list of (graph, state) pairs the command ranked.
+    """
+    n_values = getattr(request, "param", 3)
+    solved = []
+    real_compute_scores = mathrank.cli.compute_scores
+
+    def compute_scores_with_ties(graph, hp):
+        _, report = real_compute_scores(graph, hp)
+        state = planted_ties_state(np.random.default_rng(len(solved)), graph, n_values)
+        solved.append((graph, state))
+        return state, report
+
+    monkeypatch.setattr(mathrank.cli, "compute_scores", compute_scores_with_ties)
+    return solved
+
+
+class TestRankTablesMatchLoop:
+    """Every rankings file byte for byte against the loop reference written by csv."""
+
+    @pytest.mark.parametrize("level", [None, "paper"], ids=["all_levels", "paper"])
+    @pytest.mark.parametrize("group_by_field", [False, True], ids=["flat", "grouped"])
+    def test_planted_ties(self, tmp_path, runner, rng, planted_scores, level, group_by_field):
+        records = make_random_records(rng, n_papers=30, n_theorems=70,
+                                      n_paper_citations=60, n_theorem_citations=90)
+        args = corpus_args(tmp_path, records)
+        built = build_graph(records)
+        flags = ["--group-by-field"] * group_by_field + ["--level", level] * bool(level)
+        for top_k in (1, 3, built.n_fields, built.n_papers, built.n_theorems,
+                      built.n_theorems + 5):
+            out = tmp_path / f"out{top_k}"
+            result = runner.invoke(main, ["rank", *args, "--out-dir", str(out),
+                                          "--top-k", str(top_k), *flags])
+            assert result.exit_code == 0, result.output
+            graph, state = planted_scores[-1]
+            for lvl in (level,) if level else RANK_LEVELS:
+                assert (out / f"rankings_{lvl}.csv").read_bytes() == \
+                    loop_rankings_bytes(graph, state, lvl, top_k, group_by_field)
+            assert len(list(out.iterdir())) == (1 if level else 3)
+
+    @pytest.mark.parametrize("group_by_field", [False, True], ids=["flat", "grouped"])
+    def test_iteration_cap_comment_precedes_header(self, tmp_path, runner, rng,
+                                                   planted_scores, group_by_field):
+        records = make_random_records(rng, n_papers=30, n_theorems=70,
+                                      n_paper_citations=60, n_theorem_citations=90)
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "rank", *corpus_args(tmp_path, records), "--out-dir", str(out),
+            "--top-k", "3", "--max-iter", "1", *["--group-by-field"] * group_by_field])
+        assert result.exit_code == 1, result.output
+        graph, state = planted_scores[-1]
+        for level in RANK_LEVELS:
+            comment, rest = (out / f"rankings_{level}.csv").read_bytes().split(b"\n", 1)
+            assert comment.startswith(b"# not_converged after 1 iterations; residual ")
+            assert rest == loop_rankings_bytes(graph, state, level, 3, group_by_field)
+
+
+# Ids csv.writer must quote (a lone CR only on Python 3.13 and later), a
+# non-BMP character, and "a"/"a-b", whose theorem labels order as "a-b:x" < "a:x".
+QUOTING_IDS = ("p,1", 'p"2', "p\n3", "p\r4", "p\r\n5", "p\U0001F600", "a", "a-b")
+
+
+class TestRankIdQuoting:
+    # With a single score value every row ties, so the order is the ids' alone.
+    @pytest.mark.parametrize("planted_scores", [1, 3], indirect=True,
+                             ids=["one_value", "three_values"])
+    @pytest.mark.parametrize("ids", [QUOTING_IDS, ("p\x00", "a")], ids=["quoting", "nul"])
+    def test_ids_as_csv_writer_writes_them(self, tmp_path, runner, planted_scores, ids):
+        codes = ("53", "11", "60")
+        records = GraphRecords(
+            papers=[paper(pid, msc=codes[k % 3]) for k, pid in enumerate(ids)],
+            theorems=[theorem(pid, tid) for pid in ids for tid in ("x", "t,1", 'y"')],
+            theorem_citations=[TheoremCitation(src, "x", dst, "t,1")
+                               for src, dst in zip(ids, ids[1:])],
+            paper_citations=[PaperCitation(src, dst) for src, dst in zip(ids, ids[1:])])
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["rank", *corpus_args(tmp_path, records),
+                                      "--out-dir", str(out), "--top-k", "100"])
+        graph, state = planted_scores[-1]
+        try:
+            expected = {level: loop_rankings_bytes(graph, state, level, 100, False)
+                        for level in RANK_LEVELS}
+        except csv.Error:
+            # Python 3.10's csv.writer refuses a NUL; the command fails as it does.
+            assert isinstance(result.exception, csv.Error)
+            return
+        assert result.exit_code == 0, result.output
+        for level in RANK_LEVELS:
+            assert (out / f"rankings_{level}.csv").read_bytes() == expected[level]
 
 
 class TestSeries:

@@ -24,7 +24,7 @@ def test_entries_stored_column_major():
         (3, 3), [(2, 1, 0.5), (0, 0, 1.0), (1, 1, 0.1), (0, 2, 2.0)])
     assert entries(m) == [
         (0, 0, 1.0), (1, 1, 0.1), (2, 1, 0.5), (0, 2, 2.0)]
-    assert m.nnz == 4
+    assert m.values.size == 4
     assert list(m.colidx) == [0, 1, 1, 2]
 
 
@@ -103,7 +103,7 @@ def test_nonpositive_weights_rejected(weight):
 
 def test_empty_matrix():
     m = from_entries((4, 4), [])
-    assert m.nnz == 0
+    assert m.values.size == 0
     np.testing.assert_array_equal(m.to_dense(), np.zeros((4, 4)))
     np.testing.assert_array_equal(m.column_sums(), np.zeros(4))
 
