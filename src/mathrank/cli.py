@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 solver did not converge (outputs still written),
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import sys
 from collections import Counter
@@ -68,9 +69,16 @@ def _id_cell(entity_id: str) -> str:
 
 
 def _write_rankings(path: Path, ranks, ids, fields, scores, comments: list[str] | None):
-    """A rankings table, byte for byte what _write_csv writes for these rows."""
+    """A rankings table, byte for byte what _write_csv writes for these rows.
+
+    An id this Python's csv.writer cannot write (a NUL on 3.10) exits 2.
+    """
     if _may_need_quoting("".join(ids)):
-        ids = [_id_cell(i) if _may_need_quoting(i) else i for i in ids]
+        try:
+            ids = [_id_cell(i) if _may_need_quoting(i) else i for i in ids]
+        except csv.Error as exc:
+            click.echo(f"error: cannot write an id to {path.name}: {exc}", err=True)
+            sys.exit(2)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for comment in comments or []:
             fh.write(f"# {comment}\n")
@@ -161,9 +169,33 @@ def _solved(graph, hp: Hyperparameters):
         sys.exit(1)
 
 
+@contextmanager
+def _collector_paused():
+    """Run the body with the cyclic garbage collector off.
+
+    A command makes no reference cycles, so the collector's passes over the
+    many small objects of a corpus free nothing. On leaving, the collector
+    is left enabled or not, and its freeze count, as found. Where nothing
+    was frozen, a freeze and unfreeze first move the body's survivors into
+    the oldest generation, so that enabling it starts no pass over them.
+    """
+    enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            if not frozen:
+                gc.freeze()
+                gc.unfreeze()
+            gc.enable()
+
+
 @click.group()
-def main():
+@click.pass_context
+def main(ctx):
     """Build citation graphs, compute influence scores, export analyses."""
+    ctx.with_resource(_collector_paused())
 
 
 @main.command()

@@ -14,13 +14,13 @@ lines nested too deeply to parse, are skipped and reported with their line
 numbers. Each file is read into columns (see GraphRecords), with no record
 object per line.
 
-The three tables of string fields are read in chunks of whole lines, with
-one regular expression per table. A line in their canonical form, the
-table's keys in order with ``json.dumps``' separators and values free of
-quotes, backslashes, control characters and undecodable bytes, goes
-straight into the columns: ``json.loads`` would return exactly the strings
-the expression captures. Every other line, and each line of the papers
-file, is parsed on its own with the JSON scanner.
+Each file is read in chunks of whole lines, with one regular expression per
+table. A line in its canonical form goes straight into the columns: the
+table's keys in order with ``json.dumps``' separators, strings free of
+quotes, backslashes, control characters and undecodable bytes, a papers
+line's ``author_ids`` a list of such strings and its date ASCII
+``YYYY-MM``. ``json.loads`` would return exactly the values the expression
+captures. Every other line is parsed on its own with the JSON scanner.
 """
 
 from __future__ import annotations
@@ -30,11 +30,11 @@ import re
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .records import GraphRecords, YearMonth
+from .records import YEAR_MONTH_PATTERN, GraphRecords, YearMonth
 
 
 @dataclass(frozen=True)
@@ -124,42 +124,67 @@ def _read_line(raw: bytes, fields: Callable[[dict], tuple], path: str | Path, li
     return None
 
 
-def _read_papers(path: str | Path, errors: list[MalformedLine]) -> dict[str, tuple]:
-    """The papers file's records as columns, one line at a time."""
-    with open(path, "rb") as fh:
-        rows = [row for lineno, raw in enumerate(fh, start=1)
-                if (row := _read_line(raw, _paper_fields, path, lineno, errors)) is not None]
-    names = ("paper_id", "msc_primary", "author_ids", "year", "month")
-    return dict(zip(names, zip(*rows))) if rows else dict.fromkeys(names, ())
-
-
 # A JSON string that json.loads returns as written: no quote, no backslash
 # escape, no control character, and none of the U+DC80-U+DCFF that the
 # "surrogateescape" decoding gives the bytes of a line that is not UTF-8.
-_PLAIN_STRING = r'"([^"\\\x00-\x1f\udc80-\udcff]*)"'
+_PLAIN = r'[^"\\\x00-\x1f\udc80-\udcff]*'
+_PLAIN_STRING = f'"({_PLAIN})"'
 
 
-def _line_pattern(keys: tuple[str, ...]) -> re.Pattern:
-    """Matches each line of a chunk once: a canonical line of a table of
-    string fields ``keys`` as one group per value and "}", anything else as
-    a last group holding the whole line."""
+class _Table(NamedTuple):
+    """How one corpus file is read: the columns it fills, the pattern of its
+    canonical lines (compiled when first read), the reader of any other
+    line's record, and per column the conversion of the captured text (None:
+    the text as is)."""
+
+    names: tuple[str, ...]
+    pattern: str
+    fields: Callable[[dict], tuple]
+    convert: tuple
+
+
+def _line_pattern(body: str) -> str:
+    """Matches each line of a chunk once: a canonical line, an object of
+    ``body``, as one group per value of ``body`` and "}", anything else as a
+    last group holding the whole line."""
+    return rf"(?m)^(?:\{{{body}(\}})\r?|(.*))$"
+
+
+def _strings_table(keys: tuple[str, ...], names: tuple[str, ...]) -> _Table:
+    """A table of string fields ``keys``, in columns ``names``."""
     body = ", ".join(f'"{key}": {_PLAIN_STRING}' for key in keys)
-    return re.compile(rf"^(?:\{{{body}(\}})\r?|(.*))$", re.M)
+    return _Table(names, _line_pattern(body), _string_fields(*keys), (None,) * len(keys))
 
+
+def _authors(text: str) -> tuple[str, ...]:
+    """The author ids of a canonical list's captured text, quotes included."""
+    return tuple(text[1:-1].split('", "')) if text else ()
+
+
+_PAPERS = _Table(
+    ("paper_id", "msc_primary", "author_ids", "year", "month"),
+    _line_pattern(f'"paper_id": {_PLAIN_STRING}, "msc_primary": {_PLAIN_STRING}, '
+                  f'"author_ids": \\[((?:"{_PLAIN}"(?:, "{_PLAIN}")*)?)\\], '
+                  f'"first_version_date": "{YEAR_MONTH_PATTERN}"'),
+    _paper_fields, (None, None, _authors, int, int))
+_THEOREMS = _strings_table(("paper_id", "theorem_id"), ("theorem_paper", "theorem_id"))
+_THEOREM_CITATIONS = _strings_table(
+    ("src_paper", "src_theorem", "dst_paper", "dst_theorem"),
+    ("tc_src_paper", "tc_src_theorem", "tc_dst_paper", "tc_dst_theorem"))
+_PAPER_CITATIONS = _strings_table(("src_paper", "dst_paper"), ("pc_src", "pc_dst"))
 
 _CHUNK_BYTES = 1 << 18
 
 
-def _read_strings(path: str | Path, keys: tuple[str, ...], names: tuple[str, ...],
-                  errors: list[MalformedLine]) -> dict[str, list]:
-    """A file of records of string fields ``keys`` as columns ``names``.
+def _read_table(path: str | Path, table: _Table, errors: list[MalformedLine]) -> dict[str, list]:
+    """A corpus file as ``table``'s columns.
 
     Each chunk of whole lines is matched by one pattern. Each run of
     canonical lines extends the columns at once, and each line between runs
     is read by ``_read_line``, in its place.
     """
-    pattern, fields, closer = _line_pattern(keys), _string_fields(*keys), len(keys)
-    columns = [[] for _ in keys]
+    pattern, closer = re.compile(table.pattern), len(table.names)
+    columns = [[] for _ in table.names]
     first = 1
     with open(path, "rb") as fh:
         while chunk := fh.readlines(_CHUNK_BYTES):
@@ -173,16 +198,17 @@ def _read_strings(path: str | Path, keys: tuple[str, ...], names: tuple[str, ...
                     stop = closers.index("", start)
                 except ValueError:
                     stop = len(chunk)
-                for column, values in zip(columns, groups):
-                    column.extend(values[start:stop])
+                for column, values, convert in zip(columns, groups, table.convert):
+                    values = values[start:stop]
+                    column.extend(values if convert is None else map(convert, values))
                 if stop < len(chunk):
-                    row = _read_line(chunk[stop], fields, path, first + stop, errors)
+                    row = _read_line(chunk[stop], table.fields, path, first + stop, errors)
                     if row is not None:
                         for column, value in zip(columns, row):
                             column.append(value)
                 start = stop + 1
             first += len(chunk)
-    return dict(zip(names, columns))
+    return dict(zip(table.names, columns))
 
 
 def parse_corpus(
@@ -197,17 +223,12 @@ def parse_corpus(
     skipped. Unreadable files raise OSError.
     """
     errors: list[MalformedLine] = []
-    records = GraphRecords.from_columns(
-        **_read_papers(papers_path, errors),
-        **_read_strings(theorems_path, ("paper_id", "theorem_id"),
-                        ("theorem_paper", "theorem_id"), errors),
-        **_read_strings(theorem_citations_path,
-                        ("src_paper", "src_theorem", "dst_paper", "dst_theorem"),
-                        ("tc_src_paper", "tc_src_theorem", "tc_dst_paper", "tc_dst_theorem"),
-                        errors),
-        **_read_strings(paper_citations_path, ("src_paper", "dst_paper"),
-                        ("pc_src", "pc_dst"), errors),
-    )
+    columns: dict[str, list] = {}
+    for path, table in ((papers_path, _PAPERS), (theorems_path, _THEOREMS),
+                        (theorem_citations_path, _THEOREM_CITATIONS),
+                        (paper_citations_path, _PAPER_CITATIONS)):
+        columns.update(_read_table(path, table, errors))
+    records = GraphRecords.from_columns(**columns)
     return records, errors
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
+from itertools import compress, count, repeat
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -13,8 +13,10 @@ import numpy as np
 from .fields import is_subject_code
 
 # ASCII digits only, the whole string: ``\d`` would also take other scripts'
-# digits, and ``$`` a trailing newline.
-_YEAR_MONTH_RE = re.compile(r"([0-9]{4})-([0-9]{2})")
+# digits, and ``$`` a trailing newline. The corpus reader matches dates with
+# the same fragment.
+YEAR_MONTH_PATTERN = r"([0-9]{4})-([0-9]{2})"
+_YEAR_MONTH_RE = re.compile(YEAR_MONTH_PATTERN)
 
 
 class YearMonth(NamedTuple):
@@ -87,11 +89,26 @@ class PaperCitation:
 
 def intern_codes(vocab: dict[str, int], strings: tuple[str, ...]) -> np.ndarray:
     """The code of each string in ``vocab``; unseen strings are numbered on,
-    in order of first appearance."""
-    for s in dict.fromkeys(strings):
-        if s not in vocab:
-            vocab[s] = len(vocab)
-    return np.fromiter(map(vocab.__getitem__, strings), dtype=np.int64, count=len(strings))
+    in order of first appearance.
+
+    Each string is looked up in ``vocab`` once, and only the misses are then
+    numbered, in a dict of their own. A column that ``vocab`` sees first is
+    all misses, so an empty ``vocab`` is not looked up at all.
+    """
+    if vocab:
+        codes = np.fromiter(map(vocab.get, strings, repeat(-1)), dtype=np.int64,
+                            count=len(strings))
+        miss = np.flatnonzero(codes < 0)
+        if not miss.size:
+            return codes
+        misses = list(map(strings.__getitem__, miss.tolist()))
+    else:
+        codes, miss, misses = np.empty(len(strings), dtype=np.int64), slice(None), strings
+    new = dict.fromkeys(misses)
+    new.update(zip(new, count(len(vocab))))
+    vocab.update(new)
+    codes[miss] = np.fromiter(map(new.__getitem__, misses), dtype=np.int64, count=len(misses))
+    return codes
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,10 @@ malformed-line reasons and reports, and graphs equal array for array.
 ``theorem_edge_weight`` and ``paper_edge_weight`` are the weight tiers as
 scalar definitions, one edge at a time.
 
+``intern_codes_two_pass`` numbers a column's unseen ids over its distinct
+ids first and then looks every id up; ``test_records.py`` requires
+``intern_codes`` to give equal codes and an equal vocabulary.
+
 ``rank_entities_loop`` builds an (id, field, score) triple for every entity
 and sorts them all; ``iterate_once_reduceat`` takes each paper's strongest
 theorem with ``np.maximum.reduceat`` over the papers that own theorems.
@@ -330,3 +334,10 @@ def iterate_once_reduceat(state, graph, norm, hp) -> ScoreState:
         u_f=_l1_normalize(hat_f, "field"),
         iteration=state.iteration + 1,
     )
+
+
+def intern_codes_two_pass(vocab: dict[str, int], strings: tuple[str, ...]) -> np.ndarray:
+    for s in dict.fromkeys(strings):
+        if s not in vocab:
+            vocab[s] = len(vocab)
+    return np.fromiter(map(vocab.__getitem__, strings), dtype=np.int64, count=len(strings))

@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 from pathlib import Path
 
@@ -9,7 +10,7 @@ from click.testing import CliRunner
 import mathrank.cli
 from mathrank.build import build_graph
 from mathrank.cli import main
-from mathrank.corpus import write_corpus
+from mathrank.corpus import parse_corpus, write_corpus
 from mathrank.fields import FIELD_NAMES
 from mathrank.records import GraphRecords, PaperCitation, TheoremCitation
 from mathrank.solver import Hyperparameters, compute_scores, normalize_matrices
@@ -309,13 +310,33 @@ class TestRankIdQuoting:
         try:
             expected = {level: loop_rankings_bytes(graph, state, level, 100, False)
                         for level in RANK_LEVELS}
-        except csv.Error:
-            # Python 3.10's csv.writer refuses a NUL; the command fails as it does.
-            assert isinstance(result.exception, csv.Error)
+        except csv.Error as exc:
+            # Python 3.10's csv.writer refuses a NUL: the command exits 2 with
+            # one error line, before it opens the file.
+            assert result.exit_code == 2, result.output
+            assert result.output == f"error: cannot write an id to rankings_theorem.csv: {exc}\n"
+            assert not list(out.iterdir())
             return
         assert result.exit_code == 0, result.output
         for level in RANK_LEVELS:
             assert (out / f"rankings_{level}.csv").read_bytes() == expected[level]
+
+    def test_id_csv_cannot_write_exits_two(self, tmp_path, runner, monkeypatch):
+        def refuse(entity_id):
+            raise csv.Error("need to escape, but no escapechar set")
+
+        monkeypatch.setattr(mathrank.cli, "_id_cell", refuse)
+        records = GraphRecords(papers=[paper("p,1"), paper("p2")],
+                               theorems=[theorem("p,1", "x"), theorem("p2", "x")],
+                               paper_citations=[PaperCitation("p2", "p,1")])
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["rank", *corpus_args(tmp_path, records),
+                                      "--out-dir", str(out)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == ("error: cannot write an id to rankings_theorem.csv: "
+                                 "need to escape, but no escapechar set\n")
+        assert not list(out.iterdir())
 
 
 class TestSeries:
@@ -554,3 +575,101 @@ class TestExitCodes:
         thm_cites = args[args.index("--thm-cites") + 1]
         assert read_csv(out / "validation.csv")[1:] == [
             ["malformed_line", f"{thm_cites}:2: JSON nested too deeply"]]
+
+
+def collections_during(fn):
+    """fn's result and the generation of each collection that ran while it
+    ran, from a fresh start."""
+    generations = []
+
+    def record(phase, info):
+        if phase == "start":
+            generations.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(record)
+    try:
+        return fn(), generations
+    finally:
+        gc.callbacks.remove(record)
+
+
+COMMANDS = {
+    "rank": ["rank", "--top-k", "1000"],
+    "build": ["build"],
+    "series": ["series", "--from-year", "1990", "--to-year", "2024"],
+    "impact": ["impact"],
+}
+
+
+class TestCollectorPause:
+    """Each command runs with the cyclic collector off, which is safe because
+    a command makes no reference cycles, and leaves the collector as found."""
+
+    @pytest.fixture
+    def large_args(self, tmp_path, rng):
+        """A corpus large enough that reading it runs collections."""
+        records = make_random_records(rng, n_papers=200, n_theorems=600,
+                                      n_paper_citations=600, n_theorem_citations=1200)
+        return corpus_args(tmp_path, records)
+
+    @pytest.mark.parametrize("path", ["ok", "iteration_cap", "malformed_line", "usage_error"])
+    @pytest.mark.parametrize("caller", ["enabled", "disabled", "frozen"])
+    def test_collector_left_as_found(self, tmp_path, runner, solvable_records, caller, path):
+        args = corpus_args(tmp_path, solvable_records)
+        code, spoil = EXIT_PATHS.get(path, (2, None))
+        if spoil:
+            spoil(args)
+        if path == "iteration_cap":
+            args += ["--max-iter", "1"]
+        if path == "usage_error":
+            args += ["--top-k", "0"]
+        was_enabled = gc.isenabled()
+        try:
+            if caller == "disabled":
+                gc.disable()
+            if caller == "frozen":
+                gc.freeze()
+            before = gc.isenabled(), gc.get_freeze_count()
+            assert before[1] > 0 if caller == "frozen" else before[1] == 0
+            result = runner.invoke(main, ["rank", *args, "--out-dir", str(tmp_path / "out")])
+            assert result.exit_code == code, result.output
+            assert (gc.isenabled(), gc.get_freeze_count()) == before
+        finally:
+            gc.unfreeze()
+            if was_enabled:
+                gc.enable()
+
+    @pytest.mark.parametrize("command, code", [("rank", 0), ("build", 2)])
+    def test_no_collection_from_entry_to_return(self, tmp_path, runner, large_args,
+                                                command, code):
+        if code == 2:
+            append_line(large_args, "--papers", b"{broken json")
+        paths = [large_args[i + 1] for i in range(0, 8, 2)]
+        _, generations = collections_during(lambda: parse_corpus(*paths))
+        assert generations, "reading the corpus alone should run a collection"
+        result, generations = collections_during(lambda: runner.invoke(main, [
+            *COMMANDS[command], *large_args, "--out-dir", str(tmp_path / "out")]))
+        assert result.exit_code == code, result.output
+        assert generations == []
+
+    @pytest.mark.parametrize("spoiled", [False, True], ids=["valid", "malformed_line"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_command_makes_no_cycles(self, tmp_path, large_args, command, spoiled):
+        if spoiled:
+            append_line(large_args, "--papers", b"{broken json")
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            try:
+                main.main([*COMMANDS[command], *large_args, "--out-dir", str(tmp_path / "out")],
+                          prog_name="mathrank", standalone_mode=False)
+                code = 0
+            except SystemExit as exc:
+                code = exc.code
+            assert code == (2 if spoiled else 0)
+            assert gc.collect() == 0
+        finally:
+            if was_enabled:
+                gc.enable()

@@ -282,6 +282,113 @@ class TestParseEdgeCases:
         assert [e.reason for e in errors] == [f"expected YYYY-MM, got {date!r}"]
 
 
+def paper_line(pid="p1", authors=("a",), date="2020-06", ensure_ascii=False):
+    """A papers line as json.dumps writes it, the keys in order."""
+    return json.dumps({"paper_id": pid, "msc_primary": "53", "author_ids": list(authors),
+                       "first_version_date": date}, ensure_ascii=ensure_ascii).encode()
+
+
+P = paper_line()
+KEYS = b'"paper_id": "p1", "msc_primary": "53", '
+
+# Papers files, the (paper id, author ids, year, month) rows parsed from them
+# and the numbers of their malformed lines.
+PAPER_EDGE_CASES = [
+    pytest.param(paper_line(authors=()) + b"\n" + paper_line("p2", ("b",)) + b"\n"
+                 + paper_line("p3", ("c", "a", "b")) + b"\n",
+                 [("p1", (), 2020, 6), ("p2", ("b",), 2020, 6), ("p3", ("c", "a", "b"), 2020, 6)],
+                 [], id="no_one_and_three_authors"),
+    pytest.param(paper_line(authors=("",)) + b"\n" + paper_line("p2", ("", "")) + b"\n",
+                 [("p1", ("",), 2020, 6), ("p2", ("", ""), 2020, 6)], [], id="empty_author_ids"),
+    pytest.param(paper_line(authors=("a, b", "c")) + b"\n", [("p1", ("a, b", "c"), 2020, 6)], [],
+                 id="author_holding_comma_space"),
+    pytest.param(paper_line(authors=('a"b', 'c", "d')) + b"\n" + paper_line("p2", ("a\\b",))
+                 + b"\n", [("p1", ('a"b', 'c", "d'), 2020, 6), ("p2", ("a\\b",), 2020, 6)], [],
+                 id="quote_and_backslash_escapes"),
+    pytest.param(b"{" + KEYS + b'"author_ids": ["\\u0041", "b"], '
+                 b'"first_version_date": "2020-06"}\n',
+                 [("p1", ("A", "b"), 2020, 6)], [], id="unicode_escape"),
+    pytest.param(paper_line(authors=("\u00e9", "\U0001d538")) + b"\n"
+                 + paper_line("p2", ("\u00e9", "\U0001d538"), ensure_ascii=True) + b"\n",
+                 [("p1", ("\u00e9", "\U0001d538"), 2020, 6),
+                  ("p2", ("\u00e9", "\U0001d538"), 2020, 6)], [], id="non_ascii_and_non_bmp"),
+    pytest.param(b'{"author_ids": ["a"], "paper_id": "p1", "msc_primary": "53", '
+                 b'"first_version_date": "2020-06"}\n' + paper_line("p2") + b"\n",
+                 [("p1", ("a",), 2020, 6), ("p2", ("a",), 2020, 6)], [], id="reordered_keys"),
+    pytest.param(P[:-1] + b', "extra": [1, {"x": 2}]}\n', [("p1", ("a",), 2020, 6)], [],
+                 id="extra_key"),
+    pytest.param(b"{" + KEYS + b'"author_ids": "a", "first_version_date": "2020-06"}\n'
+                 + b"{" + KEYS + b'"author_ids": [1], "first_version_date": "2020-06"}\n'
+                 + paper_line("p2") + b"\n", [("p2", ("a",), 2020, 6)], [1, 2],
+                 id="author_ids_string_and_int_list"),
+    pytest.param(b"{" + KEYS + b'"author_ids": ["a","b"], "first_version_date": "2020-06"}\n'
+                 + b"{" + KEYS + b'"author_ids": [ "a" ], "first_version_date": "2020-06"}\n',
+                 [("p1", ("a", "b"), 2020, 6), ("p1", ("a",), 2020, 6)], [],
+                 id="list_spacing_not_canonical"),
+    pytest.param(b"\n".join(paper_line(date=date) for date in (
+                     "2020-1", "２０２０-０６", "2020-06-01", "2020-13", "0000-00")) + b"\n",
+                 [("p1", ("a",), 2020, 13), ("p1", ("a",), 0, 0)], [1, 2, 3], id="dates"),
+    pytest.param(P + b"\r\n" + paper_line("p2") + b"\r\n",
+                 [("p1", ("a",), 2020, 6), ("p2", ("a",), 2020, 6)], [], id="crlf"),
+    pytest.param(paper_line(authors=("a\rb",)).replace(b"\\r", b"\r") + b"\n"
+                 + b"{" + KEYS + b'"author_ids": ["a"],\r"first_version_date": "2020-06"}\n',
+                 [("p1", ("a",), 2020, 6)], [1], id="bare_cr_inside_value_and_between_tokens"),
+    pytest.param(paper_line("p\u20281", ("a\u2028b",)) + b"\n",
+                 [("p\u20281", ("a\u2028b",), 2020, 6)], [], id="u2028_inside_value"),
+    pytest.param(P + b"\n" + paper_line(authors=("a",)).replace(b'"a"', b'"a\xff"') + b"\n"
+                 + b"\xff" + P + b"\n", [("p1", ("a",), 2020, 6)], [2, 3], id="non_utf8_line"),
+    pytest.param(P + b"\n" + P[:-12] + b"\n" + paper_line("p2")[:60],
+                 [("p1", ("a",), 2020, 6)], [2, 3], id="truncated_lines"),
+    pytest.param(b"\n \n" + P + b"\n\n", [("p1", ("a",), 2020, 6)], [], id="blank_lines"),
+    pytest.param(P[:-1] + b', "author_ids": ["z"]}\n', [("p1", ("z",), 2020, 6)], [],
+                 id="duplicate_key"),
+]
+
+
+def paper_rows(records):
+    return list(zip(records.paper_id, records.author_ids, records.year.tolist(),
+                    records.month.tolist()))
+
+
+class TestParsePapers:
+    """Papers files of given bytes: the rows and malformed line numbers
+    parsed, and records and reasons equal to the loop reference's."""
+
+    @pytest.mark.parametrize("data, rows, bad_lines", PAPER_EDGE_CASES)
+    def test_matches_loop_reference(self, tmp_path, data, rows, bad_lines):
+        paths = corpus_paths(tmp_path)
+        write_empty(paths)
+        paths[0].write_bytes(data)
+        records, errors = parse_corpus(*paths)
+        assert paper_rows(records) == rows
+        assert [e.line_number for e in errors] == bad_lines
+        assert (records, errors) == parse_corpus_loop(*paths)
+
+    def test_line_numbers_across_chunks(self, tmp_path):
+        # As for the tables of string fields: lines of 128 bytes, and the
+        # first and last lines of the first two chunks malformed.
+        per_chunk = _CHUNK_BYTES // 128 + 1
+        n = 2 * per_chunk + 500
+        # Author lists that json.dumps writes in 12 characters each.
+        authors = [("a1", "a2"), ("abcdefgh",), ("", "", "")]
+        stub = paper_line("", authors[0])
+        lines = [paper_line(f"{i:0{127 - len(stub)}d}", authors[i % 3]).decode()
+                 for i in range(1, n + 1)]
+        bad = [1, per_chunk, per_chunk + 1, 2 * per_chunk]
+        for lineno in bad:
+            lines[lineno - 1] = lines[lineno - 1][:-1] + "]"
+        assert {len(line) for line in lines} == {127}
+        paths = corpus_paths(tmp_path)
+        write_empty(paths)
+        write_lines(paths[0], lines)
+        with open(paths[0], "rb") as fh:
+            assert len(fh.readlines(_CHUNK_BYTES)) == per_chunk
+        records, errors = parse_corpus(*paths)
+        assert [e.line_number for e in errors] == bad
+        assert len(records.paper_id) == n - len(bad)
+        assert (records, errors) == parse_corpus_loop(*paths)
+
+
 class TestRoundTrip:
     def test_write_then_parse_is_identity(self, tmp_path, rng):
         records = make_random_records(rng, n_papers=12, n_theorems=30)

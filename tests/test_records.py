@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mathrank.fields import msc_to_field
 from mathrank.records import (
@@ -8,10 +10,30 @@ from mathrank.records import (
     TheoremCitation,
     ValidationIssue,
     YearMonth,
+    intern_codes,
     validate_records,
 )
 
 from conftest import paper, theorem
+from loop_reference import intern_codes_two_pass
+
+
+# Few short ids, so that columns repeat them and share them.
+IDS = st.text(alphabet="ab\x00é\U0001d538", max_size=2)
+
+
+@given(st.lists(IDS, unique=True), st.lists(st.lists(IDS, max_size=12), max_size=4))
+def test_intern_codes_matches_two_pass(known, columns):
+    # Columns interned one after another into one vocabulary, as IdCodes
+    # does: a later column sees some ids first and repeats others.
+    vocab = {s: code for code, s in enumerate(known)}
+    reference = dict(vocab)
+    for column in map(tuple, columns):
+        codes = intern_codes(vocab, column)
+        expected = intern_codes_two_pass(reference, column)
+        assert codes.dtype == expected.dtype
+        assert codes.tolist() == expected.tolist()
+        assert list(vocab.items()) == list(reference.items())
 
 
 class TestYearMonth:
