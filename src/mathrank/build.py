@@ -169,17 +169,6 @@ def build_graph(records: GraphRecords) -> ThreeLevelGraph:
                      theorem_paper, t_matrix, p_matrix)
 
 
-def _restrict_matrix(
-    matrix: SparseWeightMatrix, keep: np.ndarray, new_index: np.ndarray
-) -> SparseWeightMatrix:
-    """The stored entries whose row and column both survive, reindexed."""
-    both = keep[matrix.rowidx] & keep[matrix.colidx]
-    n = int(np.count_nonzero(keep))
-    return SparseWeightMatrix.from_arrays(
-        (n, n), new_index[matrix.rowidx[both]], new_index[matrix.colidx[both]],
-        matrix.values[both])
-
-
 def restrict_graph(graph: ThreeLevelGraph, keep_papers: np.ndarray) -> ThreeLevelGraph:
     """The subgraph induced by the papers where ``keep_papers`` is true.
 
@@ -195,11 +184,10 @@ def restrict_graph(graph: ThreeLevelGraph, keep_papers: np.ndarray) -> ThreeLeve
         raise ValueError("keep_papers must be a boolean mask over the graph's papers")
     keep_theorems = keep_papers[graph.theorem_paper]
     new_paper = np.cumsum(keep_papers) - 1
-    new_theorem = np.cumsum(keep_theorems) - 1
     return _assemble(
         tuple(compress(graph.theorem_keys, keep_theorems.tolist())),
         tuple(compress(graph.paper_ids, keep_papers.tolist())),
         graph.field_indices[graph.paper_field[keep_papers]],
         new_paper[graph.theorem_paper[keep_theorems]],
-        _restrict_matrix(graph.t_matrix, keep_theorems, new_theorem),
-        _restrict_matrix(graph.p_matrix, keep_papers, new_paper))
+        graph.t_matrix.principal_submatrix(keep_theorems),
+        graph.p_matrix.principal_submatrix(keep_papers))

@@ -94,30 +94,33 @@ def normalize_matrices(graph: ThreeLevelGraph) -> NormalizedMatrices:
     )
 
 
-def init_state(graph: ThreeLevelGraph) -> ScoreState:
-    """Uniform scores at every level."""
+def _level_sizes(graph: ThreeLevelGraph) -> tuple[int, int, int]:
+    """The (theorem, paper, field) counts; EmptyLevelError if one is zero."""
     sizes = (graph.n_theorems, graph.n_papers, graph.n_fields)
     for name, n in zip(_LEVEL_NAMES, sizes):
         if n == 0:
             raise EmptyLevelError(f"{name} level is empty")
-    return ScoreState(
-        u_t=np.full(graph.n_theorems, 1.0 / graph.n_theorems),
-        u_p=np.full(graph.n_papers, 1.0 / graph.n_papers),
-        u_f=np.full(graph.n_fields, 1.0 / graph.n_fields),
-        iteration=0,
-    )
+    return sizes
+
+
+def init_state(graph: ThreeLevelGraph) -> ScoreState:
+    """Uniform scores at every level."""
+    return ScoreState(*(np.full(n, 1.0 / n) for n in _level_sizes(graph)), iteration=0)
 
 
 def _l1_normalize(hat: np.ndarray, level: str) -> np.ndarray:
-    total = float(np.sum(hat))
+    """``hat`` divided by its sum, in place."""
+    total = float(np.add.reduce(hat))
     if total <= 0.0:
         # A single-entity level carries the whole unit mass by definition;
         # anything larger with zero total mass is a genuine degeneracy.
         if hat.size == 1:
-            return np.array([1.0])
+            hat[0] = 1.0
+            return hat
         raise DegenerateLevelError(
             f"{level} level produced an all-zero update; cannot renormalize")
-    return hat / total
+    hat /= total
+    return hat
 
 
 def iterate_once(
@@ -172,6 +175,21 @@ def residual(prev: ScoreState, new: ScoreState) -> float:
     return max(diffs)
 
 
+def _block_diagonal(
+    norm: NormalizedMatrices, offsets: tuple[int, int, int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three normalized matrices as one block-diagonal coordinate operator.
+
+    Block k's rows and columns are shifted by ``offsets[k]``, and every row
+    keeps its entries in stored order, so a row sum over the stacked
+    entries adds the same terms in the same order as ``matvec``.
+    """
+    blocks = (norm.t_norm, norm.p_norm, norm.f_norm)
+    return (np.concatenate([m.rowidx + k for m, k in zip(blocks, offsets)]),
+            np.concatenate([m.colidx + k for m, k in zip(blocks, offsets)]),
+            np.concatenate([m.values for m in blocks]))
+
+
 def compute_scores(
     graph: ThreeLevelGraph,
     hp: Hyperparameters | None = None,
@@ -181,24 +199,78 @@ def compute_scores(
     """Iterate from a uniform (or given) state until convergence or the cap.
 
     Hitting the iteration cap is not an error: the last state is returned
-    with ``converged=False`` in the report.
+    with ``converged=False`` in the report. A graph with an empty level
+    raises EmptyLevelError, and an ``initial_state`` whose level sizes are
+    not the graph's raises ValueError.
+
+    Each step is ``iterate_once`` followed by ``residual``, done on the
+    levels stacked as one vector ``[u_t, u_p, u_f]`` in buffers set up once
+    per solve. Every floating-point operation is theirs, in the same order,
+    so states and residuals are bitwise equal to that loop's.
     """
     if hp is None:
         hp = Hyperparameters()
-    norm = normalize_matrices(graph)
+    sizes = _level_sizes(graph)
     state = initial_state if initial_state is not None else init_state(graph)
+    given = tuple(level.shape for level in state.levels())
+    if given != tuple((n,) for n in sizes):
+        raise ValueError(f"initial_state has (theorem, paper, field) level shapes {given}; "
+                         f"the graph has {sizes} entities")
+    n_t, n_p, n_f = sizes
+    t, p, f = slice(0, n_t), slice(n_t, n_t + n_p), slice(n_t + n_p, None)
+    rows, cols, vals = _block_diagonal(normalize_matrices(graph), (0, n_t, n_t + n_p))
+    alpha = np.repeat([hp.alpha_t, hp.alpha_p, hp.alpha_f], sizes)
+    # upper = [u_p's share for its theorems, u_f's share for its papers];
+    # parent[i] is the slot of entity i's container there.
+    parent = np.concatenate([graph.theorem_paper, n_p + graph.paper_field])
+    r_t, r_p = n_t / n_p, n_p / n_f
+    c_t, c_best, c_f = 1.0 - hp.alpha_t, 1.0 - hp.alpha_p - hp.beta_p, 1.0 - hp.alpha_f
+
+    u = np.concatenate(state.levels())
+    new, diff = np.empty_like(u), np.empty_like(u)
+    gathered = np.empty(cols.size)
+    upper, inherited = np.empty(n_p + n_f), np.empty(n_t + n_p)
+    best, above = np.empty(n_p), np.empty(n_p)
     history: list[float] = []
     converged = False
     for _ in range(hp.max_iterations):
-        new = iterate_once(state, graph, norm, hp)
-        history.append(residual(state, new))
-        state = new
+        u_t, u_p, u_f = u[t], u[p], u[f]
+        # Citations within each level. The default mode="raise" would buffer
+        # the output of take; every index is in range.
+        np.take(u, cols, out=gathered, mode="clip")
+        gathered *= vals
+        # bincount returns int64 when there are no entries; the multiply casts.
+        np.multiply(np.bincount(rows, gathered, minlength=u.size), alpha, out=new)
+        # Containment from above: c * (u[parent] / r) == (c * (u / r))[parent].
+        np.divide(u_p, r_t, out=upper[:n_p])
+        upper[:n_p] *= c_t
+        np.divide(u_f, r_p, out=upper[n_p:])
+        upper[n_p:] *= hp.beta_p
+        np.take(upper, parent, out=inherited, mode="clip")
+        new[:n_t + n_p] += inherited
+        # Each paper's strongest theorem, and each field's above-share excess.
+        best.fill(0.0)
+        np.maximum.at(best, graph.theorem_paper, u_t)
+        best *= c_best
+        new[p] += best
+        np.subtract(u_p, 1.0 / n_p, out=above)
+        np.maximum(above, 0.0, out=above)
+        new[f] += c_f * np.bincount(graph.paper_field, above, minlength=n_f)
+        # Per-level sums over slices: np.add.reduceat does not add in the
+        # order np.sum does, so its totals can differ in the last bit.
+        for name, s in zip(_LEVEL_NAMES, (t, p, f)):
+            _l1_normalize(new[s], name)
+        np.subtract(new, u, out=diff)
+        np.abs(diff, out=diff)
+        history.append(max([float(np.add.reduce(diff[s])) for s in (t, p, f)]))
+        u, new = new, u
         if history[-1] < hp.tolerance:
             converged = True
             break
-    return state, ConvergenceReport(
+    iterations = state.iteration + len(history)
+    return ScoreState(u[t], u[p], u[f], iteration=iterations), ConvergenceReport(
         converged=converged,
-        iterations=state.iteration,
+        iterations=iterations,
         residual=history[-1] if history else 0.0,
         residual_history=tuple(history),
     )

@@ -69,6 +69,20 @@ class SparseWeightMatrix:
         values = self.values / self.column_sums()[self.colidx]
         return SparseWeightMatrix(self.shape, self.rowidx, self.colidx, _frozen(values))
 
+    def principal_submatrix(self, keep: np.ndarray) -> "SparseWeightMatrix":
+        """The rows and columns of a square matrix where ``keep`` is true.
+
+        Kept indices are renumbered in ascending order. A mask keeps the
+        stored order, and an increasing renumbering keeps it column-major
+        and free of duplicates, so nothing is sorted or checked again.
+        """
+        new_index = np.cumsum(keep) - 1
+        both = keep[self.rowidx] & keep[self.colidx]
+        n = int(np.count_nonzero(keep))
+        return SparseWeightMatrix((n, n), _frozen(new_index[self.rowidx[both]]),
+                                  _frozen(new_index[self.colidx[both]]),
+                                  _frozen(self.values[both]))
+
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """The product M @ x; each row sums its entries in ascending column order."""
         return _sum_by(self.rowidx, self.values * x[self.colidx], self.shape[0])

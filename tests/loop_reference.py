@@ -16,8 +16,11 @@ ids first and then looks every id up; ``test_records.py`` requires
 ``rank_entities_loop`` builds an (id, field, score) triple for every entity
 and sorts them all; ``iterate_once_reduceat`` takes each paper's strongest
 theorem with ``np.maximum.reduceat`` over the papers that own theorems.
+``compute_scores_loop`` is the solve as a loop of ``iterate_once_reduceat``
+and ``residual``, one ``ScoreState`` per step.
 ``test_analysis.py`` and ``test_solver.py`` require ``rank_entities`` to
-give equal tables and ``iterate_once`` bitwise-equal states, and
+give equal tables, and ``iterate_once`` and ``compute_scores``
+bitwise-equal states and residuals, and
 ``test_cli.py`` requires ``rank`` to write ``rank_entities_loop``'s tables
 byte for byte as ``csv.writer`` writes them.
 """
@@ -49,7 +52,14 @@ from mathrank.records import (
     ValidationReport,
     YearMonth,
 )
-from mathrank.solver import ScoreState, _l1_normalize
+from mathrank.solver import (
+    ConvergenceReport,
+    ScoreState,
+    _l1_normalize,
+    init_state,
+    normalize_matrices,
+    residual,
+)
 from mathrank.sparsemat import SparseWeightMatrix
 
 
@@ -333,6 +343,26 @@ def iterate_once_reduceat(state, graph, norm, hp) -> ScoreState:
         u_p=_l1_normalize(hat_p, "paper"),
         u_f=_l1_normalize(hat_f, "field"),
         iteration=state.iteration + 1,
+    )
+
+
+def compute_scores_loop(graph, hp, initial_state=None):
+    norm = normalize_matrices(graph)
+    state = initial_state if initial_state is not None else init_state(graph)
+    history: list[float] = []
+    converged = False
+    for _ in range(hp.max_iterations):
+        new = iterate_once_reduceat(state, graph, norm, hp)
+        history.append(residual(state, new))
+        state = new
+        if history[-1] < hp.tolerance:
+            converged = True
+            break
+    return state, ConvergenceReport(
+        converged=converged,
+        iterations=state.iteration,
+        residual=history[-1] if history else 0.0,
+        residual_history=tuple(history),
     )
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from mathrank.build import BuildError, build_field_matrix, build_graph, restrict_graph
 from mathrank.corpus import snapshot_filter
+from mathrank.sparsemat import SparseWeightMatrix
 from mathrank.records import (
     GraphRecords,
     PaperCitation,
@@ -309,3 +310,26 @@ class TestRestrictGraph:
             for m in (g.t_matrix, g.p_matrix, g.f_matrix):
                 arrays += [m.rowidx, m.colidx, m.values]
             assert not any(a.flags.writeable for a in arrays)
+
+    @pytest.mark.parametrize("seed", range(2, 8))
+    def test_matrices_equal_from_arrays_of_their_entries(self, seed):
+        full = build_graph(restriction_corpus(seed))
+        rng = np.random.default_rng(seed)
+        n = full.n_papers
+        single = np.zeros(n, dtype=bool)
+        single[rng.integers(n)] = True
+        masks = [np.ones(n, dtype=bool), np.zeros(n, dtype=bool), single,
+                 *(rng.random(n) < q for q in (0.2, 0.5, 0.8, 0.95))]
+        for keep in masks:
+            g = restrict_graph(full, keep)
+            for m in (g.t_matrix, g.p_matrix):
+                # from_arrays sorts, and rejects out-of-range and duplicate entries.
+                ref = SparseWeightMatrix.from_arrays(m.shape, m.rowidx, m.colidx, m.values)
+                assert ref.shape == m.shape
+                for part in ("rowidx", "colidx", "values"):
+                    u, v = getattr(m, part), getattr(ref, part)
+                    assert u.dtype == v.dtype and np.array_equal(u, v), part
+                    assert not u.flags.writeable
+                # Column-major, rows ascending within a column, no duplicates.
+                key = m.colidx * m.shape[0] + m.rowidx
+                assert np.all(np.diff(key) > 0)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from mathrank.solver import (
 )
 
 from conftest import paper, theorem
-from loop_reference import iterate_once_reduceat
+from loop_reference import compute_scores_loop, iterate_once_reduceat
 from oracle import DenseSolver, build_dense
 from synthdata import make_random_records
 
@@ -438,3 +440,120 @@ class TestComputeScores:
         # Paper k sorts to position n-1-k after renaming.
         np.testing.assert_allclose(
             relabeled_state.u_p, state.u_p[::-1], atol=1e-8)
+
+
+def assert_same_solve(graph, hp, initial_state=None):
+    """compute_scores returns bitwise what the loop of steps returns, or
+    raises the same DegenerateLevelError (report None)."""
+    try:
+        ref_state, ref_report = compute_scores_loop(graph, hp, initial_state)
+    except DegenerateLevelError as exc:
+        with pytest.raises(DegenerateLevelError) as got:
+            compute_scores(graph, hp, initial_state=initial_state)
+        assert str(got.value) == str(exc)
+        return None
+    state, report = compute_scores(graph, hp, initial_state=initial_state)
+    assert state.iteration == ref_state.iteration == report.iterations
+    for level, ref_level in zip(state.levels(), ref_state.levels()):
+        assert level.dtype == ref_level.dtype and level.tobytes() == ref_level.tobytes()
+        assert not level.flags.writeable
+    assert report == ref_report
+    return report
+
+
+class TestPreparedLoop:
+    # Caps of a few hundred steps keep the graphs that cycle cheap.
+    @pytest.mark.parametrize("hp", [
+        Hyperparameters(max_iterations=300),
+        Hyperparameters(alpha_t=0.9, alpha_p=0.9, beta_p=0.05, tolerance=1e-12,
+                        max_iterations=300),
+        Hyperparameters(alpha_t=0.3, alpha_p=0.2, beta_p=0.7, alpha_f=0.5, tolerance=1e-12,
+                        max_iterations=300),
+        Hyperparameters(alpha_t=0.85, alpha_f=0.1, max_iterations=40),
+    ], ids=["defaults", "slow", "low_alpha", "capped"])
+    def test_random_graphs(self, rng, hp):
+        outcomes = set()
+        for _ in range(12):
+            n_papers = int(rng.integers(2, 40))
+            records = make_random_records(
+                rng, n_papers=n_papers, n_theorems=int(rng.integers(1, 4 * n_papers)),
+                n_paper_citations=int(rng.integers(0, 3 * n_papers)))
+            report = assert_same_solve(build_graph(records), hp)
+            outcomes.add(None if report is None else report.converged)
+        # Some solves converge; under the 40-step cap, some stop at it.
+        assert (hp.max_iterations > 40) in outcomes
+
+    def test_cycling_graph_hits_small_cap(self):
+        # Two papers in two fields citing each other: from a skewed start the
+        # field scores swap back and forth.
+        graph = build_graph(GraphRecords(
+            papers=[paper("p1", msc="53", authors=("a1",)),
+                    paper("p2", msc="60", authors=("a2",))],
+            theorems=[theorem("p1", "thm 1"), theorem("p2", "thm 1")],
+            paper_citations=[PaperCitation("p1", "p2"), PaperCitation("p2", "p1")]))
+        start = ScoreState(np.array([0.5, 0.5]), np.array([0.5, 0.5]), np.array([0.9, 0.1]))
+        report = assert_same_solve(graph, Hyperparameters(max_iterations=60), start)
+        assert not report.converged and report.iterations == 60
+        assert len(report.residual_history) == 60 and report.residual > 1.9
+
+    def test_no_citations_at_any_level(self, rng):
+        # The stacked operator has no entries, so its bincount is int64.
+        records = GraphRecords(
+            papers=[paper("p1", msc="53"), paper("p2", msc="60"), paper("p3", msc="60")],
+            theorems=[theorem("p1", "thm 1"), theorem("p3", "thm 1"), theorem("p3", "thm 2")])
+        graph = build_graph(records)
+        assert sum(m.values.size for m in (graph.t_matrix, graph.p_matrix, graph.f_matrix)) == 0
+        raw = [rng.random(n) for n in (3, 3, 2)]
+        assert_same_solve(graph, Hyperparameters(max_iterations=300),
+                          ScoreState(*[v / v.sum() for v in raw]))
+        one_field = build_graph(GraphRecords(papers=records.papers[:1], theorems=records.theorems[:1]))
+        assert assert_same_solve(one_field, HP).converged
+
+    def test_one_field_and_one_paper(self, rng):
+        one_field = make_random_records(rng, n_papers=12, n_theorems=30, code_pool=["53"])
+        graph = build_graph(one_field)
+        assert graph.n_fields == 1
+        assert_same_solve(graph, HP)
+        one_paper = GraphRecords(
+            papers=[paper("p1", msc="60")],
+            theorems=[theorem("p1", f"thm {k}") for k in range(4)],
+            theorem_citations=[TheoremCitation("p1", "thm 0", "p1", "thm 1"),
+                               TheoremCitation("p1", "thm 2", "p1", "thm 1")])
+        graph = build_graph(one_paper)
+        assert (graph.n_papers, graph.n_fields) == (1, 1)
+        assert_same_solve(graph, HP)
+
+    def test_degenerate_level_same_error(self):
+        records = GraphRecords(
+            papers=[paper("p1", msc="53"), paper("p2", msc="60")],
+            theorems=[theorem("p1", "thm 1"), theorem("p2", "thm 1")])
+        assert assert_same_solve(build_graph(records), HP) is None
+        with pytest.raises(DegenerateLevelError, match="^field level produced an all-zero"):
+            compute_scores(build_graph(records), HP)
+
+    def test_warm_start_counts_from_its_iteration(self, rng):
+        graph = build_graph(make_random_records(rng, n_papers=15, n_theorems=40))
+        raw = [rng.random(n) for n in (graph.n_theorems, graph.n_papers, graph.n_fields)]
+        warm = ScoreState(*[v / v.sum() for v in raw], iteration=7)
+        report = assert_same_solve(graph, HP, warm)
+        assert report.iterations == 7 + len(report.residual_history)
+        capped = assert_same_solve(graph, Hyperparameters(max_iterations=3), warm)
+        assert capped.iterations == 10 and not capped.converged
+
+    @pytest.mark.parametrize("level", range(3), ids=["theorem", "paper", "field"])
+    @pytest.mark.parametrize("delta", [-1, 1], ids=["short", "long"])
+    def test_mismatched_initial_state_rejected(self, rng, level, delta):
+        graph = build_graph(make_random_records(rng, n_papers=15, n_theorems=40))
+        sizes = [graph.n_theorems, graph.n_papers, graph.n_fields]
+        given = list(sizes)
+        given[level] += delta
+        state = ScoreState(*[np.full(n, 1.0 / n) for n in given])
+        expected = f"shapes {tuple((n,) for n in given)}; the graph has {tuple(sizes)}"
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            compute_scores(graph, HP, initial_state=state)
+
+    def test_empty_level_rejected_with_initial_state(self):
+        graph = build_graph(GraphRecords(papers=[paper("p1")]))
+        state = ScoreState(np.empty(0), np.array([1.0]), np.array([1.0]))
+        with pytest.raises(EmptyLevelError, match="theorem level is empty"):
+            compute_scores(graph, HP, initial_state=state)
