@@ -7,7 +7,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .build import build_graph, restrict_graph
+from .build import _str_order, build_graph, restrict_graph
 from .fields import FIELD_NAMES, N_FIELDS, field_index_column
 from .graph import ThreeLevelGraph
 from .records import GraphRecords
@@ -67,9 +67,7 @@ def _top(scores: np.ndarray, members: np.ndarray, top_k: int,
         members, member_scores = members[keep], member_scores[keep]
     labels = list(map(label, members.tolist()))
     # A stable sort of positions gives equal labels their index order.
-    label_rank = np.empty(len(labels), dtype=np.int64)
-    label_rank[sorted(range(len(labels)), key=labels.__getitem__)] = np.arange(len(labels))
-    order = np.lexsort((label_rank, -member_scores))[:top_k].tolist()
+    order = np.lexsort((_str_order(labels), -member_scores))[:top_k].tolist()
     return [labels[k] for k in order], members[order].tolist()
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import logging
 from functools import partial
 from itertools import chain, compress
+from typing import Sequence
 
 import numpy as np
 
@@ -42,7 +43,7 @@ def build_field_matrix(
         (n_fields, n_fields), rows, cols, dense[rows, cols])
 
 
-def _str_order(strings: tuple[str, ...]) -> np.ndarray:
+def _str_order(strings: Sequence[str]) -> np.ndarray:
     """rank[i] is the place of strings[i] in Python string order."""
     rank = np.empty(len(strings), dtype=np.int64)
     rank[sorted(range(len(strings)), key=strings.__getitem__)] = np.arange(len(strings))

@@ -44,12 +44,20 @@ def _fmt(x: float) -> str:
 
 
 def _write_csv(path: Path, header: list[str], rows, comments: list[str] | None = None):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for comment in comments or []:
-            fh.write(f"# {comment}\n")
-        writer = csv.writer(fh, lineterminator="\n")
+    """A table as csv.writer writes it. A row this Python's csv.writer cannot
+    write (a NUL on 3.10) exits 2, before the file is opened."""
+    buf = io.StringIO()
+    for comment in comments or []:
+        buf.write(f"# {comment}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    try:
         writer.writerow(header)
         writer.writerows(rows)
+    except csv.Error as exc:
+        click.echo(f"error: cannot write a row to {path.name}: {exc}", err=True)
+        sys.exit(2)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(buf.getvalue())
 
 
 def _may_need_quoting(text: str) -> bool:
@@ -97,14 +105,15 @@ def corpus_options(f):
 
 
 def hyperparameter_options(f):
-    f = click.option("--max-iter", default=10_000, show_default=True,
+    hp = Hyperparameters()
+    f = click.option("--max-iter", default=hp.max_iterations, show_default=True,
                      help="Iteration cap.")(f)
-    f = click.option("--tol", default=1e-9, show_default=True,
+    f = click.option("--tol", default=hp.tolerance, show_default=True,
                      help="l1 convergence tolerance.")(f)
-    f = click.option("--alpha-f", default=0.85, show_default=True)(f)
-    f = click.option("--beta-p", default=0.05, show_default=True)(f)
-    f = click.option("--alpha-p", default=0.6, show_default=True)(f)
-    f = click.option("--alpha-t", default=0.6, show_default=True)(f)
+    f = click.option("--alpha-f", default=hp.alpha_f, show_default=True)(f)
+    f = click.option("--beta-p", default=hp.beta_p, show_default=True)(f)
+    f = click.option("--alpha-p", default=hp.alpha_p, show_default=True)(f)
+    f = click.option("--alpha-t", default=hp.alpha_t, show_default=True)(f)
     return f
 
 

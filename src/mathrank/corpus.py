@@ -20,7 +20,7 @@ table's keys in order with ``json.dumps``' separators, strings free of
 quotes, backslashes, control characters and undecodable bytes, a papers
 line's ``author_ids`` a list of such strings and its date ASCII
 ``YYYY-MM``. ``json.loads`` would return exactly the values the expression
-captures. Every other line is parsed on its own with the JSON scanner.
+captures. Every other line is parsed on its own by ``json.loads``.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
 
@@ -44,24 +43,12 @@ class MalformedLine:
     reason: str
 
 
-_scan = json.JSONDecoder().scan_once
-
-
 def _json_object(line: str) -> dict:
-    """The JSON object on one stripped, non-empty line.
-
-    The line is parsed once, by the scanner json.loads uses. Only a line
-    that fails is handed to json.loads itself, so that the reason reported
-    is json.loads' own message.
-    """
+    """The JSON object on one stripped, non-empty line."""
     try:
-        obj, end = _scan(line, 0)
-    except StopIteration:
-        end = -1
+        obj = json.loads(line)
     except RecursionError:
         raise ValueError("JSON nested too deeply") from None
-    if end != len(line):
-        obj = json.loads(line)
     if not isinstance(obj, dict):
         raise ValueError("record must be a JSON object")
     return obj
@@ -73,23 +60,14 @@ def _string_fields(*keys: str) -> Callable[[dict], tuple[str, ...]]:
     A missing field raises KeyError and a value that is not a string
     ValueError, for the first offending field in key order.
     """
-    get = itemgetter(*keys)
-
     def read(obj: dict) -> tuple[str, ...]:
-        try:
-            values = get(obj)
-        except KeyError:
-            pass
-        else:
-            for value in values:
-                if not isinstance(value, str):
-                    break
-            else:
-                return values
-        # Some field is missing or not a string: name the first, in key order.
+        values = []
         for key in keys:
-            if not isinstance(obj[key], str):
+            value = obj[key]
+            if not isinstance(value, str):
                 raise ValueError(f"field {key!r} must be a string")
+            values.append(value)
+        return tuple(values)
 
     return read
 

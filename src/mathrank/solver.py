@@ -11,6 +11,7 @@ every step (synchronous update: new values read only old ones).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -123,46 +124,96 @@ def _l1_normalize(hat: np.ndarray, level: str) -> np.ndarray:
     return hat
 
 
+def _level_slices(state: ScoreState, graph: ThreeLevelGraph, name: str) -> tuple[slice, ...]:
+    """Each level's slice of the stacked ``[u_t, u_p, u_f]``, after checking
+    that ``state`` (called ``name``) has the graph's level sizes."""
+    sizes = _level_sizes(graph)
+    given = tuple(level.shape for level in state.levels())
+    if given != tuple((n,) for n in sizes):
+        raise ValueError(f"{name} has (theorem, paper, field) level shapes {given}; "
+                         f"the graph has {sizes} entities")
+    n_t, n_p, _ = sizes
+    return slice(0, n_t), slice(n_t, n_t + n_p), slice(n_t + n_p, None)
+
+
+def _prepare_step(
+    graph: ThreeLevelGraph, norm: NormalizedMatrices, hp: Hyperparameters
+) -> Callable[[np.ndarray, np.ndarray], None]:
+    """``step(u, new)``, which writes into ``new`` the l1-normalized update of
+    the stacked levels ``u = [u_t, u_p, u_f]``; the two must not overlap.
+
+    Theorems get citations plus their paper's score, scaled by the
+    paper-to-theorem population ratio. Papers get citations, their field's
+    score and their strongest theorem (zero without theorems). Fields get
+    citations plus the excess of papers scoring above the uniform paper
+    share. The normalized matrices are set up as one block-diagonal
+    operator whose rows keep their entries in stored order, so its row sums
+    add the same terms in the same order as ``matvec``.
+    """
+    sizes = n_t, n_p, n_f = graph.n_theorems, graph.n_papers, graph.n_fields
+    t, p, f = slice(0, n_t), slice(n_t, n_t + n_p), slice(n_t + n_p, None)
+    blocks, offsets = (norm.t_norm, norm.p_norm, norm.f_norm), (0, n_t, n_t + n_p)
+    rows = np.concatenate([m.rowidx + k for m, k in zip(blocks, offsets)])
+    cols = np.concatenate([m.colidx + k for m, k in zip(blocks, offsets)])
+    vals = np.concatenate([m.values for m in blocks])
+    alpha = np.repeat([hp.alpha_t, hp.alpha_p, hp.alpha_f], sizes)
+    # upper = [u_p's share for its theorems, u_f's share for its papers];
+    # parent[i] is the slot of entity i's container there.
+    parent = np.concatenate([graph.theorem_paper, n_p + graph.paper_field])
+    r_t, r_p = n_t / n_p, n_p / n_f
+    c_t, c_best, c_f = 1.0 - hp.alpha_t, 1.0 - hp.alpha_p - hp.beta_p, 1.0 - hp.alpha_f
+    gathered = np.empty(cols.size)
+    upper, inherited = np.empty(n_p + n_f), np.empty(n_t + n_p)
+    best, above = np.empty(n_p), np.empty(n_p)
+
+    def step(u: np.ndarray, new: np.ndarray) -> None:
+        u_t, u_p, u_f = u[t], u[p], u[f]
+        # Citations within each level. The default mode="raise" would buffer
+        # the output of take; every index is in range.
+        np.take(u, cols, out=gathered, mode="clip")
+        np.multiply(gathered, vals, out=gathered)
+        # bincount returns int64 when there are no entries; the multiply casts.
+        np.multiply(np.bincount(rows, gathered, minlength=u.size), alpha, out=new)
+        # Containment from above: c * (u[parent] / r) == (c * (u / r))[parent].
+        np.divide(u_p, r_t, out=upper[:n_p])
+        upper[:n_p] *= c_t
+        np.divide(u_f, r_p, out=upper[n_p:])
+        upper[n_p:] *= hp.beta_p
+        np.take(upper, parent, out=inherited, mode="clip")
+        new[:n_t + n_p] += inherited
+        # Each paper's strongest theorem: scores are nonnegative, so a maximum
+        # started from zero is the paper's own, and zero without theorems.
+        best.fill(0.0)
+        np.maximum.at(best, graph.theorem_paper, u_t)
+        np.multiply(best, c_best, out=best)
+        new[p] += best
+        # Each field's excess of papers above the uniform share.
+        np.subtract(u_p, 1.0 / n_p, out=above)
+        np.maximum(above, 0.0, out=above)
+        new[f] += c_f * np.bincount(graph.paper_field, above, minlength=n_f)
+        # Per-level sums over slices: np.add.reduceat does not add in the
+        # order np.sum does, so its totals can differ in the last bit.
+        for name, s in zip(_LEVEL_NAMES, (t, p, f)):
+            _l1_normalize(new[s], name)
+
+    return step
+
+
 def iterate_once(
     state: ScoreState,
     graph: ThreeLevelGraph,
     norm: NormalizedMatrices,
     hp: Hyperparameters,
 ) -> ScoreState:
-    """One synchronous update of all three levels, then l1 renormalization."""
-    n_t, n_p, n_f = graph.n_theorems, graph.n_papers, graph.n_fields
-
-    # Theorem level: citations plus the owning paper's score, scaled by the
-    # paper-to-theorem population ratio.
-    hat_t = norm.t_norm.matvec(state.u_t)
-    hat_t *= hp.alpha_t
-    hat_t += (1.0 - hp.alpha_t) * (state.u_p[graph.theorem_paper] / (n_t / n_p))
-
-    # Paper level: citations, the owning field's score, and the strongest
-    # contained theorem (papers without theorems contribute zero there).
-    hat_p = norm.p_norm.matvec(state.u_p)
-    hat_p *= hp.alpha_p
-    hat_p += hp.beta_p * (state.u_f[graph.paper_field] / (n_p / n_f))
-    # Scores are nonnegative, so a maximum started from zero is each owning
-    # paper's own maximum and zero for a paper without theorems.
-    best_theorem = np.zeros(n_p)
-    np.maximum.at(best_theorem, graph.theorem_paper, state.u_t)
-    hat_p += (1.0 - hp.alpha_p - hp.beta_p) * best_theorem
-
-    # Field level: citations plus the excess of papers scoring above the
-    # uniform paper share.
-    hat_f = norm.f_norm.matvec(state.u_f)
-    hat_f *= hp.alpha_f
-    above_share = np.maximum(state.u_p - 1.0 / n_p, 0.0)
-    excess = np.bincount(graph.paper_field, weights=above_share, minlength=n_f)
-    hat_f += (1.0 - hp.alpha_f) * excess
-
-    return ScoreState(
-        u_t=_l1_normalize(hat_t, "theorem"),
-        u_p=_l1_normalize(hat_p, "paper"),
-        u_f=_l1_normalize(hat_f, "field"),
-        iteration=state.iteration + 1,
-    )
+    """One synchronous update of all three levels, then l1 renormalization:
+    one step of ``compute_scores``' update, set up for this call. Raises as
+    ``compute_scores`` does for an empty level or a state that does not fit.
+    """
+    t, p, f = _level_slices(state, graph, "state")
+    u = np.concatenate(state.levels())
+    new = np.empty_like(u)
+    _prepare_step(graph, norm, hp)(u, new)
+    return ScoreState(new[t], new[p], new[f], iteration=state.iteration + 1)
 
 
 def residual(prev: ScoreState, new: ScoreState) -> float:
@@ -173,21 +224,6 @@ def residual(prev: ScoreState, new: ScoreState) -> float:
             raise ValueError("score states have mismatched dimensions")
         diffs.append(float(np.sum(np.abs(b - a))))
     return max(diffs)
-
-
-def _block_diagonal(
-    norm: NormalizedMatrices, offsets: tuple[int, int, int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The three normalized matrices as one block-diagonal coordinate operator.
-
-    Block k's rows and columns are shifted by ``offsets[k]``, and every row
-    keeps its entries in stored order, so a row sum over the stacked
-    entries adds the same terms in the same order as ``matvec``.
-    """
-    blocks = (norm.t_norm, norm.p_norm, norm.f_norm)
-    return (np.concatenate([m.rowidx + k for m, k in zip(blocks, offsets)]),
-            np.concatenate([m.colidx + k for m, k in zip(blocks, offsets)]),
-            np.concatenate([m.values for m in blocks]))
 
 
 def compute_scores(
@@ -203,63 +239,21 @@ def compute_scores(
     raises EmptyLevelError, and an ``initial_state`` whose level sizes are
     not the graph's raises ValueError.
 
-    Each step is ``iterate_once`` followed by ``residual``, done on the
-    levels stacked as one vector ``[u_t, u_p, u_f]`` in buffers set up once
-    per solve. Every floating-point operation is theirs, in the same order,
-    so states and residuals are bitwise equal to that loop's.
+    The update is set up once per solve and steps the levels stacked as one
+    vector ``[u_t, u_p, u_f]`` in reused buffers. States and residuals are
+    bitwise equal to those of a loop of ``iterate_once`` and ``residual``.
     """
     if hp is None:
         hp = Hyperparameters()
-    sizes = _level_sizes(graph)
     state = initial_state if initial_state is not None else init_state(graph)
-    given = tuple(level.shape for level in state.levels())
-    if given != tuple((n,) for n in sizes):
-        raise ValueError(f"initial_state has (theorem, paper, field) level shapes {given}; "
-                         f"the graph has {sizes} entities")
-    n_t, n_p, n_f = sizes
-    t, p, f = slice(0, n_t), slice(n_t, n_t + n_p), slice(n_t + n_p, None)
-    rows, cols, vals = _block_diagonal(normalize_matrices(graph), (0, n_t, n_t + n_p))
-    alpha = np.repeat([hp.alpha_t, hp.alpha_p, hp.alpha_f], sizes)
-    # upper = [u_p's share for its theorems, u_f's share for its papers];
-    # parent[i] is the slot of entity i's container there.
-    parent = np.concatenate([graph.theorem_paper, n_p + graph.paper_field])
-    r_t, r_p = n_t / n_p, n_p / n_f
-    c_t, c_best, c_f = 1.0 - hp.alpha_t, 1.0 - hp.alpha_p - hp.beta_p, 1.0 - hp.alpha_f
-
+    t, p, f = _level_slices(state, graph, "initial_state")
+    step = _prepare_step(graph, normalize_matrices(graph), hp)
     u = np.concatenate(state.levels())
     new, diff = np.empty_like(u), np.empty_like(u)
-    gathered = np.empty(cols.size)
-    upper, inherited = np.empty(n_p + n_f), np.empty(n_t + n_p)
-    best, above = np.empty(n_p), np.empty(n_p)
     history: list[float] = []
     converged = False
     for _ in range(hp.max_iterations):
-        u_t, u_p, u_f = u[t], u[p], u[f]
-        # Citations within each level. The default mode="raise" would buffer
-        # the output of take; every index is in range.
-        np.take(u, cols, out=gathered, mode="clip")
-        gathered *= vals
-        # bincount returns int64 when there are no entries; the multiply casts.
-        np.multiply(np.bincount(rows, gathered, minlength=u.size), alpha, out=new)
-        # Containment from above: c * (u[parent] / r) == (c * (u / r))[parent].
-        np.divide(u_p, r_t, out=upper[:n_p])
-        upper[:n_p] *= c_t
-        np.divide(u_f, r_p, out=upper[n_p:])
-        upper[n_p:] *= hp.beta_p
-        np.take(upper, parent, out=inherited, mode="clip")
-        new[:n_t + n_p] += inherited
-        # Each paper's strongest theorem, and each field's above-share excess.
-        best.fill(0.0)
-        np.maximum.at(best, graph.theorem_paper, u_t)
-        best *= c_best
-        new[p] += best
-        np.subtract(u_p, 1.0 / n_p, out=above)
-        np.maximum(above, 0.0, out=above)
-        new[f] += c_f * np.bincount(graph.paper_field, above, minlength=n_f)
-        # Per-level sums over slices: np.add.reduceat does not add in the
-        # order np.sum does, so its totals can differ in the last bit.
-        for name, s in zip(_LEVEL_NAMES, (t, p, f)):
-            _l1_normalize(new[s], name)
+        step(u, new)
         np.subtract(new, u, out=diff)
         np.abs(diff, out=diff)
         history.append(max([float(np.add.reduce(diff[s])) for s in (t, p, f)]))

@@ -116,6 +116,45 @@ class TestBuild:
         rows = read_csv(out / "validation.csv")
         assert any(r[0] == "malformed_line" for r in rows[1:])
 
+    def test_nul_in_issue_detail(self, tmp_path, runner):
+        records = GraphRecords(papers=[paper("p\x00"), paper("p\x00")],
+                               theorems=[theorem("p\x00", "x")])
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["build", *corpus_args(tmp_path, records),
+                                      "--out-dir", str(out)])
+        assert result.exit_code == 2, result.output
+        expected = io.StringIO()
+        try:
+            csv.writer(expected, lineterminator="\n").writerows(
+                [["kind", "detail"], ["duplicate_paper", "p\x00"]])
+        except csv.Error as exc:
+            # Python 3.10's csv.writer refuses a NUL: one error line, before
+            # the file is opened.
+            assert result.output == f"error: cannot write a row to validation.csv: {exc}\n"
+            assert not list(out.iterdir())
+            return
+        assert (out / "validation.csv").read_text(encoding="utf-8") == expected.getvalue()
+
+    def test_csv_cannot_write_exits_two(self, tmp_path, runner, monkeypatch, tiny_records):
+        class Refusing:
+            def __init__(self, fh, **kwargs):
+                pass
+
+            def writerow(self, row):
+                raise csv.Error("need to escape, but no escapechar set")
+
+            writerows = writerow
+
+        monkeypatch.setattr(mathrank.cli.csv, "writer", Refusing)
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["build", *corpus_args(tmp_path, tiny_records),
+                                      "--out-dir", str(out)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == ("error: cannot write a row to validation.csv: "
+                                 "need to escape, but no escapechar set\n")
+        assert not list(out.iterdir())
+
 
 class TestRank:
     def test_singleton_corpus_scores_one(self, tmp_path, runner, singleton_records):

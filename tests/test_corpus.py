@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -386,6 +387,36 @@ class TestParsePapers:
         records, errors = parse_corpus(*paths)
         assert [e.line_number for e in errors] == bad
         assert len(records.paper_id) == n - len(bad)
+        assert (records, errors) == parse_corpus_loop(*paths)
+
+
+# Per table: the file's index in corpus_paths and, per key, a valid value
+# and one of the wrong type.
+MIXED_FIELD_TABLES = {
+    "papers": (0, {"paper_id": ("p1", 7), "msc_primary": ("53", None),
+                   "author_ids": (["a"], ["a", 1]),
+                   "first_version_date": ("2020-06", ["2020-06"])}),
+    **{table: (index, dict(zip(keys, [("p1", 7), ("t1", None), ("p2", ["p2"]), ("t2", 1.5)])))
+       for table, (index, keys, _) in STRING_TABLES.items()},
+}
+
+
+class TestFieldErrorOrder:
+    @pytest.mark.parametrize("table", list(MIXED_FIELD_TABLES))
+    def test_every_mix_of_missing_wrong_and_valid_matches_loop_reference(self, tmp_path, table):
+        # One line per mix of, for each key, the key missing, its value of the
+        # wrong type and its valid value. Compact separators keep every line
+        # out of the canonical form, so each is read on its own.
+        index, fields = MIXED_FIELD_TABLES[table]
+        choices = [[{}, {key: wrong}, {key: valid}] for key, (valid, wrong) in fields.items()]
+        lines = [json.dumps({k: v for item in mix for k, v in item.items()}, separators=(",", ":"))
+                 for mix in itertools.product(*choices)]
+        paths = corpus_paths(tmp_path)
+        write_empty(paths)
+        write_lines(paths[index], lines)
+        records, errors = parse_corpus(*paths)
+        assert len(errors) == len(lines) - 1 == 3 ** len(fields) - 1
+        assert {e.reason.startswith("'") for e in errors} == {True, False}
         assert (records, errors) == parse_corpus_loop(*paths)
 
 

@@ -313,6 +313,25 @@ class TestIterateOnce:
         with pytest.raises(DegenerateLevelError, match="field"):
             iterate_once(init_state(graph), graph, norm, HP)
 
+    @pytest.mark.parametrize("level", range(3), ids=["theorem", "paper", "field"])
+    @pytest.mark.parametrize("delta", [-1, 1], ids=["short", "long"])
+    def test_mismatched_state_rejected(self, rng, level, delta):
+        graph = build_graph(make_random_records(rng, n_papers=15, n_theorems=40))
+        sizes = [graph.n_theorems, graph.n_papers, graph.n_fields]
+        given = list(sizes)
+        given[level] += delta
+        state = ScoreState(*[np.full(n, 1.0 / n) for n in given])
+        expected = (f"state has (theorem, paper, field) level shapes "
+                    f"{tuple((n,) for n in given)}; the graph has {tuple(sizes)} entities")
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            iterate_once(state, graph, normalize_matrices(graph), HP)
+
+    def test_empty_theorem_level_rejected(self):
+        graph = build_graph(GraphRecords(papers=[paper("p1")]))
+        state = ScoreState(np.empty(0), np.array([1.0]), np.array([1.0]))
+        with pytest.raises(EmptyLevelError, match="^theorem level is empty$"):
+            iterate_once(state, graph, normalize_matrices(graph), HP)
+
 
 class TestConvergence:
     def test_identical_states_converge(self):
