@@ -7,7 +7,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .build import _str_order, build_graph, restrict_graph
+from .build import _paper_order, _str_order, build_graph, restrict_graph
 from .fields import FIELD_NAMES, N_FIELDS, field_index_column
 from .graph import ThreeLevelGraph
 from .records import GraphRecords
@@ -197,8 +197,7 @@ def field_series(
     if not years:
         raise ValueError("years must be non-empty")
     full_graph = build_graph(records)
-    year_of = dict(zip(records.paper_id, records.year.tolist()))
-    paper_year = np.array([year_of[pid] for pid in full_graph.paper_ids], dtype=np.int64)
+    paper_year = records.year[_paper_order(records)]
     scores, status = zip(*(_solve_year(restrict_graph(full_graph, paper_year <= year), hp)
                            for year in years))
     return FieldSeries(years, scores, status)

@@ -50,6 +50,12 @@ def _str_order(strings: Sequence[str]) -> np.ndarray:
     return rank
 
 
+def _paper_order(records: GraphRecords) -> np.ndarray:
+    """The papers' rows in order of paper id: the graph's paper order."""
+    codes = records.codes
+    return np.argsort(_str_order(codes.paper_ids)[codes.paper_id], kind="stable")
+
+
 def _distinct(values: np.ndarray) -> np.ndarray:
     """The distinct values, ascending."""
     values = np.sort(values)
@@ -122,39 +128,41 @@ def build_graph(records: GraphRecords) -> ThreeLevelGraph:
         log.warning("dropping %d invalid citation edges", len(report.edge_issues))
 
     codes = records.codes
+    keys = codes.keys
 
     # Papers by id. index_of[code] is a paper's place in the graph, -1 for
     # an id no paper record has.
-    order = sorted(range(len(records.paper_id)), key=records.paper_id.__getitem__)
-    paper_ids = tuple(records.paper_id[i] for i in order)
+    order = _paper_order(records)
+    paper_code = codes.paper_id[order]
+    paper_ids = tuple(map(codes.paper_ids.__getitem__, paper_code.tolist()))
     n_papers = len(paper_ids)
     index_of = np.full(len(codes.paper_ids), -1, dtype=np.int64)
-    index_of[codes.paper[order]] = np.arange(n_papers)
+    index_of[paper_code] = np.arange(n_papers)
 
     # Theorems by (paper_id, theorem_id); theorem_of[key code] is a
     # theorem's place in the graph, -1 for a key no theorem record has.
     t_order = np.lexsort((_str_order(codes.theorem_ids)[codes.theorem_id],
                           index_of[codes.theorem_paper]))
-    rows = t_order.tolist()
-    theorem_keys = tuple(zip(map(records.theorem_paper.__getitem__, rows),
-                             map(records.theorem_id.__getitem__, rows)))
+    theorem_keys = tuple(zip(
+        map(codes.paper_ids.__getitem__, codes.theorem_paper[t_order].tolist()),
+        map(codes.theorem_ids.__getitem__, codes.theorem_id[t_order].tolist())))
     theorem_paper = index_of[codes.theorem_paper[t_order]]
     n_theorems = len(theorem_keys)
-    theorem_of = np.full(codes.n_theorem_keys, -1, dtype=np.int64)
-    theorem_of[codes.theorem[t_order]] = np.arange(n_theorems)
+    theorem_of = np.full(keys.count, -1, dtype=np.int64)
+    theorem_of[keys.theorem[t_order]] = np.arange(n_theorems)
 
     # Each paper's distinct authors, grouped by paper.
     vocab: dict[str, int] = {}
     author = intern_codes(vocab, tuple(chain.from_iterable(records.author_ids)))
     n_authors = max(len(vocab), 1)
-    holder = np.repeat(index_of[codes.paper], [len(a) for a in records.author_ids])
+    holder = np.repeat(index_of[codes.paper_id], [len(a) for a in records.author_ids])
     paper_author = _distinct(holder * n_authors + author)
     author_ptr = np.zeros(n_papers + 1, dtype=np.int64)
     np.cumsum(np.bincount(paper_author // n_authors, minlength=n_papers), out=author_ptr[1:])
     share_author = partial(_share_author, author_ptr, paper_author % n_authors, n_authors)
 
     # Theorem-level matrix: entry (cited, citer).
-    cited, citer = _edges(theorem_of[codes.tc_dst], theorem_of[codes.tc_src], n_theorems)
+    cited, citer = _edges(theorem_of[keys.tc_dst], theorem_of[keys.tc_src], n_theorems)
     cited_paper, citer_paper = theorem_paper[cited], theorem_paper[citer]
     weight = np.where(cited_paper == citer_paper, SAME_PAPER_WEIGHT,
                       np.where(share_author(citer_paper, cited_paper),

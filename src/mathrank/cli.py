@@ -228,12 +228,12 @@ def build(papers_path, theorems_path, thm_cites_path, paper_cites_path, out_dir)
             field_counts[msc_to_field(code).name] += count
         except ValueError:
             pass
-    n_papers, n_theorems = len(records.paper_id), len(records.theorem_id)
+    n_papers, n_theorems, n_theorem_citations, n_paper_citations = records.sizes
     summary_rows = [
         ("papers", n_papers),
         ("theorems", n_theorems),
-        ("theorem_citations", len(records.tc_src_paper)),
-        ("paper_citations", len(records.pc_src)),
+        ("theorem_citations", n_theorem_citations),
+        ("paper_citations", n_paper_citations),
     ]
     summary_rows += [(f"papers_in.{name}", field_counts[name]) for name in FIELD_NAMES]
     _write_csv(out / "summary.csv", ["metric", "value"], summary_rows)

@@ -12,7 +12,7 @@ names are fixed; unknown extra fields are ignored. Dates are ASCII
 ``YYYY-MM``. Malformed lines, including lines that are not valid UTF-8 and
 lines nested too deeply to parse, are skipped and reported with their line
 numbers. Each file is read into columns (see GraphRecords), with no record
-object per line.
+object per line, and each distinct id is kept as one string.
 
 Each file is read in chunks of whole lines, with one regular expression per
 table. A line in its canonical form goes straight into the columns: the
@@ -33,7 +33,15 @@ from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .records import YEAR_MONTH_PATTERN, GraphRecords, YearMonth
+from .records import (
+    PAPER_ID_COLUMNS,
+    THEOREM_ID_COLUMNS,
+    YEAR_MONTH_PATTERN,
+    GraphRecords,
+    IdCodes,
+    YearMonth,
+    intern_codes,
+)
 
 
 @dataclass(frozen=True)
@@ -152,17 +160,24 @@ _THEOREM_CITATIONS = _strings_table(
 _PAPER_CITATIONS = _strings_table(("src_paper", "dst_paper"), ("pc_src", "pc_dst"))
 
 _CHUNK_BYTES = 1 << 18
+_NO_CODES = np.empty(0, dtype=np.int64)
 
 
-def _read_table(path: str | Path, table: _Table, errors: list[MalformedLine]) -> dict[str, list]:
+def _read_table(path: str | Path, table: _Table, errors: list[MalformedLine],
+                vocabularies: dict[str, dict[str, int]]) -> dict[str, list | np.ndarray]:
     """A corpus file as ``table``'s columns.
 
     Each chunk of whole lines is matched by one pattern. Each run of
     canonical lines extends the columns at once, and each line between runs
-    is read by ``_read_line``, in its place.
+    is read by ``_read_line``, in its place. A column named in
+    ``vocabularies`` holds ids: each chunk's ids are interned into its
+    vocabulary at once (see ``intern_codes``), and the column comes back as
+    an array of their codes. So a chunk's strings die with the chunk, but
+    for the first occurrence of each id, which the vocabulary keeps.
     """
     pattern, closer = re.compile(table.pattern), len(table.names)
-    columns = [[] for _ in table.names]
+    columns = [[_NO_CODES] if name in vocabularies else [] for name in table.names]
+    vocabs = [vocabularies.get(name) for name in table.names]
     first = 1
     with open(path, "rb") as fh:
         while chunk := fh.readlines(_CHUNK_BYTES):
@@ -170,23 +185,29 @@ def _read_table(path: str | Path, table: _Table, errors: list[MalformedLine]) ->
             matches = pattern.findall(b"".join(chunk).decode("utf-8", "surrogateescape"))
             groups = list(zip(*matches))
             closers, start = groups[closer], 0
+            # The chunk's values go to the columns, its ids to a list per column.
+            targets = [column if vocab is None else [] for column, vocab in zip(columns, vocabs)]
             while start < len(chunk):
                 # The canonical lines up to the next line that is not, then that line.
                 try:
                     stop = closers.index("", start)
                 except ValueError:
                     stop = len(chunk)
-                for column, values, convert in zip(columns, groups, table.convert):
+                for target, values, convert in zip(targets, groups, table.convert):
                     values = values[start:stop]
-                    column.extend(values if convert is None else map(convert, values))
+                    target.extend(values if convert is None else map(convert, values))
                 if stop < len(chunk):
                     row = _read_line(chunk[stop], table.fields, path, first + stop, errors)
                     if row is not None:
-                        for column, value in zip(columns, row):
-                            column.append(value)
+                        for target, value in zip(targets, row):
+                            target.append(value)
                 start = stop + 1
+            for column, ids, vocab in zip(columns, targets, vocabs):
+                if vocab is not None:
+                    column.append(intern_codes(vocab, ids))
             first += len(chunk)
-    return dict(zip(table.names, columns))
+    return {name: np.concatenate(column) if vocab is not None else column
+            for name, column, vocab in zip(table.names, columns, vocabs)}
 
 
 def parse_corpus(
@@ -199,15 +220,26 @@ def parse_corpus(
 
     Returns the parsed records plus a list of malformed lines that were
     skipped. Unreadable files raise OSError.
+
+    Ids are numbered as they are first read (see IdCodes): file by file in
+    the order of the arguments, within a file chunk by chunk, and within a
+    chunk column by column, in line order. So the papers file's ids hold
+    the codes below ``n_known_papers``.
     """
     errors: list[MalformedLine] = []
-    columns: dict[str, list] = {}
-    for path, table in ((papers_path, _PAPERS), (theorems_path, _THEOREMS),
+    paper_ids: dict[str, int] = {}
+    theorem_ids: dict[str, int] = {}
+    vocabularies = {**dict.fromkeys(PAPER_ID_COLUMNS, paper_ids),
+                    **dict.fromkeys(THEOREM_ID_COLUMNS, theorem_ids)}
+    columns = _read_table(papers_path, _PAPERS, errors, vocabularies)
+    n_known = len(paper_ids)
+    for path, table in ((theorems_path, _THEOREMS),
                         (theorem_citations_path, _THEOREM_CITATIONS),
                         (paper_citations_path, _PAPER_CITATIONS)):
-        columns.update(_read_table(path, table, errors))
-    records = GraphRecords.from_columns(**columns)
-    return records, errors
+        columns.update(_read_table(path, table, errors, vocabularies))
+    others = [columns.pop(name) for name in ("msc_primary", "author_ids", "year", "month")]
+    codes = IdCodes(tuple(paper_ids), tuple(theorem_ids), n_known, **columns)
+    return GraphRecords.from_codes(codes, *others), errors
 
 
 def _write_lines(path: str | Path, objs: Iterable[dict]) -> None:
@@ -229,7 +261,7 @@ def write_corpus(
         {
             "paper_id": pid,
             "msc_primary": msc,
-            "author_ids": sorted(set(authors)),
+            "author_ids": list(authors),
             "first_version_date": str(YearMonth(year, month)),
         }
         for pid, msc, authors, year, month in zip(
@@ -265,11 +297,12 @@ def snapshot_filter(records: GraphRecords, year: int) -> GraphRecords:
     # (year, month) <= (year, 12) as tuples
     keep_papers = (records.year < year) | ((records.year == year) & (records.month <= 12))
     kept_paper = np.zeros(len(codes.paper_ids), dtype=bool)
-    kept_paper[codes.paper[keep_papers]] = True
+    kept_paper[codes.paper_id[keep_papers]] = True
     keep_theorems = kept_paper[codes.theorem_paper]
-    kept_theorem = np.zeros(codes.n_theorem_keys, dtype=bool)
-    kept_theorem[codes.theorem[keep_theorems]] = True
+    keys = codes.keys
+    kept_theorem = np.zeros(keys.count, dtype=bool)
+    kept_theorem[keys.theorem[keep_theorems]] = True
     return records.select(
         keep_papers, keep_theorems,
-        kept_theorem[codes.tc_src] & kept_theorem[codes.tc_dst],
+        kept_theorem[keys.tc_src] & kept_theorem[keys.tc_dst],
         kept_paper[codes.pc_src] & kept_paper[codes.pc_dst])

@@ -6,7 +6,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, count, repeat
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -87,7 +87,7 @@ class PaperCitation:
     dst: str
 
 
-def intern_codes(vocab: dict[str, int], strings: tuple[str, ...]) -> np.ndarray:
+def intern_codes(vocab: dict[str, int], strings: Sequence[str]) -> np.ndarray:
     """The code of each string in ``vocab``; unseen strings are numbered on,
     in order of first appearance.
 
@@ -111,58 +111,116 @@ def intern_codes(vocab: dict[str, int], strings: tuple[str, ...]) -> np.ndarray:
     return codes
 
 
-@dataclass(frozen=True)
+# The id columns, by the vocabulary their codes index.
+PAPER_ID_COLUMNS = ("paper_id", "theorem_paper", "tc_src_paper", "tc_dst_paper",
+                    "pc_src", "pc_dst")
+THEOREM_ID_COLUMNS = ("theorem_id", "tc_src_theorem", "tc_dst_theorem")
+_ID_COLUMNS = PAPER_ID_COLUMNS + THEOREM_ID_COLUMNS
+
+
+def _renumbered(ids: tuple[str, ...], columns: list[np.ndarray]) -> tuple[tuple, list]:
+    """The ids that the code ``columns`` use, in order of first appearance
+    through the columns in turn, and the columns in that numbering."""
+    codes = np.concatenate(columns)
+    used, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    new = np.empty(order.size, dtype=np.int64)
+    new[order] = np.arange(order.size)
+    renumbered = new[inverse.reshape(-1)]
+    return (tuple(map(ids.__getitem__, used[order].tolist())),
+            np.split(renumbered, np.cumsum([c.size for c in columns[:-1]])))
+
+
+class TheoremKeys(NamedTuple):
+    """Theorem keys, the (paper id, theorem id) pairs of the theorems table
+    and of both ends of each theorem citation, numbered 0 to ``count - 1``."""
+
+    count: int
+    theorem: np.ndarray  # theorem records' keys
+    tc_src: np.ndarray   # theorem citations' keys
+    tc_dst: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
 class IdCodes:
-    """The id columns of a corpus as integers, numbered once per corpus.
+    """The id columns of a corpus as integer codes, and each distinct id once.
 
     Equal codes mean equal ids. Paper ids are numbered in order of first
     appearance, the papers table first, so the ``n_known_papers`` ids of the
     papers table hold the codes below ``n_known_papers``. Theorem ids are
-    numbered in order of first appearance too. Theorem keys, the (paper id,
-    theorem id) pairs of the theorems table and of both ends of each theorem
-    citation, are numbered 0 to ``n_theorem_keys - 1``.
+    numbered in order of first appearance too. Each id column of
+    GraphRecords has a code column of the same name.
     """
 
     paper_ids: tuple[str, ...]    # by code
     theorem_ids: tuple[str, ...]  # by code
     n_known_papers: int
-    n_theorem_keys: int
 
-    paper: np.ndarray          # paper records: paper code
-    theorem_paper: np.ndarray  # theorem records: paper code,
-    theorem_id: np.ndarray     #   theorem id code
-    theorem: np.ndarray        #   and theorem key code
-    tc_src: np.ndarray         # theorem citations: theorem key codes
-    tc_dst: np.ndarray
-    pc_src: np.ndarray         # paper citations: paper codes
+    paper_id: np.ndarray        # papers: paper code
+    theorem_paper: np.ndarray   # theorems: paper code
+    theorem_id: np.ndarray      #   and theorem id code
+    tc_src_paper: np.ndarray    # theorem citations: paper and theorem id
+    tc_src_theorem: np.ndarray  #   codes of the citing theorem
+    tc_dst_paper: np.ndarray    #   and of the cited one
+    tc_dst_theorem: np.ndarray
+    pc_src: np.ndarray          # paper citations: paper codes
     pc_dst: np.ndarray
 
     @classmethod
-    def of(cls, records: "GraphRecords") -> "IdCodes":
+    def of(cls, columns: dict) -> "IdCodes":
+        """The codes of the id columns of ``columns``, given as strings; ids
+        are numbered column by column, in the order of ``PAPER_ID_COLUMNS``
+        and ``THEOREM_ID_COLUMNS``."""
         pids: dict[str, int] = {}
-        paper = intern_codes(pids, records.paper_id)
+        codes = {"paper_id": intern_codes(pids, tuple(columns["paper_id"]))}
         n_known = len(pids)
-        theorem_paper, src_paper, dst_paper, pc_src, pc_dst = (intern_codes(pids, col) for col in (
-            records.theorem_paper, records.tc_src_paper, records.tc_dst_paper,
-            records.pc_src, records.pc_dst))
+        for name in PAPER_ID_COLUMNS[1:]:
+            codes[name] = intern_codes(pids, tuple(columns[name]))
         tids: dict[str, int] = {}
-        theorem_id, src_id, dst_id = (intern_codes(tids, col) for col in (
-            records.theorem_id, records.tc_src_theorem, records.tc_dst_theorem))
-        radix = max(len(tids), 1)
-        distinct, key = np.unique(np.concatenate([
-            theorem_paper * radix + theorem_id, src_paper * radix + src_id,
-            dst_paper * radix + dst_id]), return_inverse=True)
-        theorem, tc_src, tc_dst = np.split(key, np.cumsum([theorem_id.size, src_id.size]))
-        return cls(
-            paper_ids=tuple(pids), theorem_ids=tuple(tids), n_known_papers=n_known,
-            n_theorem_keys=distinct.size, paper=paper, theorem_paper=theorem_paper,
-            theorem_id=theorem_id, theorem=theorem, tc_src=tc_src, tc_dst=tc_dst,
-            pc_src=pc_src, pc_dst=pc_dst)
+        for name in THEOREM_ID_COLUMNS:
+            codes[name] = intern_codes(tids, tuple(columns[name]))
+        return cls(tuple(pids), tuple(tids), n_known, **codes)
 
     def __post_init__(self) -> None:
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
+
+    def select(self, masks: dict) -> "IdCodes":
+        """The codes at the rows each id column's boolean mask in ``masks``
+        keeps, renumbered over the ids they still use as ``of`` numbers them."""
+        kept = {name: getattr(self, name)[masks[name]] for name in _ID_COLUMNS}
+        paper_ids, paper_codes = _renumbered(
+            self.paper_ids, [kept[name] for name in PAPER_ID_COLUMNS])
+        theorem_ids, theorem_codes = _renumbered(
+            self.theorem_ids, [kept[name] for name in THEOREM_ID_COLUMNS])
+        return IdCodes(paper_ids, theorem_ids, int(np.unique(kept["paper_id"]).size),
+                       **dict(zip(PAPER_ID_COLUMNS, paper_codes)),
+                       **dict(zip(THEOREM_ID_COLUMNS, theorem_codes)))
+
+    @cached_property
+    def keys(self) -> TheoremKeys:
+        """The theorem keys of the theorems and both ends of each theorem
+        citation (see TheoremKeys)."""
+        radix = max(len(self.theorem_ids), 1)
+        distinct, key = np.unique(np.concatenate([
+            self.theorem_paper * radix + self.theorem_id,
+            self.tc_src_paper * radix + self.tc_src_theorem,
+            self.tc_dst_paper * radix + self.tc_dst_theorem]), return_inverse=True)
+        key = key.reshape(-1)
+        key.setflags(write=False)
+        theorem, tc_src, tc_dst = np.split(
+            key, np.cumsum([self.theorem_id.size, self.tc_src_theorem.size]))
+        return TheoremKeys(distinct.size, theorem, tc_src, tc_dst)
+
+
+def _id_column(name: str, vocabulary: str) -> cached_property:
+    """The id column ``name`` as strings, built from its codes when first
+    asked for: each row refers to the vocabulary's own string."""
+    def strings(self: "GraphRecords") -> tuple[str, ...]:
+        ids = getattr(self.codes, vocabulary)
+        return tuple(map(ids.__getitem__, getattr(self.codes, name).tolist()))
+    return cached_property(strings)
 
 
 # Each table's columns, in the order of the record fields they hold.
@@ -173,14 +231,13 @@ _TABLES = (
     ("pc_src", "pc_dst"),
 )
 _COLUMNS = frozenset(name for table in _TABLES for name in table)
-_ARRAY_COLUMNS = ("year", "month")
 
 
 class GraphRecords:
     """Everything read from a corpus, before graph assembly.
 
-    The records are held as columns, one tuple per record field and row
-    order as given (file order, for a parsed corpus):
+    The records are held as columns, row order as given (file order, for a
+    parsed corpus):
 
     * papers: ``paper_id``, ``msc_primary``, ``author_ids`` (a tuple of
       strings per paper) and the first version's ``year`` and ``month``
@@ -190,12 +247,26 @@ class GraphRecords:
       ``tc_dst_paper`` and ``tc_dst_theorem``;
     * paper citations: ``pc_src`` (citing) and ``pc_dst`` (cited).
 
-    ``GraphRecords(papers, theorems, theorem_citations, paper_citations)``
-    takes record objects; ``from_columns`` takes columns. The record-object
-    views ``papers``, ``theorems``, ``theorem_citations`` and
-    ``paper_citations`` are built when first asked for. A GraphRecords is
-    immutable, so its ``codes`` and its validation report are computed once.
+    The ids are held as ``codes`` (see IdCodes): a code column per id
+    column and one string per distinct id. The id columns above are tuples
+    of those strings, built when first asked for; the commands read the
+    codes. ``GraphRecords(papers, theorems, theorem_citations,
+    paper_citations)`` takes record objects, ``from_columns`` columns and
+    ``from_codes`` the codes. The record-object views ``papers``,
+    ``theorems``, ``theorem_citations`` and ``paper_citations`` are built
+    when first asked for. A GraphRecords is immutable, so its validation
+    report is computed once.
     """
+
+    paper_id = _id_column("paper_id", "paper_ids")
+    theorem_paper = _id_column("theorem_paper", "paper_ids")
+    theorem_id = _id_column("theorem_id", "theorem_ids")
+    tc_src_paper = _id_column("tc_src_paper", "paper_ids")
+    tc_src_theorem = _id_column("tc_src_theorem", "theorem_ids")
+    tc_dst_paper = _id_column("tc_dst_paper", "paper_ids")
+    tc_dst_theorem = _id_column("tc_dst_theorem", "theorem_ids")
+    pc_src = _id_column("pc_src", "paper_ids")
+    pc_dst = _id_column("pc_dst", "paper_ids")
 
     def __init__(
         self,
@@ -229,43 +300,63 @@ class GraphRecords:
         records._set_columns(**columns)
         return records
 
+    @classmethod
+    def from_codes(cls, codes: IdCodes, msc_primary, author_ids, year, month) -> "GraphRecords":
+        """Records from their id codes and the papers' other columns."""
+        records = cls.__new__(cls)
+        records._set(codes, msc_primary, author_ids, year, month)
+        return records
+
     def _set_columns(self, **columns) -> None:
         if set(columns) != _COLUMNS:
             raise TypeError(f"GraphRecords columns are {', '.join(sum(_TABLES, ()))}")
-        for name, values in columns.items():
-            if name in _ARRAY_COLUMNS:
-                values = np.array(values, dtype=np.int64)
-                values.setflags(write=False)
-            else:
-                values = tuple(values)
-            object.__setattr__(self, name, values)
+        self._set(IdCodes.of(columns), *(columns[name] for name in _TABLES[0][1:]))
+
+    def _set(self, codes: IdCodes, msc_primary, author_ids, year, month) -> None:
+        year, month = np.array(year, dtype=np.int64), np.array(month, dtype=np.int64)
+        year.setflags(write=False)
+        month.setflags(write=False)
+        for name, value in (("codes", codes), ("msc_primary", tuple(msc_primary)),
+                            ("author_ids", tuple(author_ids)), ("year", year),
+                            ("month", month)):
+            object.__setattr__(self, name, value)
         for table in _TABLES:
-            if len({len(getattr(self, name)) for name in table}) > 1:
+            if len({len(getattr(codes if name in _ID_COLUMNS else self, name))
+                    for name in table}) > 1:
                 raise ValueError(f"columns {', '.join(table)} differ in length")
 
     def __setattr__(self, name, value):
         raise AttributeError("GraphRecords is immutable")
 
+    @property
+    def sizes(self) -> tuple[int, int, int, int]:
+        """The number of papers, theorems, theorem citations and paper citations."""
+        c = self.codes
+        return c.paper_id.size, c.theorem_id.size, c.tc_src_paper.size, c.pc_src.size
+
     def select(self, papers, theorems, theorem_citations, paper_citations) -> "GraphRecords":
         """The records at the rows where each table's boolean mask is true.
 
         Raises ValueError for a mask that is not boolean or not as long as
-        its table.
+        its table. The ids the kept rows use are numbered afresh, as
+        ``from_columns`` of the kept columns would number them.
         """
-        columns = {}
-        for table, mask in zip(_TABLES, (papers, theorems, theorem_citations, paper_citations)):
+        masks = {}
+        for table, size, mask in zip(_TABLES, self.sizes,
+                                     (papers, theorems, theorem_citations, paper_citations)):
             mask = np.asarray(mask)
-            if mask.dtype != bool or mask.shape != (len(getattr(self, table[0])),):
+            if mask.dtype != bool or mask.shape != (size,):
                 raise ValueError(f"the mask of {table[0]} must be a boolean mask over its rows")
-            for name in table:
-                column = getattr(self, name)
-                columns[name] = (column[mask] if name in _ARRAY_COLUMNS
-                                 else compress(column, mask.tolist()))
-        return GraphRecords.from_columns(**columns)
+            masks.update(dict.fromkeys(table, mask))
+        keep = masks["paper_id"].tolist()
+        return GraphRecords.from_codes(
+            self.codes.select(masks), compress(self.msc_primary, keep),
+            compress(self.author_ids, keep), self.year[masks["year"]],
+            self.month[masks["month"]])
 
     @property
     def is_empty(self) -> bool:
-        return not (self.paper_id or self.theorem_id or self.tc_src_paper or self.pc_src)
+        return not any(self.sizes)
 
     @cached_property
     def papers(self) -> tuple[PaperRecord, ...]:
@@ -291,19 +382,13 @@ class GraphRecords:
     def __eq__(self, other) -> bool:
         if not isinstance(other, GraphRecords):
             return NotImplemented
-        return (self.papers == other.papers and self.theorems == other.theorems
-                and self.theorem_citations == other.theorem_citations
-                and self.paper_citations == other.paper_citations)
+        return all(np.array_equal(getattr(self, name), getattr(other, name))
+                   if name in ("year", "month") else getattr(self, name) == getattr(other, name)
+                   for table in _TABLES for name in table)
 
     def __repr__(self) -> str:
-        return (f"GraphRecords({len(self.paper_id)} papers, {len(self.theorem_id)} theorems, "
-                f"{len(self.tc_src_paper)} theorem citations, "
-                f"{len(self.pc_src)} paper citations)")
-
-    @cached_property
-    def codes(self) -> IdCodes:
-        """The id columns as integer codes (see IdCodes)."""
-        return IdCodes.of(self)
+        return ("GraphRecords({} papers, {} theorems, {} theorem citations, "
+                "{} paper citations)".format(*self.sizes))
 
     @cached_property
     def _report(self) -> "ValidationReport":
@@ -375,42 +460,48 @@ def _find_issues(records: GraphRecords) -> ValidationReport:
     order the checks are listed.
     """
     c = records.codes
+    pids, tids = c.paper_ids, c.theorem_ids
     issues: list[ValidationIssue] = []
 
     def add(kind, detail):
         issues.append(ValidationIssue(kind, detail))
 
-    pid, msc = records.paper_id, records.msc_primary
-    dup_paper = _repeats(c.paper)
+    def theorem(paper, theorem_id, i):
+        return f"{pids[paper[i]]}:{tids[theorem_id[i]]}"
+
+    msc = records.msc_primary
+    dup_paper = _repeats(c.paper_id)
     code_vocab: dict[str, int] = {}
     msc_code = intern_codes(code_vocab, msc)
     bad_code = ~np.array([is_subject_code(k) for k in code_vocab], dtype=bool)[msc_code]
     year, month = records.year, records.month
     bad_date = ~((year >= 1) & (month >= 1) & (month <= 12))  # YearMonth.is_valid
     for i in np.flatnonzero(dup_paper | bad_code | bad_date).tolist():
+        pid = pids[c.paper_id[i]]
         if dup_paper[i]:
-            add("duplicate_paper", pid[i])
+            add("duplicate_paper", pid)
         if bad_code[i]:
-            add("malformed_paper", f"{pid[i]}: bad subject code {msc[i]!r}")
+            add("malformed_paper", f"{pid}: bad subject code {msc[i]!r}")
         if bad_date[i]:
             add("malformed_paper",
-                f"{pid[i]}: bad date {YearMonth(int(year[i]), int(month[i]))}")
+                f"{pid}: bad date {YearMonth(int(year[i]), int(month[i]))}")
 
-    tp, tid = records.theorem_paper, records.theorem_id
-    dup_theorem = _repeats(c.theorem)
+    keys = c.keys
+    dup_theorem = _repeats(keys.theorem)
     unknown_paper = c.theorem_paper >= c.n_known_papers
     for i in np.flatnonzero(dup_theorem | unknown_paper).tolist():
+        key = theorem(c.theorem_paper, c.theorem_id, i)
         if dup_theorem[i]:
-            add("duplicate_theorem", f"{tp[i]}:{tid[i]}")
+            add("duplicate_theorem", key)
         if unknown_paper[i]:
-            add("dangling_theorem", f"{tp[i]}:{tid[i]} references unknown paper")
+            add("dangling_theorem", f"{key} references unknown paper")
 
-    known = np.zeros(c.n_theorem_keys, dtype=bool)
-    known[c.theorem] = True
-    self_tc = c.tc_src == c.tc_dst
-    src_unknown, dst_unknown = ~known[c.tc_src], ~known[c.tc_dst]
+    known = np.zeros(keys.count, dtype=bool)
+    known[keys.theorem] = True
+    self_tc = keys.tc_src == keys.tc_dst
+    src_unknown, dst_unknown = ~known[keys.tc_src], ~known[keys.tc_dst]
     for i in np.flatnonzero(self_tc | src_unknown | dst_unknown).tolist():
-        src = f"{records.tc_src_paper[i]}:{records.tc_src_theorem[i]}"
+        src = theorem(c.tc_src_paper, c.tc_src_theorem, i)
         if self_tc[i]:
             add("self_citation", f"theorem {src} cites itself")
             continue
@@ -418,18 +509,18 @@ def _find_issues(records: GraphRecords) -> ValidationReport:
             add("dangling_theorem_citation", f"src theorem {src} unknown")
         if dst_unknown[i]:
             add("dangling_theorem_citation",
-                f"dst theorem {records.tc_dst_paper[i]}:{records.tc_dst_theorem[i]} unknown")
+                f"dst theorem {theorem(c.tc_dst_paper, c.tc_dst_theorem, i)} unknown")
 
     self_pc = c.pc_src == c.pc_dst
     src_unknown = c.pc_src >= c.n_known_papers
     dst_unknown = c.pc_dst >= c.n_known_papers
     for i in np.flatnonzero(self_pc | src_unknown | dst_unknown).tolist():
         if self_pc[i]:
-            add("self_citation", f"paper {records.pc_src[i]} cites itself")
+            add("self_citation", f"paper {pids[c.pc_src[i]]} cites itself")
             continue
         if src_unknown[i]:
-            add("dangling_paper_citation", f"src paper {records.pc_src[i]} unknown")
+            add("dangling_paper_citation", f"src paper {pids[c.pc_src[i]]} unknown")
         if dst_unknown[i]:
-            add("dangling_paper_citation", f"dst paper {records.pc_dst[i]} unknown")
+            add("dangling_paper_citation", f"dst paper {pids[c.pc_dst[i]]} unknown")
 
     return ValidationReport(tuple(issues))

@@ -126,12 +126,16 @@ def _l1_normalize(hat: np.ndarray, level: str) -> np.ndarray:
 
 def _level_slices(state: ScoreState, graph: ThreeLevelGraph, name: str) -> tuple[slice, ...]:
     """Each level's slice of the stacked ``[u_t, u_p, u_f]``, after checking
-    that ``state`` (called ``name``) has the graph's level sizes."""
+    that ``state`` (called ``name``) has the graph's level sizes and only
+    finite, non-negative scores."""
     sizes = _level_sizes(graph)
     given = tuple(level.shape for level in state.levels())
     if given != tuple((n,) for n in sizes):
         raise ValueError(f"{name} has (theorem, paper, field) level shapes {given}; "
                          f"the graph has {sizes} entities")
+    for level_name, level in zip(_LEVEL_NAMES, state.levels()):
+        if not (np.isfinite(level) & (level >= 0.0)).all():
+            raise ValueError(f"{name} has a non-finite or negative {level_name} score")
     n_t, n_p, _ = sizes
     return slice(0, n_t), slice(n_t, n_t + n_p), slice(n_t + n_p, None)
 
@@ -237,7 +241,8 @@ def compute_scores(
     Hitting the iteration cap is not an error: the last state is returned
     with ``converged=False`` in the report. A graph with an empty level
     raises EmptyLevelError, and an ``initial_state`` whose level sizes are
-    not the graph's raises ValueError.
+    not the graph's, or that holds a non-finite or negative score, raises
+    ValueError.
 
     The update is set up once per solve and steps the levels stacked as one
     vector ``[u_t, u_p, u_f]`` in reused buffers. States and residuals are

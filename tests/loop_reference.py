@@ -1,11 +1,13 @@
 """Loop-form references for the array code.
 
 ``parse_corpus_loop``, ``validate_records_loop`` and ``build_graph_loop`` are
-``parse_corpus``, ``validate_records`` and ``build_graph`` as they were
-written over record objects, one record at a time: ``json.loads`` and a
-record object per line, sets of tuples, and one weight call per edge.
-``test_columnar.py`` requires the columnar versions to give equal records,
-malformed-line reasons and reports, and graphs equal array for array.
+``parse_corpus``, ``validate_records`` and ``build_graph`` written one
+record at a time: ``json.loads`` and a tuple of fields per line, gathered
+into columns in file order (a paper's authors as listed); record objects,
+sets of tuples and one weight call per edge.
+``test_columnar.py`` requires the columnar versions to give equal records
+(column for column), malformed-line reasons and reports, and graphs equal
+array for array.
 ``theorem_edge_weight`` and ``paper_edge_weight`` are the weight tiers as
 scalar definitions, one edge at a time.
 
@@ -44,9 +46,7 @@ from mathrank.fields import msc_to_field
 from mathrank.graph import ThreeLevelGraph
 from mathrank.records import (
     GraphRecords,
-    PaperCitation,
     PaperRecord,
-    TheoremCitation,
     TheoremRecord,
     ValidationIssue,
     ValidationReport,
@@ -70,30 +70,27 @@ def _require_str(obj: dict, key: str) -> str:
     return value
 
 
-def _parse_paper(obj: dict) -> PaperRecord:
+def _parse_paper(obj: dict) -> tuple:
     authors = obj["author_ids"]
     if not isinstance(authors, list) or not all(isinstance(a, str) for a in authors):
         raise ValueError("field 'author_ids' must be a list of strings")
-    return PaperRecord(
-        paper_id=_require_str(obj, "paper_id"),
-        msc_primary=_require_str(obj, "msc_primary"),
-        author_ids=frozenset(authors),
-        first_version_date=YearMonth.parse(_require_str(obj, "first_version_date")),
-    )
+    paper_id = _require_str(obj, "paper_id")
+    msc_primary = _require_str(obj, "msc_primary")
+    date = YearMonth.parse(_require_str(obj, "first_version_date"))
+    return paper_id, msc_primary, tuple(authors), date.year, date.month
 
 
-def _parse_theorem(obj: dict) -> TheoremRecord:
-    return TheoremRecord(_require_str(obj, "paper_id"), _require_str(obj, "theorem_id"))
+def _parse_theorem(obj: dict) -> tuple:
+    return _require_str(obj, "paper_id"), _require_str(obj, "theorem_id")
 
 
-def _parse_theorem_citation(obj: dict) -> TheoremCitation:
-    return TheoremCitation(
-        _require_str(obj, "src_paper"), _require_str(obj, "src_theorem"),
-        _require_str(obj, "dst_paper"), _require_str(obj, "dst_theorem"))
+def _parse_theorem_citation(obj: dict) -> tuple:
+    return (_require_str(obj, "src_paper"), _require_str(obj, "src_theorem"),
+            _require_str(obj, "dst_paper"), _require_str(obj, "dst_theorem"))
 
 
-def _parse_paper_citation(obj: dict) -> PaperCitation:
-    return PaperCitation(_require_str(obj, "src_paper"), _require_str(obj, "dst_paper"))
+def _parse_paper_citation(obj: dict) -> tuple:
+    return _require_str(obj, "src_paper"), _require_str(obj, "dst_paper")
 
 
 def _parse_file(path, parse_one, errors: list[MalformedLine]) -> list:
@@ -113,16 +110,26 @@ def _parse_file(path, parse_one, errors: list[MalformedLine]) -> list:
     return out
 
 
+_TABLE_COLUMNS = (
+    ("paper_id", "msc_primary", "author_ids", "year", "month"),
+    ("theorem_paper", "theorem_id"),
+    ("tc_src_paper", "tc_src_theorem", "tc_dst_paper", "tc_dst_theorem"),
+    ("pc_src", "pc_dst"),
+)
+
+
 def parse_corpus_loop(papers_path, theorems_path, theorem_citations_path,
                       paper_citations_path) -> tuple[GraphRecords, list[MalformedLine]]:
+    """The records as columns in file order, each line's fields as
+    ``json.loads`` reads them (authors in their listed order)."""
     errors: list[MalformedLine] = []
-    records = GraphRecords(
-        papers=_parse_file(papers_path, _parse_paper, errors),
-        theorems=_parse_file(theorems_path, _parse_theorem, errors),
-        theorem_citations=_parse_file(theorem_citations_path, _parse_theorem_citation, errors),
-        paper_citations=_parse_file(paper_citations_path, _parse_paper_citation, errors),
-    )
-    return records, errors
+    columns = {}
+    for names, path, parse_one in zip(_TABLE_COLUMNS, (
+            papers_path, theorems_path, theorem_citations_path, paper_citations_path), (
+            _parse_paper, _parse_theorem, _parse_theorem_citation, _parse_paper_citation)):
+        rows = _parse_file(path, parse_one, errors)
+        columns.update(zip(names, zip(*rows)) if rows else dict.fromkeys(names, ()))
+    return GraphRecords.from_columns(**columns), errors
 
 
 def validate_records_loop(records: GraphRecords) -> ValidationReport:

@@ -712,3 +712,49 @@ class TestCollectorPause:
         finally:
             if was_enabled:
                 gc.enable()
+
+
+class TestCommandsReadCodes:
+    """The commands read ids as codes: none builds a string id column or a
+    record-object view of its records."""
+
+    VIEWS = ("paper_id", "theorem_paper", "theorem_id", "tc_src_paper", "tc_src_theorem",
+             "tc_dst_paper", "tc_dst_theorem", "pc_src", "pc_dst",
+             "papers", "theorems", "theorem_citations", "paper_citations")
+
+    @pytest.mark.parametrize("issues", [False, True], ids=["clean", "issues"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_no_string_column_built(self, tmp_path, runner, monkeypatch, solvable_records,
+                                    command, issues):
+        records = solvable_records
+        if issues:
+            # Every kind of issue whose detail names ids.
+            first, tc = records.papers[0], records.theorem_citations[0]
+            records = GraphRecords(
+                papers=records.papers + (first,),
+                theorems=records.theorems + (records.theorems[0], theorem("ghost", "thm 1")),
+                theorem_citations=records.theorem_citations + (
+                    TheoremCitation(tc.src_paper, tc.src_theorem, "ghost", "thm 9"),
+                    TheoremCitation(tc.src_paper, tc.src_theorem, tc.src_paper, tc.src_theorem)),
+                paper_citations=records.paper_citations + (
+                    PaperCitation("ghost", first.paper_id),
+                    PaperCitation(first.paper_id, first.paper_id)))
+        args = corpus_args(tmp_path, records)
+        free = runner.invoke(main, [*COMMANDS[command], *args, "--out-dir", str(tmp_path / "free")])
+
+        def refuse(self):
+            raise AssertionError("a command built a string column of its records")
+
+        for name in self.VIEWS:
+            monkeypatch.setattr(GraphRecords, name, property(refuse))
+        result = runner.invoke(main, [*COMMANDS[command], *args,
+                                      "--out-dir", str(tmp_path / "out")])
+        assert result.exit_code == free.exit_code, result.output
+        assert (result.exit_code == 2) == issues
+        for path in (tmp_path / "free").iterdir():
+            assert (tmp_path / "out" / path.name).read_bytes() == path.read_bytes()
+        if command == "build" and issues:
+            kinds = {row[0] for row in read_csv(tmp_path / "out" / "validation.csv")[1:]}
+            assert kinds == {"duplicate_paper", "duplicate_theorem", "dangling_theorem",
+                             "dangling_theorem_citation", "self_citation",
+                             "dangling_paper_citation"}

@@ -7,11 +7,17 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import mathrank.corpus
 import mathrank.records
 from mathrank.build import BuildError, build_graph
 from mathrank.cli import main
 from mathrank.corpus import parse_corpus
-from mathrank.records import GraphRecords, validate_records
+from mathrank.records import (
+    PAPER_ID_COLUMNS,
+    THEOREM_ID_COLUMNS,
+    GraphRecords,
+    validate_records,
+)
 
 from loop_reference import build_graph_loop, parse_corpus_loop, validate_records_loop
 from synthdata import CODE_POOL, make_random_records
@@ -120,6 +126,30 @@ def test_random_dirty_corpus_matches_loop_reference(tmp_path, seed):
         assert str(got.value) == str(want.value)
     else:
         assert_same_graph(build_graph(records), build_graph_loop(ref_records))
+
+
+@pytest.mark.parametrize("chunk_bytes", [None, 64], ids=["one_chunk", "a_chunk_a_line"])
+@pytest.mark.parametrize("seed", range(40))
+def test_parsed_ids_numbered_in_order_of_first_appearance(tmp_path, monkeypatch, seed,
+                                                          chunk_bytes):
+    if chunk_bytes:
+        monkeypatch.setattr(mathrank.corpus, "_CHUNK_BYTES", chunk_bytes)
+    rng = np.random.default_rng(seed)
+    paths = write_files(tmp_path, dirty_corpus(rng, seed % 2 == 1))
+    records, errors = parse_corpus(*paths)
+    assert (records, errors) == parse_corpus_loop(*paths)
+    codes = records.codes
+    for names, ids in ((PAPER_ID_COLUMNS, codes.paper_ids),
+                       (THEOREM_ID_COLUMNS, codes.theorem_ids)):
+        # The first table's ids first, as they first appear; each id once,
+        # and only the ids some row holds.
+        first = tuple(dict.fromkeys(getattr(records, names[0])))
+        assert ids[:len(first)] == first
+        assert len(set(ids)) == len(ids)
+        assert set(ids) == set().union(*(getattr(records, name) for name in names))
+        for name in names:
+            assert tuple(ids[k] for k in getattr(codes, name).tolist()) == getattr(records, name)
+    assert codes.n_known_papers == len(dict.fromkeys(records.paper_id))
 
 
 def test_clean_corpora_match_loop_reference(rng):

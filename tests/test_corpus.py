@@ -1,5 +1,7 @@
+import gc
 import itertools
 import json
+import tracemalloc
 
 import pytest
 
@@ -10,7 +12,14 @@ from mathrank.corpus import (
     snapshot_filter,
     write_corpus,
 )
-from mathrank.records import GraphRecords, PaperCitation, YearMonth, validate_records
+from mathrank.records import (
+    PAPER_ID_COLUMNS,
+    THEOREM_ID_COLUMNS,
+    GraphRecords,
+    PaperCitation,
+    YearMonth,
+    validate_records,
+)
 
 from conftest import paper, theorem
 from loop_reference import parse_corpus_loop
@@ -438,6 +447,39 @@ class TestRoundTrip:
         reparsed, errors = parse_corpus(*paths)
         assert not errors
         assert reparsed == records
+
+
+class TestMemory:
+    def test_parse_holds_each_id_once(self, tmp_path, rng):
+        # Ids repeat: 1,000 paper ids and 5,000 theorem keys over ~23k rows.
+        records = make_random_records(rng, n_papers=1_000, n_theorems=5_000,
+                                      n_paper_citations=4_000, n_theorem_citations=12_500)
+        paths = corpus_paths(tmp_path)
+        write_corpus(records, *paths)
+        parse_corpus(*paths)  # compiles the patterns, which then stay cached
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            parsed, errors = parse_corpus(*paths)
+            gc.collect()  # empties the interpreter's free lists of tuples
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert not errors and parsed == records
+        rows = sum(parsed.sizes)
+        assert rows > 20_000
+        # A string per id and row took about 200 bytes a row; the code arrays
+        # take 8 to 32.
+        assert held < 64 * rows
+        codes = parsed.codes
+        for names, ids in ((PAPER_ID_COLUMNS, codes.paper_ids),
+                           (THEOREM_ID_COLUMNS, codes.theorem_ids)):
+            assert len(set(ids)) == len(ids)
+            for name in names:
+                assert all(s is ids[k] for s, k in zip(getattr(parsed, name),
+                                                        getattr(codes, name).tolist()))
 
 
 class TestSnapshot:

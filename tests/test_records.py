@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from mathrank.fields import msc_to_field
 from mathrank.records import (
+    PAPER_ID_COLUMNS,
+    THEOREM_ID_COLUMNS,
     GraphRecords,
     PaperCitation,
     TheoremCitation,
@@ -169,6 +171,48 @@ class TestColumns:
         assert kept.theorem_paper == ("p1",)
         assert kept.tc_src_paper == ()
         assert kept.pc_src == ("p2",)
+
+    def test_equality_compares_columns(self, tiny_records):
+        columns = {name: getattr(tiny_records, name) for name in self.COLUMNS}
+
+        def with_authors(first):
+            return GraphRecords.from_columns(**{**columns, "author_ids": (first, ("b1",))})
+
+        repeated, once = with_authors(("b", "a", "a")), with_authors(("a", "b"))
+        assert repeated.papers == once.papers  # the record objects hold sets
+        assert repeated != once
+        assert repeated == with_authors(("b", "a", "a"))
+        assert with_authors(("a", "b")) != with_authors(("b", "a"))
+
+    @pytest.mark.parametrize("name", COLUMNS)
+    def test_equality_sees_every_column(self, name):
+        # Two papers, theorems, theorem citations and paper citations, so
+        # that swapping a column's two rows changes it.
+        records = GraphRecords(
+            papers=[paper("p1", msc="53", authors=("a1",), date=(1995, 3)),
+                    paper("p2", msc="60", authors=("b1",), date=(1999, 11))],
+            theorems=[theorem("p1", "thm 1"), theorem("p2", "thm 2")],
+            theorem_citations=[TheoremCitation("p2", "thm 2", "p1", "thm 1"),
+                               TheoremCitation("p1", "thm 1", "p2", "thm 2")],
+            paper_citations=[PaperCitation("p2", "p1"), PaperCitation("p1", "p2")])
+        columns = {n: getattr(records, n) for n in self.COLUMNS}
+        column = columns[name]
+        swapped = column[::-1] if isinstance(column, np.ndarray) else tuple(reversed(column))
+        assert GraphRecords.from_columns(**{**columns, name: swapped}) != records
+        assert GraphRecords.from_columns(**columns) == records
+
+    def test_select_numbers_kept_ids_as_from_columns(self, tiny_records):
+        # p1's paper row goes; its theorem and the citations of it stay.
+        kept = tiny_records.select([False, True], [True, True], [True], [True])
+        again = GraphRecords.from_columns(**{name: getattr(kept, name) for name in self.COLUMNS})
+        assert kept == again
+        for name in ("paper_ids", "theorem_ids", "n_known_papers"):
+            assert getattr(kept.codes, name) == getattr(again.codes, name)
+        for name in PAPER_ID_COLUMNS + THEOREM_ID_COLUMNS:
+            assert getattr(kept.codes, name).tolist() == getattr(again.codes, name).tolist()
+        assert kept.codes.paper_ids == ("p2", "p1")
+        assert validate_records(kept).counts() == {"dangling_theorem": 1,
+                                                   "dangling_paper_citation": 1}
 
     @pytest.mark.parametrize("table, mask", [
         pytest.param(0, np.arange(2), id="int_papers"),

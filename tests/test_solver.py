@@ -148,6 +148,25 @@ class TestInitState:
             init_state(build_graph(GraphRecords()))
 
 
+LEVELS = ("theorem", "paper", "field")
+# Ways to spoil one level of a valid state: one entry set to NaN, +inf or a
+# negative number, or the whole level negated.
+BAD_SCORES = [
+    pytest.param(lambda u: np.where(np.arange(u.size) == 0, np.nan, u), id="nan"),
+    pytest.param(lambda u: np.where(np.arange(u.size) == u.size - 1, np.inf, u), id="inf"),
+    pytest.param(lambda u: np.where(np.arange(u.size) == 0, -1e-300, u), id="negative"),
+    pytest.param(lambda u: -u, id="negated"),
+]
+
+
+def state_with_bad_score(rng, level, bad):
+    """A random graph and its uniform state with level ``level`` spoiled."""
+    graph = build_graph(make_random_records(rng, n_papers=15, n_theorems=40))
+    levels = list(init_state(graph).levels())
+    levels[level] = bad(levels[level])
+    return graph, ScoreState(*levels)
+
+
 class TestIterateOnce:
     def test_singleton_stays_at_one(self, singleton_records):
         graph = build_graph(singleton_records)
@@ -330,6 +349,14 @@ class TestIterateOnce:
         graph = build_graph(GraphRecords(papers=[paper("p1")]))
         state = ScoreState(np.empty(0), np.array([1.0]), np.array([1.0]))
         with pytest.raises(EmptyLevelError, match="^theorem level is empty$"):
+            iterate_once(state, graph, normalize_matrices(graph), HP)
+
+    @pytest.mark.parametrize("level", range(3), ids=["theorem", "paper", "field"])
+    @pytest.mark.parametrize("bad", BAD_SCORES)
+    def test_non_finite_or_negative_state_rejected(self, rng, level, bad):
+        graph, state = state_with_bad_score(rng, level, bad)
+        expected = f"state has a non-finite or negative {LEVELS[level]} score"
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
             iterate_once(state, graph, normalize_matrices(graph), HP)
 
 
@@ -575,4 +602,12 @@ class TestPreparedLoop:
         graph = build_graph(GraphRecords(papers=[paper("p1")]))
         state = ScoreState(np.empty(0), np.array([1.0]), np.array([1.0]))
         with pytest.raises(EmptyLevelError, match="theorem level is empty"):
+            compute_scores(graph, HP, initial_state=state)
+
+    @pytest.mark.parametrize("level", range(3), ids=["theorem", "paper", "field"])
+    @pytest.mark.parametrize("bad", BAD_SCORES)
+    def test_non_finite_or_negative_initial_state_rejected(self, rng, level, bad):
+        graph, state = state_with_bad_score(rng, level, bad)
+        expected = f"initial_state has a non-finite or negative {LEVELS[level]} score"
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
             compute_scores(graph, HP, initial_state=state)
