@@ -12,7 +12,7 @@ from .analysis import (
     rank_entities,
 )
 from .build import BuildError, build_graph, restrict_graph
-from .corpus import parse_corpus, snapshot_filter, write_corpus
+from .corpus import parse_corpus, snapshot_filter
 from .fields import FIELD_NAMES, FIELDS, FieldId, msc_to_field
 from .graph import ThreeLevelGraph
 from .records import (
@@ -80,5 +80,4 @@ __all__ = [
     "restrict_graph",
     "snapshot_filter",
     "validate_records",
-    "write_corpus",
 ]

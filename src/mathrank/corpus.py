@@ -28,13 +28,15 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .records import (
     PAPER_ID_COLUMNS,
+    TABLES,
     THEOREM_ID_COLUMNS,
     YEAR_MONTH_PATTERN,
     GraphRecords,
@@ -242,47 +244,6 @@ def parse_corpus(
     return GraphRecords.from_codes(codes, *others), errors
 
 
-def _write_lines(path: str | Path, objs: Iterable[dict]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for obj in objs:
-            fh.write(json.dumps(obj, ensure_ascii=False))
-            fh.write("\n")
-
-
-def write_corpus(
-    records: GraphRecords,
-    papers_path: str | Path,
-    theorems_path: str | Path,
-    theorem_citations_path: str | Path,
-    paper_citations_path: str | Path,
-) -> None:
-    """Write records back out in the line-delimited format (parse round-trips)."""
-    _write_lines(papers_path, (
-        {
-            "paper_id": pid,
-            "msc_primary": msc,
-            "author_ids": list(authors),
-            "first_version_date": str(YearMonth(year, month)),
-        }
-        for pid, msc, authors, year, month in zip(
-            records.paper_id, records.msc_primary, records.author_ids,
-            records.year.tolist(), records.month.tolist())
-    ))
-    _write_lines(theorems_path, (
-        {"paper_id": pid, "theorem_id": tid}
-        for pid, tid in zip(records.theorem_paper, records.theorem_id)
-    ))
-    _write_lines(theorem_citations_path, (
-        {"src_paper": sp, "src_theorem": st, "dst_paper": dp, "dst_theorem": dt}
-        for sp, st, dp, dt in zip(records.tc_src_paper, records.tc_src_theorem,
-                                  records.tc_dst_paper, records.tc_dst_theorem)
-    ))
-    _write_lines(paper_citations_path, (
-        {"src_paper": src, "dst_paper": dst}
-        for src, dst in zip(records.pc_src, records.pc_dst)
-    ))
-
-
 def snapshot_filter(records: GraphRecords, year: int) -> GraphRecords:
     """Restrict the corpus to papers first versioned by December of ``year``.
 
@@ -291,7 +252,9 @@ def snapshot_filter(records: GraphRecords, year: int) -> GraphRecords:
 
     This is the reference definition of a yearly snapshot: ``field_series``
     does not call it, but ``build.restrict_graph`` of the whole corpus's
-    graph to the same papers reproduces ``build_graph`` of its result.
+    graph to the same papers reproduces ``build_graph`` of its result. The
+    result is built by ``GraphRecords.from_columns`` from the kept rows of
+    each column, which numbers its ids afresh (see ``IdCodes.of``).
     """
     codes = records.codes
     # (year, month) <= (year, 12) as tuples
@@ -302,7 +265,9 @@ def snapshot_filter(records: GraphRecords, year: int) -> GraphRecords:
     keys = codes.keys
     kept_theorem = np.zeros(keys.count, dtype=bool)
     kept_theorem[keys.theorem[keep_theorems]] = True
-    return records.select(
-        keep_papers, keep_theorems,
-        kept_theorem[keys.tc_src] & kept_theorem[keys.tc_dst],
-        kept_paper[codes.pc_src] & kept_paper[codes.pc_dst])
+    masks = (keep_papers, keep_theorems,
+             kept_theorem[keys.tc_src] & kept_theorem[keys.tc_dst],
+             kept_paper[codes.pc_src] & kept_paper[codes.pc_dst])
+    return GraphRecords.from_columns(**{
+        name: tuple(compress(getattr(records, name), keep.tolist()))
+        for table, keep in zip(TABLES, masks) for name in table})

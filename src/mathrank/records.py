@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, count, repeat
+from itertools import count, repeat
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -118,19 +118,6 @@ THEOREM_ID_COLUMNS = ("theorem_id", "tc_src_theorem", "tc_dst_theorem")
 _ID_COLUMNS = PAPER_ID_COLUMNS + THEOREM_ID_COLUMNS
 
 
-def _renumbered(ids: tuple[str, ...], columns: list[np.ndarray]) -> tuple[tuple, list]:
-    """The ids that the code ``columns`` use, in order of first appearance
-    through the columns in turn, and the columns in that numbering."""
-    codes = np.concatenate(columns)
-    used, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    new = np.empty(order.size, dtype=np.int64)
-    new[order] = np.arange(order.size)
-    renumbered = new[inverse.reshape(-1)]
-    return (tuple(map(ids.__getitem__, used[order].tolist())),
-            np.split(renumbered, np.cumsum([c.size for c in columns[:-1]])))
-
-
 class TheoremKeys(NamedTuple):
     """Theorem keys, the (paper id, theorem id) pairs of the theorems table
     and of both ends of each theorem citation, numbered 0 to ``count - 1``."""
@@ -186,18 +173,6 @@ class IdCodes:
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
 
-    def select(self, masks: dict) -> "IdCodes":
-        """The codes at the rows each id column's boolean mask in ``masks``
-        keeps, renumbered over the ids they still use as ``of`` numbers them."""
-        kept = {name: getattr(self, name)[masks[name]] for name in _ID_COLUMNS}
-        paper_ids, paper_codes = _renumbered(
-            self.paper_ids, [kept[name] for name in PAPER_ID_COLUMNS])
-        theorem_ids, theorem_codes = _renumbered(
-            self.theorem_ids, [kept[name] for name in THEOREM_ID_COLUMNS])
-        return IdCodes(paper_ids, theorem_ids, int(np.unique(kept["paper_id"]).size),
-                       **dict(zip(PAPER_ID_COLUMNS, paper_codes)),
-                       **dict(zip(THEOREM_ID_COLUMNS, theorem_codes)))
-
     @cached_property
     def keys(self) -> TheoremKeys:
         """The theorem keys of the theorems and both ends of each theorem
@@ -224,13 +199,13 @@ def _id_column(name: str, vocabulary: str) -> cached_property:
 
 
 # Each table's columns, in the order of the record fields they hold.
-_TABLES = (
+TABLES = (
     ("paper_id", "msc_primary", "author_ids", "year", "month"),
     ("theorem_paper", "theorem_id"),
     ("tc_src_paper", "tc_src_theorem", "tc_dst_paper", "tc_dst_theorem"),
     ("pc_src", "pc_dst"),
 )
-_COLUMNS = frozenset(name for table in _TABLES for name in table)
+_COLUMNS = frozenset(name for table in TABLES for name in table)
 
 
 class GraphRecords:
@@ -309,8 +284,8 @@ class GraphRecords:
 
     def _set_columns(self, **columns) -> None:
         if set(columns) != _COLUMNS:
-            raise TypeError(f"GraphRecords columns are {', '.join(sum(_TABLES, ()))}")
-        self._set(IdCodes.of(columns), *(columns[name] for name in _TABLES[0][1:]))
+            raise TypeError(f"GraphRecords columns are {', '.join(sum(TABLES, ()))}")
+        self._set(IdCodes.of(columns), *(columns[name] for name in TABLES[0][1:]))
 
     def _set(self, codes: IdCodes, msc_primary, author_ids, year, month) -> None:
         year, month = np.array(year, dtype=np.int64), np.array(month, dtype=np.int64)
@@ -320,7 +295,7 @@ class GraphRecords:
                             ("author_ids", tuple(author_ids)), ("year", year),
                             ("month", month)):
             object.__setattr__(self, name, value)
-        for table in _TABLES:
+        for table in TABLES:
             if len({len(getattr(codes if name in _ID_COLUMNS else self, name))
                     for name in table}) > 1:
                 raise ValueError(f"columns {', '.join(table)} differ in length")
@@ -333,30 +308,6 @@ class GraphRecords:
         """The number of papers, theorems, theorem citations and paper citations."""
         c = self.codes
         return c.paper_id.size, c.theorem_id.size, c.tc_src_paper.size, c.pc_src.size
-
-    def select(self, papers, theorems, theorem_citations, paper_citations) -> "GraphRecords":
-        """The records at the rows where each table's boolean mask is true.
-
-        Raises ValueError for a mask that is not boolean or not as long as
-        its table. The ids the kept rows use are numbered afresh, as
-        ``from_columns`` of the kept columns would number them.
-        """
-        masks = {}
-        for table, size, mask in zip(_TABLES, self.sizes,
-                                     (papers, theorems, theorem_citations, paper_citations)):
-            mask = np.asarray(mask)
-            if mask.dtype != bool or mask.shape != (size,):
-                raise ValueError(f"the mask of {table[0]} must be a boolean mask over its rows")
-            masks.update(dict.fromkeys(table, mask))
-        keep = masks["paper_id"].tolist()
-        return GraphRecords.from_codes(
-            self.codes.select(masks), compress(self.msc_primary, keep),
-            compress(self.author_ids, keep), self.year[masks["year"]],
-            self.month[masks["month"]])
-
-    @property
-    def is_empty(self) -> bool:
-        return not any(self.sizes)
 
     @cached_property
     def papers(self) -> tuple[PaperRecord, ...]:
@@ -384,7 +335,7 @@ class GraphRecords:
             return NotImplemented
         return all(np.array_equal(getattr(self, name), getattr(other, name))
                    if name in ("year", "month") else getattr(self, name) == getattr(other, name)
-                   for table in _TABLES for name in table)
+                   for table in TABLES for name in table)
 
     def __repr__(self) -> str:
         return ("GraphRecords({} papers, {} theorems, {} theorem citations, "

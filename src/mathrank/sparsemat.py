@@ -89,8 +89,3 @@ class SparseWeightMatrix:
 
     def column_sums(self) -> np.ndarray:
         return _sum_by(self.colidx, self.values, self.shape[1])
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros(self.shape, dtype=np.float64)
-        dense[self.rowidx, self.colidx] = self.values
-        return dense

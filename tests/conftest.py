@@ -16,6 +16,13 @@ def entries(m):
     return list(zip(m.rowidx.tolist(), m.colidx.tolist(), m.values.tolist()))
 
 
+def dense(m):
+    """A SparseWeightMatrix as a dense array."""
+    out = np.zeros(m.shape, dtype=np.float64)
+    out[m.rowidx, m.colidx] = m.values
+    return out
+
+
 def paper(pid, msc="53", authors=("a1",), date=(2000, 6)):
     return PaperRecord(pid, msc, frozenset(authors), YearMonth(*date))
 

@@ -1,13 +1,14 @@
 """Loop-form references for the array code.
 
-``parse_corpus_loop``, ``validate_records_loop`` and ``build_graph_loop`` are
-``parse_corpus``, ``validate_records`` and ``build_graph`` written one
-record at a time: ``json.loads`` and a tuple of fields per line, gathered
-into columns in file order (a paper's authors as listed); record objects,
-sets of tuples and one weight call per edge.
+``parse_corpus_loop``, ``validate_records_loop``, ``build_graph_loop`` and
+``snapshot_filter_loop`` are ``parse_corpus``, ``validate_records``,
+``build_graph`` and ``snapshot_filter`` written one record at a time:
+``json.loads`` and a tuple of fields per line, gathered into columns in
+file order (a paper's authors as listed); record objects, sets of tuples,
+one weight call per edge and one set lookup per row.
 ``test_columnar.py`` requires the columnar versions to give equal records
-(column for column), malformed-line reasons and reports, and graphs equal
-array for array.
+(column for column, and code for code for snapshots), malformed-line
+reasons and reports, and graphs equal array for array.
 ``theorem_edge_weight`` and ``paper_edge_weight`` are the weight tiers as
 scalar definitions, one edge at a time.
 
@@ -45,6 +46,7 @@ from mathrank.build import (
 from mathrank.fields import msc_to_field
 from mathrank.graph import ThreeLevelGraph
 from mathrank.records import (
+    TABLES,
     GraphRecords,
     PaperRecord,
     TheoremRecord,
@@ -110,12 +112,12 @@ def _parse_file(path, parse_one, errors: list[MalformedLine]) -> list:
     return out
 
 
-_TABLE_COLUMNS = (
-    ("paper_id", "msc_primary", "author_ids", "year", "month"),
-    ("theorem_paper", "theorem_id"),
-    ("tc_src_paper", "tc_src_theorem", "tc_dst_paper", "tc_dst_theorem"),
-    ("pc_src", "pc_dst"),
-)
+def _from_rows(tables: list[list[tuple]]) -> GraphRecords:
+    """Records from each table's rows, as tuples of its columns' values."""
+    columns = {}
+    for names, rows in zip(TABLES, tables):
+        columns.update(zip(names, zip(*rows)) if rows else dict.fromkeys(names, ()))
+    return GraphRecords.from_columns(**columns)
 
 
 def parse_corpus_loop(papers_path, theorems_path, theorem_citations_path,
@@ -123,13 +125,30 @@ def parse_corpus_loop(papers_path, theorems_path, theorem_citations_path,
     """The records as columns in file order, each line's fields as
     ``json.loads`` reads them (authors in their listed order)."""
     errors: list[MalformedLine] = []
-    columns = {}
-    for names, path, parse_one in zip(_TABLE_COLUMNS, (
-            papers_path, theorems_path, theorem_citations_path, paper_citations_path), (
-            _parse_paper, _parse_theorem, _parse_theorem_citation, _parse_paper_citation)):
-        rows = _parse_file(path, parse_one, errors)
-        columns.update(zip(names, zip(*rows)) if rows else dict.fromkeys(names, ()))
-    return GraphRecords.from_columns(**columns), errors
+    tables = [_parse_file(path, parse_one, errors) for path, parse_one in zip(
+        (papers_path, theorems_path, theorem_citations_path, paper_citations_path),
+        (_parse_paper, _parse_theorem, _parse_theorem_citation, _parse_paper_citation))]
+    return _from_rows(tables), errors
+
+
+def snapshot_filter_loop(records: GraphRecords, year: int) -> GraphRecords:
+    """The rows of the papers first versioned by December of ``year``, then
+    of the theorems whose paper id is a kept paper's, then of the citations
+    whose ends are all kept, one row at a time and in row order."""
+    papers = [row for row in zip(records.paper_id, records.msc_primary, records.author_ids,
+                                 records.year.tolist(), records.month.tolist())
+              if (row[3], row[4]) <= (year, 12)]
+    kept_papers = {row[0] for row in papers}
+    theorems = [row for row in zip(records.theorem_paper, records.theorem_id)
+                if row[0] in kept_papers]
+    kept_theorems = set(theorems)
+    theorem_citations = [
+        row for row in zip(records.tc_src_paper, records.tc_src_theorem,
+                           records.tc_dst_paper, records.tc_dst_theorem)
+        if row[:2] in kept_theorems and row[2:] in kept_theorems]
+    paper_citations = [row for row in zip(records.pc_src, records.pc_dst)
+                       if row[0] in kept_papers and row[1] in kept_papers]
+    return _from_rows([papers, theorems, theorem_citations, paper_citations])
 
 
 def validate_records_loop(records: GraphRecords) -> ValidationReport:

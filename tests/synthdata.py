@@ -1,6 +1,9 @@
-"""Random corpus generation for tests and the benchmark scaffolding."""
+"""Random corpus generation for tests and the benchmark scaffolding, and
+``write_corpus``, which writes records out in the corpus format."""
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 
@@ -30,6 +33,43 @@ CODE_POOL = [
     "62",                    # Statistics
     "00", "05", "99",        # Others
 ]
+
+
+def _write_lines(path, objs) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for obj in objs:
+            fh.write(json.dumps(obj, ensure_ascii=False))
+            fh.write("\n")
+
+
+def write_corpus(records: GraphRecords, papers_path, theorems_path, theorem_citations_path,
+                 paper_citations_path) -> None:
+    """Write records out in the line-delimited format (``parse_corpus``
+    round-trips)."""
+    _write_lines(papers_path, (
+        {
+            "paper_id": pid,
+            "msc_primary": msc,
+            "author_ids": list(authors),
+            "first_version_date": str(YearMonth(year, month)),
+        }
+        for pid, msc, authors, year, month in zip(
+            records.paper_id, records.msc_primary, records.author_ids,
+            records.year.tolist(), records.month.tolist())
+    ))
+    _write_lines(theorems_path, (
+        {"paper_id": pid, "theorem_id": tid}
+        for pid, tid in zip(records.theorem_paper, records.theorem_id)
+    ))
+    _write_lines(theorem_citations_path, (
+        {"src_paper": sp, "src_theorem": st, "dst_paper": dp, "dst_theorem": dt}
+        for sp, st, dp, dt in zip(records.tc_src_paper, records.tc_src_theorem,
+                                  records.tc_dst_paper, records.tc_dst_theorem)
+    ))
+    _write_lines(paper_citations_path, (
+        {"src_paper": src, "dst_paper": dst}
+        for src, dst in zip(records.pc_src, records.pc_dst)
+    ))
 
 
 def make_random_records(

@@ -12,7 +12,7 @@ from click.testing import CliRunner
 
 from mathrank.build import build_graph
 from mathrank.cli import main as cli_main
-from mathrank.corpus import snapshot_filter, write_corpus
+from mathrank.corpus import snapshot_filter
 from mathrank.fields import FIELD_NAMES, msc_to_field
 from mathrank.records import (
     GraphRecords,
@@ -34,9 +34,9 @@ from mathrank.solver import (
 from mathrank.analysis import field_impact
 
 import oracle
-from conftest import paper, theorem
+from conftest import dense, paper, theorem
 from loop_reference import paper_edge_weight, theorem_edge_weight
-from synthdata import make_random_records
+from synthdata import make_random_records, write_corpus
 
 DEFAULT_HP = Hyperparameters()
 
@@ -233,10 +233,10 @@ def test_criterion_4_weight_scheme_exactness():
         paper_citations=[PaperCitation("pa", "pb"), PaperCitation("pa", "pc")]))
     want_t = np.zeros((4, 4))
     want_t[1:, 0] = [0.05, 0.1, 1.0]
-    np.testing.assert_array_equal(graph.t_matrix.to_dense(), want_t)
+    np.testing.assert_array_equal(dense(graph.t_matrix), want_t)
     want_p = np.zeros((3, 3))
     want_p[1:, 0] = [0.1, 1.0]
-    np.testing.assert_array_equal(graph.p_matrix.to_dense(), want_p)
+    np.testing.assert_array_equal(dense(graph.p_matrix), want_p)
     print("\nACCEPTANCE 4 PASS - exact field table "
           f"({len(oracle.FIELD_OF_CODE)} listed codes + {len(unlisted)} "
           "unlisted) and exact weight tiers {0, 0.05, 0.1, 1} / {0, 0.1, 1}")

@@ -13,7 +13,7 @@ from mathrank.records import (
 )
 
 import oracle
-from conftest import entries, paper, theorem
+from conftest import dense, entries, paper, theorem
 from loop_reference import paper_edge_weight, theorem_edge_weight
 from synthdata import CODE_POOL, make_random_records, shuffled, with_late_field
 
@@ -33,7 +33,7 @@ class TestWeightTiers:
         g = build_graph(GraphRecords(
             papers=[P_SHARED, P_DISJOINT], theorems=[T1, T3],
             theorem_citations=[TheoremCitation(*T3.key, *T1.key)]))
-        np.testing.assert_array_equal(g.t_matrix.to_dense(), [[0.0, 1.0], [0.0, 0.0]])
+        np.testing.assert_array_equal(dense(g.t_matrix), [[0.0, 1.0], [0.0, 0.0]])
 
     def test_theorem_same_paper(self):
         assert theorem_edge_weight(T1, T2, P_SHARED, P_SHARED) == 0.05
@@ -49,7 +49,7 @@ class TestWeightTiers:
         g = build_graph(GraphRecords(
             papers=[P_SHARED, P_DISJOINT], theorems=[T1],
             paper_citations=[PaperCitation("x3", "x1")]))
-        np.testing.assert_array_equal(g.p_matrix.to_dense(), [[0.0, 1.0], [0.0, 0.0]])
+        np.testing.assert_array_equal(dense(g.p_matrix), [[0.0, 1.0], [0.0, 0.0]])
 
     def test_paper_shared_author(self):
         assert paper_edge_weight(P_SHARED, P_SHARED2) == 0.1
@@ -172,11 +172,11 @@ class TestFieldMatrix:
         g = build_graph(records)
         local_analysis = list(g.field_names).index("Analysis")
         local_pde = list(g.field_names).index("PDE")
-        assert g.f_matrix.to_dense()[local_analysis, local_pde] == 3.0
+        assert dense(g.f_matrix)[local_analysis, local_pde] == 3.0
         expected = oracle.field_matrix_enumeration(
-            g.p_matrix.to_dense().tolist(),
+            dense(g.p_matrix).tolist(),
             list(g.paper_field), g.n_fields)
-        np.testing.assert_array_equal(g.f_matrix.to_dense(), expected)
+        np.testing.assert_array_equal(dense(g.f_matrix), expected)
 
     def test_matches_enumeration_on_random_graphs(self, rng):
         for _ in range(20):
@@ -185,15 +185,15 @@ class TestFieldMatrix:
                 n_theorems=int(rng.integers(1, 40)))
             g = build_graph(records)
             expected = oracle.field_matrix_enumeration(
-                g.p_matrix.to_dense().tolist(), list(g.paper_field), g.n_fields)
-            np.testing.assert_array_equal(g.f_matrix.to_dense(), expected)
+                dense(g.p_matrix).tolist(), list(g.paper_field), g.n_fields)
+            np.testing.assert_array_equal(dense(g.f_matrix), expected)
             recomputed = build_field_matrix(g.paper_field, g.n_fields, g.p_matrix)
-            np.testing.assert_array_equal(recomputed.to_dense(), g.f_matrix.to_dense())
+            np.testing.assert_array_equal(dense(recomputed), dense(g.f_matrix))
 
     def test_total_equals_collapsed_citation_pairs(self, rng):
         records = make_random_records(rng, n_papers=20, n_theorems=10)
         g = build_graph(records)
-        assert g.f_matrix.to_dense().sum() == g.p_matrix.values.size
+        assert dense(g.f_matrix).sum() == g.p_matrix.values.size
 
 
 class TestDeterminism:
@@ -224,9 +224,9 @@ class TestAgainstDenseOracle:
             assert list(g.theorem_keys) == ref.theorem_keys
             assert list(g.paper_ids) == ref.paper_ids
             assert list(g.field_names) == ref.field_names
-            np.testing.assert_array_equal(g.t_matrix.to_dense(), ref.T)
-            np.testing.assert_array_equal(g.p_matrix.to_dense(), ref.P)
-            np.testing.assert_array_equal(g.f_matrix.to_dense(), ref.F)
+            np.testing.assert_array_equal(dense(g.t_matrix), ref.T)
+            np.testing.assert_array_equal(dense(g.p_matrix), ref.P)
+            np.testing.assert_array_equal(dense(g.f_matrix), ref.F)
             assert list(g.theorem_paper) == ref.phi_TP
             assert list(g.paper_field) == ref.phi_PF
 

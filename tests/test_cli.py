@@ -10,7 +10,7 @@ from click.testing import CliRunner
 import mathrank.cli
 from mathrank.build import build_graph
 from mathrank.cli import main
-from mathrank.corpus import parse_corpus, write_corpus
+from mathrank.corpus import parse_corpus
 from mathrank.fields import FIELD_NAMES
 from mathrank.records import GraphRecords, PaperCitation, TheoremCitation
 from mathrank.solver import Hyperparameters, compute_scores, normalize_matrices
@@ -19,7 +19,7 @@ from mathrank.analysis import field_impact
 
 from conftest import paper, theorem
 from loop_reference import rank_entities_loop
-from synthdata import make_random_records, planted_ties_state
+from synthdata import make_random_records, planted_ties_state, write_corpus
 
 
 @pytest.fixture

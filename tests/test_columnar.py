@@ -11,7 +11,7 @@ import mathrank.corpus
 import mathrank.records
 from mathrank.build import BuildError, build_graph
 from mathrank.cli import main
-from mathrank.corpus import parse_corpus
+from mathrank.corpus import parse_corpus, snapshot_filter
 from mathrank.records import (
     PAPER_ID_COLUMNS,
     THEOREM_ID_COLUMNS,
@@ -19,7 +19,13 @@ from mathrank.records import (
     validate_records,
 )
 
-from loop_reference import build_graph_loop, parse_corpus_loop, validate_records_loop
+from conftest import dense
+from loop_reference import (
+    build_graph_loop,
+    parse_corpus_loop,
+    snapshot_filter_loop,
+    validate_records_loop,
+)
 from synthdata import CODE_POOL, make_random_records
 from test_build import assert_same_graph
 from test_cli import corpus_args
@@ -128,6 +134,22 @@ def test_random_dirty_corpus_matches_loop_reference(tmp_path, seed):
         assert_same_graph(build_graph(records), build_graph_loop(ref_records))
 
 
+@pytest.mark.parametrize("seed", range(40))
+def test_snapshot_filter_matches_loop_reference_on_dirty_corpora(tmp_path, seed):
+    # Dangling theorems and citations, self citations, duplicate papers and
+    # theorems (odd seeds) and papers dated in year 0 or in month 0 or 13.
+    records, _ = parse_corpus(*write_files(tmp_path, dirty_corpus(
+        np.random.default_rng(seed), fatal=seed % 2 == 1)))
+    for year in range(1990, 2025):
+        snap, want = snapshot_filter(records, year), snapshot_filter_loop(records, year)
+        assert snap == want
+        # Numbered as from_columns numbers the kept columns.
+        for name in ("paper_ids", "theorem_ids", "n_known_papers"):
+            assert getattr(snap.codes, name) == getattr(want.codes, name)
+        for name in PAPER_ID_COLUMNS + THEOREM_ID_COLUMNS:
+            assert getattr(snap.codes, name).tolist() == getattr(want.codes, name).tolist()
+
+
 @pytest.mark.parametrize("chunk_bytes", [None, 64], ids=["one_chunk", "a_chunk_a_line"])
 @pytest.mark.parametrize("seed", range(40))
 def test_parsed_ids_numbered_in_order_of_first_appearance(tmp_path, monkeypatch, seed,
@@ -215,7 +237,7 @@ class TestValidationEdgeCases:
             pc_src=("p2", "p3"), pc_dst=("p1", "p1"))
         graph = build_graph(records)
         assert_same_graph(graph, build_graph_loop(records))
-        np.testing.assert_array_equal(graph.p_matrix.to_dense()[0], [0.0, 0.1, 1.0])
+        np.testing.assert_array_equal(dense(graph.p_matrix)[0], [0.0, 0.1, 1.0])
 
     def test_ids_sort_as_python_strings(self):
         ids = ("\U00010000", "a\x00", "\uffff", "a", "a\x00b")

@@ -10,7 +10,6 @@ from mathrank.corpus import (
     MalformedLine,
     parse_corpus,
     snapshot_filter,
-    write_corpus,
 )
 from mathrank.records import (
     PAPER_ID_COLUMNS,
@@ -23,7 +22,7 @@ from mathrank.records import (
 
 from conftest import paper, theorem
 from loop_reference import parse_corpus_loop
-from synthdata import make_random_records
+from synthdata import make_random_records, write_corpus
 
 
 def write_lines(path, lines):
@@ -71,7 +70,7 @@ class TestParse:
         paths = corpus_paths(tmp_path)
         write_empty(paths)
         records, errors = parse_corpus(*paths)
-        assert records.is_empty
+        assert not any(records.sizes)
         assert not errors
 
     def test_malformed_lines_skipped_and_reported(self, tmp_path):
@@ -492,10 +491,10 @@ class TestSnapshot:
 
     def test_january_next_year_excluded(self):
         records = GraphRecords(papers=[paper("p1", date=(2001, 1))])
-        assert snapshot_filter(records, 2000).is_empty
+        assert not any(snapshot_filter(records, 2000).sizes)
 
     def test_year_before_everything_is_empty(self, tiny_records):
-        assert snapshot_filter(tiny_records, 1980).is_empty
+        assert not any(snapshot_filter(tiny_records, 1980).sizes)
 
     def test_referencing_records_follow_their_papers(self, tiny_records):
         # p1 is from 1995, p2 from 1999; at 1996 only p1 and its theorem remain.

@@ -5,8 +5,6 @@ from hypothesis import strategies as st
 
 from mathrank.fields import msc_to_field
 from mathrank.records import (
-    PAPER_ID_COLUMNS,
-    THEOREM_ID_COLUMNS,
     GraphRecords,
     PaperCitation,
     TheoremCitation,
@@ -164,14 +162,6 @@ class TestColumns:
         with pytest.raises(ValueError):
             tiny_records.year[0] = 2000
 
-    def test_select_keeps_the_masked_rows(self, tiny_records):
-        kept = tiny_records.select([True, False], np.array([True, False]), [False], [True])
-        assert kept.paper_id == ("p1",)
-        assert kept.year.tolist() == [1995]
-        assert kept.theorem_paper == ("p1",)
-        assert kept.tc_src_paper == ()
-        assert kept.pc_src == ("p2",)
-
     def test_equality_compares_columns(self, tiny_records):
         columns = {name: getattr(tiny_records, name) for name in self.COLUMNS}
 
@@ -200,32 +190,3 @@ class TestColumns:
         swapped = column[::-1] if isinstance(column, np.ndarray) else tuple(reversed(column))
         assert GraphRecords.from_columns(**{**columns, name: swapped}) != records
         assert GraphRecords.from_columns(**columns) == records
-
-    def test_select_numbers_kept_ids_as_from_columns(self, tiny_records):
-        # p1's paper row goes; its theorem and the citations of it stay.
-        kept = tiny_records.select([False, True], [True, True], [True], [True])
-        again = GraphRecords.from_columns(**{name: getattr(kept, name) for name in self.COLUMNS})
-        assert kept == again
-        for name in ("paper_ids", "theorem_ids", "n_known_papers"):
-            assert getattr(kept.codes, name) == getattr(again.codes, name)
-        for name in PAPER_ID_COLUMNS + THEOREM_ID_COLUMNS:
-            assert getattr(kept.codes, name).tolist() == getattr(again.codes, name).tolist()
-        assert kept.codes.paper_ids == ("p2", "p1")
-        assert validate_records(kept).counts() == {"dangling_theorem": 1,
-                                                   "dangling_paper_citation": 1}
-
-    @pytest.mark.parametrize("table, mask", [
-        pytest.param(0, np.arange(2), id="int_papers"),
-        pytest.param(0, [1.0, 0.5], id="float_papers"),
-        pytest.param(0, [True], id="short_papers"),
-        pytest.param(1, [True], id="short_theorems"),
-        pytest.param(2, [True, True], id="long_theorem_citations"),
-        pytest.param(3, [], id="empty_list_paper_citations"),
-        pytest.param(3, [[True]], id="2d_paper_citations"),
-    ])
-    def test_select_rejects_masks_not_boolean_or_of_another_length(self, tiny_records,
-                                                                    table, mask):
-        masks = [[True, True], [True, True], [True], [True]]
-        masks[table] = mask
-        with pytest.raises(ValueError, match="boolean mask"):
-            tiny_records.select(*masks)

@@ -19,7 +19,7 @@ from mathrank.solver import (
     residual,
 )
 
-from conftest import paper, theorem
+from conftest import dense, paper, theorem
 from loop_reference import compute_scores_loop, iterate_once_reduceat
 from oracle import DenseSolver, build_dense
 from synthdata import make_random_records
@@ -83,9 +83,9 @@ class TestColumnNormalize:
     def test_zero_column_stays_zero(self):
         m = SparseWeightMatrix.from_arrays((2, 3), [0, 1], [0, 2], [2.0, 4.0])
         normalized = m.column_normalized
-        dense = normalized.to_dense()
-        np.testing.assert_array_equal(dense[:, 1], [0.0, 0.0])
-        np.testing.assert_allclose(dense.sum(axis=0), [1.0, 0.0, 1.0], atol=1e-12)
+        matrix = dense(normalized)
+        np.testing.assert_array_equal(matrix[:, 1], [0.0, 0.0])
+        np.testing.assert_allclose(matrix.sum(axis=0), [1.0, 0.0, 1.0], atol=1e-12)
 
     def test_computed_once_per_matrix(self, rng):
         graph = build_graph(make_random_records(rng, n_papers=15, n_theorems=40))
@@ -317,7 +317,7 @@ class TestIterateOnce:
         u_f = np.array([0.7, 0.3])
         state = ScoreState(np.full(3, 1 / 3), np.full(3, 1 / 3), u_f)
         new = iterate_once(state, graph, norm, HP)
-        citation_part = norm.f_norm.to_dense() @ u_f
+        citation_part = dense(norm.f_norm) @ u_f
         np.testing.assert_allclose(
             new.u_f, citation_part / citation_part.sum(), atol=1e-15)
 

@@ -3,7 +3,7 @@ import pytest
 
 from mathrank.sparsemat import SparseWeightMatrix
 
-from conftest import entries
+from conftest import dense, entries
 
 
 def from_entries(shape, triples):
@@ -29,13 +29,13 @@ def test_entries_stored_column_major():
 
 
 def test_to_dense_round_trip(rng):
-    m, dense = random_matrix(rng, 7, 5)
-    np.testing.assert_array_equal(m.to_dense(), dense)
+    m, want = random_matrix(rng, 7, 5)
+    np.testing.assert_array_equal(dense(m), want)
 
 
 def test_column_sums(rng):
-    m, dense = random_matrix(rng, 8, 6)
-    np.testing.assert_allclose(m.column_sums(), dense.sum(axis=0), atol=1e-15)
+    m, want = random_matrix(rng, 8, 6)
+    np.testing.assert_allclose(m.column_sums(), want.sum(axis=0), atol=1e-15)
 
 
 def test_column_sums_with_empty_columns():
@@ -44,9 +44,9 @@ def test_column_sums_with_empty_columns():
 
 
 def test_matvec_matches_dense(rng):
-    m, dense = random_matrix(rng, 9, 7)
+    m, want = random_matrix(rng, 9, 7)
     x = rng.random(7)
-    np.testing.assert_allclose(m.matvec(x), dense @ x, atol=1e-15)
+    np.testing.assert_allclose(m.matvec(x), want @ x, atol=1e-15)
 
 
 def test_matvec_of_empty_matrix_is_float_zero():
@@ -104,7 +104,7 @@ def test_nonpositive_weights_rejected(weight):
 def test_empty_matrix():
     m = from_entries((4, 4), [])
     assert m.values.size == 0
-    np.testing.assert_array_equal(m.to_dense(), np.zeros((4, 4)))
+    np.testing.assert_array_equal(dense(m), np.zeros((4, 4)))
     np.testing.assert_array_equal(m.column_sums(), np.zeros(4))
 
 
