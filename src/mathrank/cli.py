@@ -5,7 +5,8 @@ line; scores carry 12 significant digits. Commands are deterministic:
 identical inputs and flags produce byte-identical files.
 
 Exit codes: 0 success, 1 solver did not converge (outputs still written),
-2 input or validation failure.
+2 input or validation failure, or an output directory or file that cannot
+be written.
 """
 
 from __future__ import annotations
@@ -37,27 +38,25 @@ from .records import validate_records
 from .solver import DegenerateLevelError, Hyperparameters, compute_scores, normalize_matrices
 
 _RANK_LEVELS = ("theorem", "paper", "field")
+_SERIES_HEADER = ("year", "status", *FIELD_NAMES)
+_SERIES_ROW = ",".join(["{}"] * len(_SERIES_HEADER))
 
 
 def _fmt(x: float) -> str:
     return format(x, ".12g")
 
 
-def _write_csv(path: Path, header: list[str], rows, comments: list[str] | None = None):
-    """A table as csv.writer writes it. A row this Python's csv.writer cannot
-    write (a NUL on 3.10) exits 2, before the file is opened."""
-    buf = io.StringIO()
-    for comment in comments or []:
-        buf.write(f"# {comment}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    try:
-        writer.writerow(header)
-        writer.writerows(rows)
-    except csv.Error as exc:
-        click.echo(f"error: cannot write a row to {path.name}: {exc}", err=True)
-        sys.exit(2)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(buf.getvalue())
+def _field_columns(rows) -> list[list[str]]:
+    """One column of 12-digit cells per field from rows of per-field values,
+    one row per year; a year whose row is None gets blank cells."""
+    return [["" if row is None else _fmt(row[f]) for row in rows]
+            for f in range(len(FIELD_NAMES))]
+
+
+def _fail(message: str):
+    """Print one error line and exit 2, the code for bad input."""
+    click.echo(f"error: {message}", err=True)
+    sys.exit(2)
 
 
 def _may_need_quoting(text: str) -> bool:
@@ -69,29 +68,39 @@ def _may_need_quoting(text: str) -> bool:
     return any(c in text for c in ',"\r\n\0')
 
 
-def _id_cell(entity_id: str) -> str:
-    """The id as this Python's csv.writer writes it in a row."""
+def _csv_cell(text: str) -> str:
+    """The text as this Python's csv.writer writes it in a row."""
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([entity_id])
+    csv.writer(buf, lineterminator="\n").writerow([text])
     return buf.getvalue()[:-1]
 
 
-def _write_rankings(path: Path, ranks, ids, fields, scores, comments: list[str] | None):
-    """A rankings table, byte for byte what _write_csv writes for these rows.
+def _write_table(path: Path, header, row_format: str, columns, comments=None):
+    """Write ``# `` comment lines, the header and one ``row_format`` line per row.
 
-    An id this Python's csv.writer cannot write (a NUL on 3.10) exits 2.
+    The header's names need no quoting. ``columns`` holds one sequence per
+    field of ``row_format``, each all text or all numbers. A text cell that
+    may need quoting is written as this Python's csv.writer writes it, so
+    the file is what csv.writer writes for these cells. A cell csv.writer
+    refuses (a NUL on 3.10) exits 2 before the file is opened; a file that
+    cannot be opened or written exits 2 as well.
     """
-    if _may_need_quoting("".join(ids)):
-        try:
-            ids = [_id_cell(i) if _may_need_quoting(i) else i for i in ids]
-        except csv.Error as exc:
-            click.echo(f"error: cannot write an id to {path.name}: {exc}", err=True)
-            sys.exit(2)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for comment in comments or []:
-            fh.write(f"# {comment}\n")
-        fh.write("rank,id,field,score\n")
-        fh.write("".join(map("{},{},{},{:.12g}\n".format, ranks, ids, fields, scores)))
+    try:
+        columns = [
+            [_csv_cell(c) if _may_need_quoting(c) else c for c in column]
+            if column and isinstance(column[0], str) and _may_need_quoting("".join(column))
+            else column
+            for column in columns]
+    except csv.Error as exc:
+        _fail(f"cannot write a row to {path.name}: {exc}")
+    lines = [f"# {comment}\n" for comment in comments or ()]
+    lines.append(",".join(header) + "\n")
+    lines.append("".join(map((row_format + "\n").format, *columns)))
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(lines)
+    except OSError as exc:
+        _fail(f"cannot write {path.name}: {exc}")
 
 
 def corpus_options(f):
@@ -133,7 +142,10 @@ def _make_hp(alpha_t, alpha_p, beta_p, alpha_f, tol, max_iter) -> Hyperparameter
 
 def _ensure_out_dir(out_dir: str) -> Path:
     path = Path(out_dir)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        _fail(f"cannot make the output directory: {exc}")
     return path
 
 
@@ -144,14 +156,12 @@ def _load_valid_corpus(papers_path, theorems_path, thm_cites_path, paper_cites_p
     if malformed:
         for m in malformed[:10]:
             click.echo(f"malformed line {m.path}:{m.line_number}: {m.reason}", err=True)
-        click.echo(f"error: {len(malformed)} malformed corpus lines", err=True)
-        sys.exit(2)
+        _fail(f"{len(malformed)} malformed corpus lines")
     report = validate_records(records)
     if not report.is_clean:
         for issue in report.issues[:10]:
             click.echo(f"{issue.kind}: {issue.detail}", err=True)
-        click.echo(f"error: corpus failed validation ({len(report.issues)} issues)", err=True)
-        sys.exit(2)
+        _fail(f"corpus failed validation ({len(report.issues)} issues)")
     return records
 
 
@@ -165,8 +175,7 @@ def _solved(graph, hp: Hyperparameters):
     try:
         state, report = compute_scores(graph, hp)
     except (ValueError, DegenerateLevelError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+        _fail(str(exc))
     comments = None
     if not report.converged:
         comments = [f"not_converged after {report.iterations} iterations; "
@@ -217,10 +226,10 @@ def build(papers_path, theorems_path, thm_cites_path, paper_cites_path, out_dir)
         papers_path, theorems_path, thm_cites_path, paper_cites_path)
     report = validate_records(records)
 
-    issue_rows = [("malformed_line", f"{m.path}:{m.line_number}: {m.reason}")
-                  for m in malformed]
-    issue_rows += [(i.kind, i.detail) for i in report.issues]
-    _write_csv(out / "validation.csv", ["kind", "detail"], issue_rows)
+    kinds = ["malformed_line"] * len(malformed) + [i.kind for i in report.issues]
+    details = [f"{m.path}:{m.line_number}: {m.reason}" for m in malformed]
+    details += [i.detail for i in report.issues]
+    _write_table(out / "validation.csv", ("kind", "detail"), "{},{}", [kinds, details])
 
     field_counts = {name: 0 for name in FIELD_NAMES}
     for code, count in Counter(records.msc_primary).items():
@@ -228,19 +237,15 @@ def build(papers_path, theorems_path, thm_cites_path, paper_cites_path, out_dir)
             field_counts[msc_to_field(code).name] += count
         except ValueError:
             pass
-    n_papers, n_theorems, n_theorem_citations, n_paper_citations = records.sizes
-    summary_rows = [
-        ("papers", n_papers),
-        ("theorems", n_theorems),
-        ("theorem_citations", n_theorem_citations),
-        ("paper_citations", n_paper_citations),
-    ]
-    summary_rows += [(f"papers_in.{name}", field_counts[name]) for name in FIELD_NAMES]
-    _write_csv(out / "summary.csv", ["metric", "value"], summary_rows)
+    metrics = ["papers", "theorems", "theorem_citations", "paper_citations"]
+    metrics += [f"papers_in.{name}" for name in FIELD_NAMES]
+    values = [*records.sizes, *field_counts.values()]
+    _write_table(out / "summary.csv", ("metric", "value"), "{},{}", [metrics, values])
 
+    n_papers, n_theorems, *_ = records.sizes
     failed = False
-    if issue_rows:
-        click.echo(f"validation failed: {len(issue_rows)} issues "
+    if kinds:
+        click.echo(f"validation failed: {len(kinds)} issues "
                    f"(see {out / 'validation.csv'})", err=True)
         failed = True
     for level, count in (("paper", n_papers), ("theorem", n_theorems)):
@@ -274,7 +279,8 @@ def rank(papers_path, theorems_path, thm_cites_path, paper_cites_path,
     with _solved(graph, hp) as (state, comments):
         for level in (level_choice,) if level_choice else _RANK_LEVELS:
             columns = ranking_columns(graph, state, level, top_k, group_by_field)
-            _write_rankings(out / f"rankings_{level}.csv", *columns, comments)
+            _write_table(out / f"rankings_{level}.csv", ("rank", "id", "field", "score"),
+                         "{},{},{},{:.12g}", columns, comments)
 
 
 @main.command()
@@ -296,22 +302,13 @@ def series(papers_path, theorems_path, thm_cites_path, paper_cites_path,
     years = range(from_year, to_year + 1)
 
     fs = field_series(records, years, hp)
-    score_rows = []
-    for year, scores, status in zip(fs.years, fs.scores, fs.status):
-        cells = [_fmt(s) for s in scores] if scores is not None else [""] * len(FIELD_NAMES)
-        score_rows.append([year, status, *cells])
-    _write_csv(out / "field_scores.csv",
-               ["year", "status", *FIELD_NAMES], score_rows)
+    _write_table(out / "field_scores.csv", _SERIES_HEADER, _SERIES_ROW,
+                 [fs.years, fs.status, *_field_columns(fs.scores)])
 
     rs = category_ratios(records, years)
-    ratio_rows = []
-    for year, ratios in zip(rs.years, rs.ratios):
-        if ratios is None:
-            ratio_rows.append([year, YEAR_EMPTY, *[""] * len(FIELD_NAMES)])
-        else:
-            ratio_rows.append([year, YEAR_OK, *[_fmt(r) for r in ratios]])
-    _write_csv(out / "category_ratios.csv",
-               ["year", "status", *FIELD_NAMES], ratio_rows)
+    status = [YEAR_EMPTY if ratios is None else YEAR_OK for ratios in rs.ratios]
+    _write_table(out / "category_ratios.csv", _SERIES_HEADER, _SERIES_ROW,
+                 [rs.years, status, *_field_columns(rs.ratios)])
 
     bad_years = [y for y, s in zip(fs.years, fs.status) if s == YEAR_NOT_CONVERGED]
     if bad_years:
@@ -334,20 +331,14 @@ def impact(papers_path, theorems_path, thm_cites_path, paper_cites_path,
     norm = normalize_matrices(graph)
     with _solved(graph, hp) as (state, comments):
         matrix = field_impact(graph, norm, state.u_p)
-        full = matrix.expand_canonical()
-        _write_csv(
-            out / "impact_matrix.csv",
-            ["field", *FIELD_NAMES],
-            [[FIELD_NAMES[i], *(_fmt(v) for v in full[i])] for i in range(len(FIELD_NAMES))],
-            comments=comments,
-        )
-        _write_csv(
-            out / "impact_asymmetry.csv",
-            ["source", "target", "ratio"],
-            [(src, dst, "" if ratio is None else _fmt(ratio))
-             for src, dst, ratio in impact_asymmetry(matrix)],
-            comments=comments,
-        )
+        _write_table(out / "impact_matrix.csv", ("field", *FIELD_NAMES),
+                     "{}" + ",{:.12g}" * len(FIELD_NAMES),
+                     [FIELD_NAMES, *matrix.expand_canonical().T.tolist()], comments)
+        pairs = impact_asymmetry(matrix)
+        _write_table(out / "impact_asymmetry.csv", ("source", "target", "ratio"), "{},{},{}",
+                     [[src for src, _, _ in pairs], [dst for _, dst, _ in pairs],
+                      ["" if ratio is None else _fmt(ratio) for _, _, ratio in pairs]],
+                     comments)
 
 
 if __name__ == "__main__":

@@ -152,7 +152,7 @@ def _prepare_step(
     citations plus the excess of papers scoring above the uniform paper
     share. The normalized matrices are set up as one block-diagonal
     operator whose rows keep their entries in stored order, so its row sums
-    add the same terms in the same order as ``matvec``.
+    add the same terms in the same order as each matrix's own product.
     """
     sizes = n_t, n_p, n_f = graph.n_theorems, graph.n_papers, graph.n_fields
     t, p, f = slice(0, n_t), slice(n_t, n_t + n_p), slice(n_t + n_p, None)
@@ -220,16 +220,6 @@ def iterate_once(
     return ScoreState(new[t], new[p], new[f], iteration=state.iteration + 1)
 
 
-def residual(prev: ScoreState, new: ScoreState) -> float:
-    """Largest per-level l1 distance between two states."""
-    diffs = []
-    for a, b in zip(prev.levels(), new.levels()):
-        if a.shape != b.shape:
-            raise ValueError("score states have mismatched dimensions")
-        diffs.append(float(np.sum(np.abs(b - a))))
-    return max(diffs)
-
-
 def compute_scores(
     graph: ThreeLevelGraph,
     hp: Hyperparameters | None = None,
@@ -245,8 +235,9 @@ def compute_scores(
     ValueError.
 
     The update is set up once per solve and steps the levels stacked as one
-    vector ``[u_t, u_p, u_f]`` in reused buffers. States and residuals are
-    bitwise equal to those of a loop of ``iterate_once`` and ``residual``.
+    vector ``[u_t, u_p, u_f]`` in reused buffers. States are bitwise equal to
+    those of a loop of ``iterate_once``, and the residual of a step is the
+    largest per-level l1 distance from the state before it.
     """
     if hp is None:
         hp = Hyperparameters()

@@ -19,12 +19,6 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _sum_by(index: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
-    """out[i] = sum of weights[k] with index[k] == i, added in storage order."""
-    # bincount returns int64 when there are no entries, whatever the weights.
-    return np.bincount(index, weights=weights, minlength=n).astype(np.float64, copy=False)
-
-
 @dataclass(frozen=True)
 class SparseWeightMatrix:
     shape: tuple[int, int]
@@ -83,9 +77,8 @@ class SparseWeightMatrix:
                                   _frozen(new_index[self.colidx[both]]),
                                   _frozen(self.values[both]))
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """The product M @ x; each row sums its entries in ascending column order."""
-        return _sum_by(self.rowidx, self.values * x[self.colidx], self.shape[0])
-
     def column_sums(self) -> np.ndarray:
-        return _sum_by(self.colidx, self.values, self.shape[1])
+        """Each column's sum, its entries added in storage order."""
+        # bincount returns int64 when there are no entries, whatever the weights.
+        return np.bincount(self.colidx, weights=self.values,
+                           minlength=self.shape[1]).astype(np.float64, copy=False)

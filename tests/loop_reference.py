@@ -26,10 +26,19 @@ give equal tables, and ``iterate_once`` and ``compute_scores``
 bitwise-equal states and residuals, and
 ``test_cli.py`` requires ``rank`` to write ``rank_entities_loop``'s tables
 byte for byte as ``csv.writer`` writes them.
+
+``csv_table_bytes`` writes a table row by row through ``csv.writer``;
+``test_cli.py`` requires every file of every command to be what it writes
+for the same cells. ``matvec`` is a matrix's product with a vector, each
+row's entries added in stored order, and ``residual`` the largest
+per-level l1 distance between two states; ``compute_scores_loop`` stops
+on it.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 
 import numpy as np
@@ -60,7 +69,6 @@ from mathrank.solver import (
     _l1_normalize,
     init_state,
     normalize_matrices,
-    residual,
 )
 from mathrank.sparsemat import SparseWeightMatrix
 
@@ -339,14 +347,42 @@ def rank_entities_loop(graph: ThreeLevelGraph, state: ScoreState, level: str,
     return RankingTable(level=level, grouped=group_by_field, rows=tuple(rows))
 
 
+def csv_table_bytes(header, rows, comments=()) -> bytes:
+    """``# `` comment lines, then the header and rows as ``csv.writer`` writes
+    them one row at a time, UTF-8 encoded."""
+    buf = io.StringIO()
+    buf.writelines(f"# {comment}\n" for comment in comments)
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode("utf-8")
+
+
+def matvec(m: SparseWeightMatrix, x: np.ndarray) -> np.ndarray:
+    """The product m @ x; each row sums its entries in ascending column order."""
+    # bincount returns int64 when there are no entries, whatever the weights.
+    return np.bincount(m.rowidx, weights=m.values * x[m.colidx],
+                       minlength=m.shape[0]).astype(np.float64, copy=False)
+
+
+def residual(prev: ScoreState, new: ScoreState) -> float:
+    """Largest per-level l1 distance between two states."""
+    diffs = []
+    for a, b in zip(prev.levels(), new.levels()):
+        if a.shape != b.shape:
+            raise ValueError("score states have mismatched dimensions")
+        diffs.append(float(np.sum(np.abs(b - a))))
+    return max(diffs)
+
+
 def iterate_once_reduceat(state, graph, norm, hp) -> ScoreState:
     n_t, n_p, n_f = graph.n_theorems, graph.n_papers, graph.n_fields
 
-    hat_t = norm.t_norm.matvec(state.u_t)
+    hat_t = matvec(norm.t_norm, state.u_t)
     hat_t *= hp.alpha_t
     hat_t += (1.0 - hp.alpha_t) * (state.u_p[graph.theorem_paper] / (n_t / n_p))
 
-    hat_p = norm.p_norm.matvec(state.u_p)
+    hat_p = matvec(norm.p_norm, state.u_p)
     hat_p *= hp.alpha_p
     hat_p += hp.beta_p * (state.u_f[graph.paper_field] / (n_p / n_f))
     # Theorems are grouped by paper, so reducing between the start offsets of
@@ -358,7 +394,7 @@ def iterate_once_reduceat(state, graph, norm, hp) -> ScoreState:
     best_theorem[owns] = np.maximum.reduceat(state.u_t, starts[owns])
     hat_p += (1.0 - hp.alpha_p - hp.beta_p) * best_theorem
 
-    hat_f = norm.f_norm.matvec(state.u_f)
+    hat_f = matvec(norm.f_norm, state.u_f)
     hat_f *= hp.alpha_f
     above_share = np.maximum(state.u_p - 1.0 / n_p, 0.0)
     excess = np.bincount(graph.paper_field, weights=above_share, minlength=n_f)

@@ -29,13 +29,12 @@ from mathrank.solver import (
     init_state,
     iterate_once,
     normalize_matrices,
-    residual,
 )
 from mathrank.analysis import field_impact
 
 import oracle
 from conftest import dense, paper, theorem
-from loop_reference import paper_edge_weight, theorem_edge_weight
+from loop_reference import paper_edge_weight, residual, theorem_edge_weight
 from synthdata import make_random_records, write_corpus
 
 DEFAULT_HP = Hyperparameters()

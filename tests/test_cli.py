@@ -1,6 +1,9 @@
 import csv
+import errno
 import gc
 import io
+import os
+import string
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +21,7 @@ from mathrank.sparsemat import SparseWeightMatrix
 from mathrank.analysis import field_impact
 
 from conftest import paper, theorem
-from loop_reference import rank_entities_loop
+from loop_reference import csv_table_bytes, rank_entities_loop
 from synthdata import make_random_records, planted_ties_state, write_corpus
 
 
@@ -135,7 +138,11 @@ class TestBuild:
             return
         assert (out / "validation.csv").read_text(encoding="utf-8") == expected.getvalue()
 
-    def test_csv_cannot_write_exits_two(self, tmp_path, runner, monkeypatch, tiny_records):
+    def test_csv_cannot_write_exits_two(self, tmp_path, runner, monkeypatch):
+        # The duplicated id "p,1" is the validation detail, a cell to quote.
+        records = GraphRecords(papers=[paper("p,1"), paper("p,1")],
+                               theorems=[theorem("p,1", "x")])
+
         class Refusing:
             def __init__(self, fh, **kwargs):
                 pass
@@ -147,7 +154,7 @@ class TestBuild:
 
         monkeypatch.setattr(mathrank.cli.csv, "writer", Refusing)
         out = tmp_path / "out"
-        result = runner.invoke(main, ["build", *corpus_args(tmp_path, tiny_records),
+        result = runner.invoke(main, ["build", *corpus_args(tmp_path, records),
                                       "--out-dir", str(out)])
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
@@ -254,12 +261,10 @@ RANK_LEVELS = ("theorem", "paper", "field")
 
 def loop_rankings_bytes(graph, state, level, top_k, group_by_field):
     """A rankings file's header and rows as csv.writer writes the loop reference's table."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["rank", "id", "field", "score"])
-    writer.writerows((r.rank, r.entity_id, r.field, format(r.score, ".12g"))
-                     for r in rank_entities_loop(graph, state, level, top_k, group_by_field).rows)
-    return buf.getvalue().encode("utf-8")
+    table = rank_entities_loop(graph, state, level, top_k, group_by_field)
+    return csv_table_bytes(["rank", "id", "field", "score"],
+                           [(r.rank, r.entity_id, r.field, format(r.score, ".12g"))
+                            for r in table.rows])
 
 
 @pytest.fixture
@@ -353,7 +358,7 @@ class TestRankIdQuoting:
             # Python 3.10's csv.writer refuses a NUL: the command exits 2 with
             # one error line, before it opens the file.
             assert result.exit_code == 2, result.output
-            assert result.output == f"error: cannot write an id to rankings_theorem.csv: {exc}\n"
+            assert result.output == f"error: cannot write a row to rankings_theorem.csv: {exc}\n"
             assert not list(out.iterdir())
             return
         assert result.exit_code == 0, result.output
@@ -361,10 +366,11 @@ class TestRankIdQuoting:
             assert (out / f"rankings_{level}.csv").read_bytes() == expected[level]
 
     def test_id_csv_cannot_write_exits_two(self, tmp_path, runner, monkeypatch):
-        def refuse(entity_id):
+        # The theorem id "p,1:x" is the first cell to quote.
+        def refuse(text):
             raise csv.Error("need to escape, but no escapechar set")
 
-        monkeypatch.setattr(mathrank.cli, "_id_cell", refuse)
+        monkeypatch.setattr(mathrank.cli, "_csv_cell", refuse)
         records = GraphRecords(papers=[paper("p,1"), paper("p2")],
                                theorems=[theorem("p,1", "x"), theorem("p2", "x")],
                                paper_citations=[PaperCitation("p2", "p,1")])
@@ -373,9 +379,109 @@ class TestRankIdQuoting:
                                       "--out-dir", str(out)])
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
-        assert result.output == ("error: cannot write an id to rankings_theorem.csv: "
+        assert result.output == ("error: cannot write a row to rankings_theorem.csv: "
                                  "need to escape, but no escapechar set\n")
         assert not list(out.iterdir())
+
+
+def quoting_corpus_records():
+    """Papers with ids csv.writer must quote, over three fields and 2000-2002,
+    with theorems, citations and a blank asymmetry ratio between them."""
+    codes = ("53", "11", "60")
+    return GraphRecords(
+        papers=[paper(pid, msc=codes[k % 3], date=(2000 + k % 3, 6))
+                for k, pid in enumerate(QUOTING_IDS)],
+        theorems=[theorem(pid, tid) for pid in QUOTING_IDS for tid in ("x", "t,1", 'y"')],
+        theorem_citations=[TheoremCitation(src, "x", dst, "t,1")
+                           for src, dst in zip(QUOTING_IDS, QUOTING_IDS[1:])],
+        paper_citations=[PaperCitation(src, dst)
+                         for src, dst in zip(QUOTING_IDS, QUOTING_IDS[1:])])
+
+
+# Lines whose reasons hold a comma, double quotes and single quotes.
+MALFORMED_PAPER_LINES = (
+    '{"paper_id": "q1", "msc_primary": "53", "author_ids": ["a"], '
+    '"first_version_date": "2000,\\"06"}\n'
+    '{"paper_id": "q2" "msc_primary": "53"}\n')
+
+
+class TestTablesMatchCsvWriter:
+    """Every file of every command byte for byte as csv.writer writes its
+    cells one row at a time, the cells formatted as the command's row format
+    says."""
+
+    def test_every_table(self, tmp_path, runner, monkeypatch):
+        written = []
+        write_table = mathrank.cli._write_table
+
+        def recording(path, header, row_format, columns, comments=None):
+            assert len({len(column) for column in columns}) == 1
+            specs = [spec for _, field, spec, _ in string.Formatter().parse(row_format)
+                     if field is not None]
+            rows = [[format(cell, spec) for cell, spec in zip(row, specs)]
+                    for row in zip(*columns)]
+            written.append((path, csv_table_bytes(header, rows, comments or ())))
+            write_table(path, header, row_format, columns, comments)
+
+        monkeypatch.setattr(mathrank.cli, "_write_table", recording)
+        records = quoting_corpus_records()
+        clean = corpus_args(tmp_path, records, sub="clean,corpus")
+        dirty = corpus_args(tmp_path, GraphRecords(
+            papers=[*records.papers, paper("p,1")],
+            theorems=records.theorems,
+            paper_citations=[*records.paper_citations, PaperCitation("p,1", 'q"9')]),
+            sub="dirty,corpus")
+        with open(dirty[1], "a", encoding="utf-8") as fh:
+            fh.write(MALFORMED_PAPER_LINES)
+        runs = [
+            (["build", *dirty], 2),
+            (["rank", *clean, "--top-k", "100"], 0),
+            (["rank", *clean, "--top-k", "2", "--group-by-field", "--max-iter", "1"], 1),
+            (["series", *clean, "--from-year", "1999", "--to-year", "2002"], 0),
+            (["impact", *clean], 0),
+            (["impact", *clean, "--max-iter", "1"], 1),
+        ]
+        for k, (args, code) in enumerate(runs):
+            out = tmp_path / f"out{k}"
+            written.clear()
+            result = runner.invoke(main, [*args, "--out-dir", str(out)])
+            assert result.exit_code == code, result.output
+            assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p, _ in written)
+            for path, expected in written:
+                assert path.read_bytes() == expected, path.name
+        validation = (tmp_path / "out0" / "validation.csv").read_text(encoding="utf-8")
+        assert validation.count("malformed_line,") == 2
+        assert "Expecting ',' delimiter" in validation
+        assert "got '2000,\"\"06'" in validation
+
+
+class TestUnusableOutDir:
+    def test_out_dir_below_a_file_exits_two(self, tmp_path, runner, tiny_records):
+        afile = tmp_path / "afile"
+        afile.write_text("kept", encoding="utf-8")
+        sub = afile / "sub"
+        result = runner.invoke(main, ["build", *corpus_args(tmp_path, tiny_records),
+                                      "--out-dir", str(sub)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        reason = NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(sub))
+        assert result.output == f"error: cannot make the output directory: {reason}\n"
+        assert afile.read_text(encoding="utf-8") == "kept"
+
+    def test_output_file_that_is_a_directory_exits_two(self, tmp_path, runner,
+                                                       solvable_records):
+        out = tmp_path / "out"
+        blocked = out / "rankings_paper.csv"
+        blocked.mkdir(parents=True)
+        result = runner.invoke(main, ["rank", *corpus_args(tmp_path, solvable_records),
+                                      "--out-dir", str(out)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        reason = IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(blocked))
+        assert result.output == f"error: cannot write rankings_paper.csv: {reason}\n"
+        assert not list(blocked.iterdir())
+        assert sorted(p.name for p in out.iterdir()) == ["rankings_paper.csv",
+                                                        "rankings_theorem.csv"]
 
 
 class TestSeries:

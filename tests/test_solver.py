@@ -16,11 +16,10 @@ from mathrank.solver import (
     init_state,
     iterate_once,
     normalize_matrices,
-    residual,
 )
 
 from conftest import dense, paper, theorem
-from loop_reference import compute_scores_loop, iterate_once_reduceat
+from loop_reference import compute_scores_loop, iterate_once_reduceat, residual
 from oracle import DenseSolver, build_dense
 from synthdata import make_random_records
 
