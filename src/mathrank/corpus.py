@@ -7,20 +7,26 @@ Four files make up a corpus:
 * theorem citations: {"src_paper", "src_theorem", "dst_paper", "dst_theorem"}
 * paper citations:   {"src_paper", "dst_paper"}
 
-Files are UTF-8 and lines end in LF (a CR before it is stripped). Field
-names are fixed; unknown extra fields are ignored. Dates are ASCII
-``YYYY-MM``. Malformed lines, including lines that are not valid UTF-8 and
-lines nested too deeply to parse, are skipped and reported with their line
-numbers. Each file is read into columns (see GraphRecords), with no record
-object per line, and each distinct id is kept as one string.
+Files are UTF-8 and lines end in LF (a CR before it is stripped); only
+JSON whitespace (space, tab, CR, LF) may stand around a line's object.
+Field names are fixed; unknown extra fields are ignored. Dates are ASCII
+``YYYY-MM``. Malformed lines, including lines that are not valid UTF-8,
+lines nested too deeply to parse and lines whose strings hold a lone
+surrogate escape (which UTF-8 cannot encode), are skipped and reported
+with their line numbers. Each file is read into columns (see
+GraphRecords), with no record object per line, and each distinct id is
+kept as one string.
 
-Each file is read in chunks of whole lines, with one regular expression per
-table. A line in its canonical form goes straight into the columns: the
-table's keys in order with ``json.dumps``' separators, strings free of
-quotes, backslashes, control characters and undecodable bytes, a papers
-line's ``author_ids`` a list of such strings and its date ASCII
-``YYYY-MM``. ``json.loads`` would return exactly the values the expression
-captures. Every other line is parsed on its own by ``json.loads``.
+Each file is read in blocks of whole lines (a fixed-size read completed to
+the end of its last line). Each block is decoded once and cut by
+``Pattern.split`` with one regular expression per table, which matches
+only lines in their canonical form: the table's keys in order with
+``json.dumps``' separators, strings free of quotes, backslashes, control
+characters and undecodable bytes, a papers line's ``author_ids`` a list of
+such strings and its date ASCII ``YYYY-MM``. ``json.loads`` would return
+exactly the values the expression captures, and they go straight into the
+columns. Every other line is left between the matches and parsed on its
+own by ``json.loads``.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import re
 from dataclasses import dataclass
 from itertools import compress
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -64,11 +70,22 @@ def _json_object(line: str) -> dict:
     return obj
 
 
+def _require_encodable(key: str, text: str) -> None:
+    """Raise ValueError if field ``key``'s text holds a lone surrogate (a JSON
+    escape such as ``\\ud800``), which UTF-8 cannot encode and so no output
+    file can hold."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValueError(f"field {key!r} holds a lone surrogate") from None
+
+
 def _string_fields(*keys: str) -> Callable[[dict], tuple[str, ...]]:
     """A reader of a record's string fields ``keys``, in that order.
 
-    A missing field raises KeyError and a value that is not a string
-    ValueError, for the first offending field in key order.
+    A missing field raises KeyError, and a value that is not a string or
+    holds a lone surrogate ValueError, for the first offending field in key
+    order.
     """
     def read(obj: dict) -> tuple[str, ...]:
         values = []
@@ -76,6 +93,7 @@ def _string_fields(*keys: str) -> Callable[[dict], tuple[str, ...]]:
             value = obj[key]
             if not isinstance(value, str):
                 raise ValueError(f"field {key!r} must be a string")
+            _require_encodable(key, value)
             values.append(value)
         return tuple(values)
 
@@ -89,6 +107,7 @@ def _paper_fields(obj: dict) -> tuple:
     authors = obj["author_ids"]
     if not isinstance(authors, list) or not all(isinstance(a, str) for a in authors):
         raise ValueError("field 'author_ids' must be a list of strings")
+    _require_encodable("author_ids", "".join(authors))
     paper_id, msc_primary, date = _paper_strings(obj)
     year, month = YearMonth.parse(date)
     return paper_id, msc_primary, tuple(authors), year, month
@@ -102,9 +121,10 @@ def _read_line(raw: bytes, fields: Callable[[dict], tuple], path: str | Path, li
     Files are read as bytes and split at LF only, so that a CR, U+2028 or
     U+0085 inside a line does not split it. The line is decoded here, so
     that a line that is not UTF-8 is reported like any other malformed line.
+    Only JSON whitespace (space, tab, CR, LF) may stand around the object.
     """
     try:
-        line = raw.decode("utf-8").strip()
+        line = raw.decode("utf-8").strip(" \t\r\n")
         if line:
             return fields(_json_object(line))
     except (ValueError, KeyError) as exc:
@@ -132,10 +152,10 @@ class _Table(NamedTuple):
 
 
 def _line_pattern(body: str) -> str:
-    """Matches each line of a chunk once: a canonical line, an object of
-    ``body``, as one group per value of ``body`` and "}", anything else as a
-    last group holding the whole line."""
-    return rf"(?m)^(?:\{{{body}(\}})\r?|(.*))$"
+    """Matches a canonical line, an object of ``body``, with its LF (or the
+    end of the text), as one group per value of ``body``. ``split`` by it
+    leaves every other line, whole, in the text between matches."""
+    return rf"(?m)^\{{{body}\}}\r?(?:\n|\Z)"
 
 
 def _strings_table(keys: tuple[str, ...], names: tuple[str, ...]) -> _Table:
@@ -165,49 +185,60 @@ _CHUNK_BYTES = 1 << 18
 _NO_CODES = np.empty(0, dtype=np.int64)
 
 
+def _blocks(fh) -> Iterator[bytes]:
+    """The file's bytes in blocks of whole lines: ``_CHUNK_BYTES`` at a time
+    and the rest of the line the read ends in, so that only the last block
+    can end without an LF."""
+    while block := fh.read(_CHUNK_BYTES):
+        yield block if block.endswith(b"\n") else block + fh.readline()
+
+
 def _read_table(path: str | Path, table: _Table, errors: list[MalformedLine],
                 vocabularies: dict[str, dict[str, int]]) -> dict[str, list | np.ndarray]:
     """A corpus file as ``table``'s columns.
 
-    Each chunk of whole lines is matched by one pattern. Each run of
-    canonical lines extends the columns at once, and each line between runs
-    is read by ``_read_line``, in its place. A column named in
-    ``vocabularies`` holds ids: each chunk's ids are interned into its
+    Each block of whole lines is split by the table's pattern: ``split``
+    gives, per canonical line, the text before it and then its values. That
+    text is empty between two canonical lines; otherwise it holds whole
+    other lines, each read by ``_read_line``, in its place. A column named
+    in ``vocabularies`` holds ids: each block's ids are interned into its
     vocabulary at once (see ``intern_codes``), and the column comes back as
-    an array of their codes. So a chunk's strings die with the chunk, but
+    an array of their codes. So a block's strings die with the block, but
     for the first occurrence of each id, which the vocabulary keeps.
     """
-    pattern, closer = re.compile(table.pattern), len(table.names)
+    pattern, n = re.compile(table.pattern), len(table.names)
     columns = [[_NO_CODES] if name in vocabularies else [] for name in table.names]
     vocabs = [vocabularies.get(name) for name in table.names]
     first = 1
     with open(path, "rb") as fh:
-        while chunk := fh.readlines(_CHUNK_BYTES):
-            # One match per line, and after a final LF an empty one, never read.
-            matches = pattern.findall(b"".join(chunk).decode("utf-8", "surrogateescape"))
-            groups = list(zip(*matches))
-            closers, start = groups[closer], 0
-            # The chunk's values go to the columns, its ids to a list per column.
+        for block in _blocks(fh):
+            parts = pattern.split(block.decode("utf-8", "surrogateescape"))
+            between, groups = parts[::n + 1], [parts[i + 1::n + 1] for i in range(n)]
+            # The block's values go to the columns, its ids to a list per column.
             targets = [column if vocab is None else [] for column, vocab in zip(columns, vocabs)]
-            while start < len(chunk):
-                # The canonical lines up to the next line that is not, then that line.
-                try:
-                    stop = closers.index("", start)
-                except ValueError:
-                    stop = len(chunk)
+            start = others = 0
+            for stop in compress(range(len(between)), between):
+                # The canonical lines up to the text between, then its lines.
                 for target, values, convert in zip(targets, groups, table.convert):
                     values = values[start:stop]
                     target.extend(values if convert is None else map(convert, values))
-                if stop < len(chunk):
-                    row = _read_line(chunk[stop], table.fields, path, first + stop, errors)
+                # Each line with its LF: a UTF-8 sequence cut short by the LF is
+                # reported as the file's bytes give it.
+                for line in re.findall(r"[^\n]*\n|[^\n]+", between[stop]):
+                    row = _read_line(line.encode("utf-8", "surrogateescape"), table.fields,
+                                     path, first + stop + others, errors)
+                    others += 1
                     if row is not None:
                         for target, value in zip(targets, row):
                             target.append(value)
-                start = stop + 1
+                start = stop
+            for target, values, convert in zip(targets, groups, table.convert):
+                values = values[start:] if start else values
+                target.extend(values if convert is None else map(convert, values))
             for column, ids, vocab in zip(columns, targets, vocabs):
                 if vocab is not None:
                     column.append(intern_codes(vocab, ids))
-            first += len(chunk)
+            first += len(between) - 1 + others
     return {name: np.concatenate(column) if vocab is not None else column
             for name, column, vocab in zip(table.names, columns, vocabs)}
 
@@ -224,8 +255,8 @@ def parse_corpus(
     skipped. Unreadable files raise OSError.
 
     Ids are numbered as they are first read (see IdCodes): file by file in
-    the order of the arguments, within a file chunk by chunk, and within a
-    chunk column by column, in line order. So the papers file's ids hold
+    the order of the arguments, within a file block by block, and within a
+    block column by column, in line order. So the papers file's ids hold
     the codes below ``n_known_papers``.
     """
     errors: list[MalformedLine] = []

@@ -77,6 +77,8 @@ def _require_str(obj: dict, key: str) -> str:
     value = obj[key]
     if not isinstance(value, str):
         raise ValueError(f"field {key!r} must be a string")
+    if any("\ud800" <= c <= "\udfff" for c in value):
+        raise ValueError(f"field {key!r} holds a lone surrogate")
     return value
 
 
@@ -84,6 +86,8 @@ def _parse_paper(obj: dict) -> tuple:
     authors = obj["author_ids"]
     if not isinstance(authors, list) or not all(isinstance(a, str) for a in authors):
         raise ValueError("field 'author_ids' must be a list of strings")
+    if any("\ud800" <= c <= "\udfff" for a in authors for c in a):
+        raise ValueError("field 'author_ids' holds a lone surrogate")
     paper_id = _require_str(obj, "paper_id")
     msc_primary = _require_str(obj, "msc_primary")
     date = YearMonth.parse(_require_str(obj, "first_version_date"))
@@ -108,7 +112,7 @@ def _parse_file(path, parse_one, errors: list[MalformedLine]) -> list:
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
-                line = raw.decode("utf-8").strip()
+                line = raw.decode("utf-8").strip(" \t\r\n")
                 if not line:
                     continue
                 obj = json.loads(line)

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import errno
 import gc
@@ -13,7 +14,6 @@ from click.testing import CliRunner
 import mathrank.cli
 from mathrank.build import build_graph
 from mathrank.cli import main
-from mathrank.corpus import parse_corpus
 from mathrank.fields import FIELD_NAMES
 from mathrank.records import GraphRecords, PaperCitation, TheoremCitation
 from mathrank.solver import Hyperparameters, compute_scores, normalize_matrices
@@ -722,6 +722,40 @@ class TestExitCodes:
             ["malformed_line", f"{thm_cites}:2: JSON nested too deeply"]]
 
 
+class TestLoneSurrogate:
+    """A paper id holding a lone surrogate escape, which UTF-8 cannot encode,
+    makes its line malformed, so no command writes it."""
+
+    LINE = (b'{"paper_id": "p\\ud800", "msc_primary": "53", "author_ids": ["a1"], '
+            b'"first_version_date": "2000-06"}')
+
+    def spoiled_args(self, tmp_path, records):
+        args = corpus_args(tmp_path, records)
+        append_line(args, "--papers", self.LINE)
+        papers = args[args.index("--papers") + 1]
+        return args, f"{papers}:{len(records.papers) + 1}: field 'paper_id' holds a lone surrogate"
+
+    @pytest.mark.parametrize("command", [
+        ["rank"], ["impact"], ["series", "--from-year", "2000", "--to-year", "2001"]],
+        ids=["rank", "impact", "series"])
+    def test_command_exits_two_writing_nothing(self, tmp_path, runner, solvable_records,
+                                               command):
+        args, where = self.spoiled_args(tmp_path, solvable_records)
+        out = tmp_path / "out"
+        result = runner.invoke(main, [*command, *args, "--out-dir", str(out)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"malformed line {where}\n" in result.output
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_build_reports_malformed_line(self, tmp_path, runner, solvable_records):
+        args, where = self.spoiled_args(tmp_path, solvable_records)
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["build", *args, "--out-dir", str(out)])
+        assert result.exit_code == 2, result.output
+        assert read_csv(out / "validation.csv")[1:] == [["malformed_line", where]]
+
+
 def collections_during(fn):
     """fn's result and the generation of each collection that ran while it
     ran, from a fresh start."""
@@ -753,9 +787,10 @@ class TestCollectorPause:
 
     @pytest.fixture
     def large_args(self, tmp_path, rng):
-        """A corpus large enough that reading it runs collections."""
-        records = make_random_records(rng, n_papers=200, n_theorems=600,
-                                      n_paper_citations=600, n_theorem_citations=1200)
+        """A corpus large enough that rank and build, run without the pause,
+        each run collections."""
+        records = make_random_records(rng, n_papers=1200, n_theorems=3600,
+                                      n_paper_citations=3600, n_theorem_citations=7200)
         return corpus_args(tmp_path, records)
 
     @pytest.mark.parametrize("path", ["ok", "iteration_cap", "malformed_line", "usage_error"])
@@ -786,15 +821,21 @@ class TestCollectorPause:
                 gc.enable()
 
     @pytest.mark.parametrize("command, code", [("rank", 0), ("build", 2)])
-    def test_no_collection_from_entry_to_return(self, tmp_path, runner, large_args,
-                                                command, code):
+    def test_no_collection_from_entry_to_return(self, tmp_path, runner, monkeypatch,
+                                                large_args, command, code):
         if code == 2:
             append_line(large_args, "--papers", b"{broken json")
-        paths = [large_args[i + 1] for i in range(0, 8, 2)]
-        _, generations = collections_during(lambda: parse_corpus(*paths))
-        assert generations, "reading the corpus alone should run a collection"
-        result, generations = collections_during(lambda: runner.invoke(main, [
-            *COMMANDS[command], *large_args, "--out-dir", str(tmp_path / "out")]))
+
+        def run():
+            return runner.invoke(main, [*COMMANDS[command], *large_args,
+                                        "--out-dir", str(tmp_path / "out")])
+
+        with monkeypatch.context() as patch:
+            patch.setattr(mathrank.cli, "_collector_paused", contextlib.nullcontext)
+            result, generations = collections_during(run)
+        assert result.exit_code == code, result.output
+        assert generations, "the command without the pause should run a collection"
+        result, generations = collections_during(run)
         assert result.exit_code == code, result.output
         assert generations == []
 

@@ -2,6 +2,8 @@
 (``loop_reference.py``), on random corpora with defects of every kind."""
 
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -150,7 +152,9 @@ def test_snapshot_filter_matches_loop_reference_on_dirty_corpora(tmp_path, seed)
             assert getattr(snap.codes, name).tolist() == getattr(want.codes, name).tolist()
 
 
-@pytest.mark.parametrize("chunk_bytes", [None, 64], ids=["one_chunk", "a_chunk_a_line"])
+@pytest.mark.parametrize("chunk_bytes", [None, 1, 7, 64, 127, 128, 129],
+                         ids=["one_chunk", "block_1", "block_7", "a_chunk_a_line", "block_127",
+                              "block_128", "block_129"])
 @pytest.mark.parametrize("seed", range(40))
 def test_parsed_ids_numbered_in_order_of_first_appearance(tmp_path, monkeypatch, seed,
                                                           chunk_bytes):
@@ -172,6 +176,27 @@ def test_parsed_ids_numbered_in_order_of_first_appearance(tmp_path, monkeypatch,
         for name in names:
             assert tuple(ids[k] for k in getattr(codes, name).tolist()) == getattr(records, name)
     assert codes.n_known_papers == len(dict.fromkeys(records.paper_id))
+
+
+@pytest.fixture(scope="module")
+def perfbench_gen():
+    """The benchmark's corpus generator, ``perfbench/gen.py``."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import gen
+    return gen
+
+
+def test_benchmark_corpora_match_loop_reference(tmp_path, perfbench_gen):
+    # The rank workload's seed-3 corpus, clean and with defects of every kind.
+    seed = 3
+    corpus = perfbench_gen.make_corpus(seed, "rank")
+    for dirty in (False, True):
+        out = tmp_path / ("dirty" if dirty else "clean")
+        perfbench_gen.write_corpus(out, corpus, seed, dirty)
+        paths = [out / f"{name}.jsonl" for name in perfbench_gen.FILES]
+        records, errors = parse_corpus(*paths)
+        assert bool(errors) == dirty
+        assert (records, errors) == parse_corpus_loop(*paths)
 
 
 def test_clean_corpora_match_loop_reference(rng):

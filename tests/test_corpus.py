@@ -1,13 +1,16 @@
 import gc
+import io
 import itertools
 import json
 import tracemalloc
 
 import pytest
 
+import mathrank.corpus
 from mathrank.corpus import (
     _CHUNK_BYTES,
     MalformedLine,
+    _blocks,
     parse_corpus,
     snapshot_filter,
 )
@@ -186,6 +189,16 @@ EDGE_CASES = [
                  id="leading_and_trailing_spaces"),
     pytest.param(A + b"\n\n \n{\n" + B + b"\n" + A + b"\n", ["a", "b", "a"], [4],
                  id="blank_lines_then_malformed"),
+    # Only JSON whitespace (space, tab, CR, LF) may stand around an object;
+    # other whitespace makes its line malformed, and a line of it is not blank.
+    pytest.param(A + "\u2028".encode() + b"\n" + B + b"\n", ["b"], [1],
+                 id="u2028_after_object"),
+    pytest.param(b"\x1c" + A + b"\x0c\n" + B + b"\n", ["b"], [1],
+                 id="file_separator_and_form_feed_around_object"),
+    pytest.param("\u00a0".encode() + A + b"\n" + B + b"\x0b\n", [], [1, 2],
+                 id="nbsp_before_and_vertical_tab_after_object"),
+    pytest.param(b"\x0c\n" + "\x85\u3000".encode() + b"\n" + A + b"\n", ["a"], [1, 2],
+                 id="lines_of_other_whitespace"),
     pytest.param(A + b"\r\r\n" + B + b"\r", ["a", "b"], [], id="two_crs_and_final_cr"),
     pytest.param(b'{"paper_id": "p1", "theorem_id": "a\tb"}\n'
                  b'{"paper_id": "p1", "theorem_id": "c\x01"}\n' + B + b"\n",
@@ -203,7 +216,7 @@ EDGE_CASES = [
                  id="truncated_utf8_at_line_end"),
     pytest.param(B + b'\n{"paper_id": "p1", "theorem_id": "\xe2', ["b"], [2],
                  id="truncated_utf8_at_file_end"),
-    pytest.param(b'{"paper_id": "p1", "theorem_id": "\\udcff"}\n', ["\udcff"], [],
+    pytest.param(b'{"paper_id": "p1", "theorem_id": "\\udcff"}\n', [], [1],
                  id="escaped_lone_surrogate"),
     pytest.param(b'{"paper_id": "", "theorem_id": ""}\n' + A + b"\n", ["", "a"], [],
                  id="empty_values"),
@@ -218,6 +231,23 @@ EDGE_CASES = [
 ]
 
 
+# Read sizes (``_CHUNK_BYTES``) that end reads anywhere in a line, that are
+# shorter than most lines, and that end just before, on and just after a
+# 128-byte line's end.
+BLOCK_BYTES = [1, 7, 64, 127, 128, 129]
+
+
+def block_lines(data):
+    """The number of lines in each block ``_blocks`` reads from ``data``."""
+    return [len(block.split(b"\n")) - block.endswith(b"\n")
+            for block in _blocks(io.BytesIO(data))]
+
+
+def assert_block_lines(path, counts):
+    with open(path, "rb") as fh:
+        assert block_lines(fh.read()) == counts
+
+
 def assert_matches_loop_reference(tmp_path, table, data, values, bad_lines):
     index, keys, column = STRING_TABLES[table]
     paths = corpus_paths(tmp_path)
@@ -227,6 +257,70 @@ def assert_matches_loop_reference(tmp_path, table, data, values, bad_lines):
     assert list(getattr(records, column)) == values
     assert [e.line_number for e in errors] == bad_lines
     assert (records, errors) == parse_corpus_loop(*paths)
+
+
+def sized_line(tid, size, canonical=True):
+    """A theorems line of ``size`` bytes, its theorem id ``tid`` padded with
+    zeros, with its keys in order or, when not ``canonical``, reversed."""
+    obj = {"paper_id": "p1", "theorem_id": tid}
+    obj["theorem_id"] += "0" * (size - len(json.dumps(obj)))
+    return json.dumps(obj if canonical else dict(reversed(obj.items()))).encode()
+
+
+def padded(tid, size):
+    """The theorem id of ``sized_line(tid, size)``."""
+    return tid + "0" * (size - len(theorem_line(tid)))
+
+
+def cr_ends_a_read(n):
+    """Two CRLF lines, the first CR the last byte of a read of ``n`` bytes."""
+    data = sized_line("a", n - 1) + b"\r\n" + sized_line("b", n - 2) + b"\r\n"
+    assert data[n - 1:n + 1] == b"\r\n"
+    return data
+
+
+# Canonical (c), non-canonical (r, keys reversed) and malformed (m) lines of
+# 64 bytes: blocks of 128 bytes hold two each, the first and last of a block
+# not canonical but in the second block. Blocks of 129 bytes also take in the
+# line each read ends in: three lines, three and two.
+FIRST_AND_LAST = b"".join(
+    (sized_line(tid, 63, kind != "r")[:-1] + (b"]" if kind == "m" else b"}")) + b"\n"
+    for tid, kind in zip("abcdefgh", "rrcrrccm"))
+
+A64 = sized_line("a", 63) + b"\n"
+
+# Theorems files with a block edge where the id says, at a block size: the
+# lines in each block, the theorem ids parsed and the malformed line numbers.
+# A read that ends inside a line takes the rest of that line into its block.
+BLOCK_EDGE_CASES = [
+    pytest.param(64, cr_ends_a_read(64), [1, 1], [padded("a", 63), padded("b", 62)], [],
+                 id="cr_ends_a_read_64"),
+    pytest.param(128, cr_ends_a_read(128), [1, 1], [padded("a", 127), padded("b", 126)],
+                 [], id="cr_ends_a_read_128"),
+    pytest.param(64, A + b"\n" + sized_line("c", 300) + b"\n" + B + b"\n", [2, 1],
+                 ["a", padded("c", 300), "b"], [], id="line_longer_than_block_64"),
+    pytest.param(128, A + b"\n" + sized_line("c", 300) + b"\n" + B + b"\n", [2, 1],
+                 ["a", padded("c", 300), "b"], [], id="line_longer_than_block_128"),
+    pytest.param(128, FIRST_AND_LAST, [2, 2, 2, 2],
+                 [padded(t, 63) for t in "abcdefg"], [8], id="not_canonical_first_and_last"),
+    pytest.param(129, FIRST_AND_LAST, [3, 3, 2],
+                 [padded(t, 63) for t in "abcdefg"], [8], id="not_canonical_after_a_cut"),
+    pytest.param(64, A64 + sized_line("b", 70), [1, 1], [padded("a", 63), padded("b", 70)], [],
+                 id="last_line_canonical_without_lf"),
+    pytest.param(64, A64 + sized_line("b", 70, canonical=False), [1, 1],
+                 [padded("a", 63), padded("b", 70)], [], id="last_line_not_canonical_without_lf"),
+    pytest.param(64, A64 + sized_line("b", 70)[:-1], [1, 1], [padded("a", 63)], [2],
+                 id="last_line_malformed_without_lf"),
+]
+
+
+class TestBlockEdges:
+    @pytest.mark.parametrize("block_bytes, data, counts, values, bad_lines", BLOCK_EDGE_CASES)
+    def test_matches_loop_reference(self, tmp_path, monkeypatch, block_bytes, data, counts,
+                                    values, bad_lines):
+        monkeypatch.setattr(mathrank.corpus, "_CHUNK_BYTES", block_bytes)
+        assert block_lines(data) == counts
+        assert_matches_loop_reference(tmp_path, "theorems", data, values, bad_lines)
 
 
 class TestParseEdgeCases:
@@ -244,12 +338,20 @@ class TestParseEdgeCases:
         assert_matches_loop_reference(tmp_path, table, data, values, bad_lines)
 
     @pytest.mark.parametrize("table", list(STRING_TABLES))
+    @pytest.mark.parametrize("data, values, bad_lines", EDGE_CASES)
+    def test_every_block_size_matches_loop_reference(self, tmp_path, monkeypatch, table, data,
+                                                     values, bad_lines):
+        for block_bytes in BLOCK_BYTES:
+            monkeypatch.setattr(mathrank.corpus, "_CHUNK_BYTES", block_bytes)
+            assert_matches_loop_reference(tmp_path, table, data, values, bad_lines)
+
+    @pytest.mark.parametrize("table", list(STRING_TABLES))
     def test_line_numbers_across_chunks(self, tmp_path, table):
-        # Lines of 128 bytes: a chunk ends with the line that passes its size,
-        # so each chunk holds per_chunk lines. Malformed lines (a "]" for the
-        # closing "}") are the first and last of the first two chunks.
+        # Lines of 128 bytes: a block holds the lines that end in its read,
+        # per_chunk of them. Malformed lines (a "]" for the closing "}") are
+        # the first and last of the first two blocks.
         index, keys, column = STRING_TABLES[table]
-        per_chunk = _CHUNK_BYTES // 128 + 1
+        per_chunk = _CHUNK_BYTES // 128
         n = 2 * per_chunk + 500
         stub = json.dumps({**dict.fromkeys(keys[:-1], "p1"), keys[-1]: ""})
         lines = [json.dumps({**dict.fromkeys(keys[:-1], "p1"),
@@ -261,8 +363,7 @@ class TestParseEdgeCases:
         paths = corpus_paths(tmp_path)
         write_empty(paths)
         write_lines(paths[index], lines)
-        with open(paths[index], "rb") as fh:
-            assert len(fh.readlines(_CHUNK_BYTES)) == per_chunk
+        assert_block_lines(paths[index], [per_chunk, per_chunk, 500])
         records, errors = parse_corpus(*paths)
         assert [e.line_number for e in errors] == bad
         assert len(getattr(records, column)) == n - len(bad)
@@ -349,8 +450,13 @@ PAPER_EDGE_CASES = [
     pytest.param(P + b"\n" + P[:-12] + b"\n" + paper_line("p2")[:60],
                  [("p1", ("a",), 2020, 6)], [2, 3], id="truncated_lines"),
     pytest.param(b"\n \n" + P + b"\n\n", [("p1", ("a",), 2020, 6)], [], id="blank_lines"),
+    pytest.param(b" \t" + P + b"\r\r\n" + "\u2028".encode() + P + b"\n",
+                 [("p1", ("a",), 2020, 6)], [2], id="json_and_other_whitespace_around"),
     pytest.param(P[:-1] + b', "author_ids": ["z"]}\n', [("p1", ("z",), 2020, 6)], [],
                  id="duplicate_key"),
+    pytest.param(P + b"\n" + paper_line(authors=("a", "b\ud800"), ensure_ascii=True) + b"\n"
+                 + paper_line("p\udcff", ensure_ascii=True) + b"\n",
+                 [("p1", ("a",), 2020, 6)], [2, 3], id="escaped_lone_surrogates"),
 ]
 
 
@@ -373,10 +479,17 @@ class TestParsePapers:
         assert [e.line_number for e in errors] == bad_lines
         assert (records, errors) == parse_corpus_loop(*paths)
 
+    @pytest.mark.parametrize("data, rows, bad_lines", PAPER_EDGE_CASES)
+    def test_every_block_size_matches_loop_reference(self, tmp_path, monkeypatch, data, rows,
+                                                     bad_lines):
+        for block_bytes in BLOCK_BYTES:
+            monkeypatch.setattr(mathrank.corpus, "_CHUNK_BYTES", block_bytes)
+            self.test_matches_loop_reference(tmp_path, data, rows, bad_lines)
+
     def test_line_numbers_across_chunks(self, tmp_path):
         # As for the tables of string fields: lines of 128 bytes, and the
-        # first and last lines of the first two chunks malformed.
-        per_chunk = _CHUNK_BYTES // 128 + 1
+        # first and last lines of the first two blocks malformed.
+        per_chunk = _CHUNK_BYTES // 128
         n = 2 * per_chunk + 500
         # Author lists that json.dumps writes in 12 characters each.
         authors = [("a1", "a2"), ("abcdefgh",), ("", "", "")]
@@ -390,8 +503,7 @@ class TestParsePapers:
         paths = corpus_paths(tmp_path)
         write_empty(paths)
         write_lines(paths[0], lines)
-        with open(paths[0], "rb") as fh:
-            assert len(fh.readlines(_CHUNK_BYTES)) == per_chunk
+        assert_block_lines(paths[0], [per_chunk, per_chunk, 500])
         records, errors = parse_corpus(*paths)
         assert [e.line_number for e in errors] == bad
         assert len(records.paper_id) == n - len(bad)
