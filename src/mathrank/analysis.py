@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .build import _paper_order, _str_order, build_graph, restrict_graph
+from .build import _str_order, build_graph, restrict_graph
 from .fields import FIELD_NAMES, N_FIELDS, field_index_column
 from .graph import ThreeLevelGraph
 from .records import GraphRecords
@@ -41,14 +42,18 @@ class RankingTable:
     rows: tuple[RankingRow, ...]
 
 
+def _names(names: Sequence[str], indices: np.ndarray) -> list[str]:
+    return list(map(names.__getitem__, indices.tolist()))
+
+
 def _level_columns(graph: ThreeLevelGraph, state: ScoreState, level: str):
     """One level's scores, each entity's local field index and its label function."""
     if level == "theorem":
-        return state.u_t, graph.paper_field[graph.theorem_paper], graph.theorem_label
+        return state.u_t, graph.paper_field[graph.theorem_paper], graph.theorem_labels
     if level == "paper":
-        return state.u_p, graph.paper_field, graph.paper_ids.__getitem__
+        return state.u_p, graph.paper_field, graph.paper_labels
     if level == "field":
-        return state.u_f, np.arange(graph.n_fields), graph.field_names.__getitem__
+        return state.u_f, np.arange(graph.n_fields), partial(_names, graph.field_names)
     raise ValueError(f"unknown level {level!r}")
 
 
@@ -65,7 +70,7 @@ def _top(scores: np.ndarray, members: np.ndarray, top_k: int,
     if cut > 0:
         keep = member_scores >= np.partition(member_scores, cut)[cut]
         members, member_scores = members[keep], member_scores[keep]
-    labels = list(map(label, members.tolist()))
+    labels = label(members)
     # A stable sort of positions gives equal labels their index order.
     order = np.lexsort((_str_order(labels), -member_scores))[:top_k].tolist()
     return [labels[k] for k in order], members[order].tolist()
@@ -93,7 +98,7 @@ def ranking_columns(
         ranks.extend(range(1, len(labels) + 1))
         ids.extend(labels)
         chosen.extend(top)
-    fields = list(map(graph.field_names.__getitem__, field_of[chosen].tolist()))
+    fields = _names(graph.field_names, field_of[chosen])
     return ranks, ids, fields, scores[chosen].tolist()
 
 
@@ -150,17 +155,9 @@ def impact_asymmetry(
     A zero denominator yields None (undefined) rather than infinity.
     """
     names = [FIELD_NAMES[i] for i in impact.field_indices]
-    out: list[tuple[str, str, float | None]] = []
-    n = len(names)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            forward = float(impact.values[i, j])
-            backward = float(impact.values[j, i])
-            ratio = forward / backward if backward != 0.0 else None
-            out.append((names[i], names[j], ratio))
-    return out
+    values = impact.values.tolist()
+    return [(names[i], names[j], values[i][j] / values[j][i] if values[j][i] != 0.0 else None)
+            for i in range(len(names)) for j in range(len(names)) if i != j]
 
 
 @dataclass(frozen=True)
@@ -197,7 +194,8 @@ def field_series(
     if not years:
         raise ValueError("years must be non-empty")
     full_graph = build_graph(records)
-    paper_year = records.year[_paper_order(records)]
+    # A paper's code is its row in the papers table.
+    paper_year = records.year[full_graph.paper_code]
     scores, status = zip(*(_solve_year(restrict_graph(full_graph, paper_year <= year), hp)
                            for year in years))
     return FieldSeries(years, scores, status)
@@ -235,17 +233,13 @@ def category_ratios(
     years = tuple(years)
     if not years:
         raise ValueError("years must be non-empty")
-    paper_years = records.year
     paper_fields = field_index_column(records.msc_primary)
-    ratios: list[np.ndarray | None] = []
-    for year in years:
-        included = paper_years <= year
-        total = int(np.count_nonzero(included))
-        if total == 0:
-            ratios.append(None)
-            continue
-        counts = np.bincount(paper_fields[included], minlength=N_FIELDS)
-        r = counts / total
+
+    def ratios(included: np.ndarray) -> np.ndarray | None:
+        if not included.any():
+            return None
+        r = np.bincount(paper_fields[included], minlength=N_FIELDS) / np.count_nonzero(included)
         r.setflags(write=False)
-        ratios.append(r)
-    return RatioSeries(years, tuple(ratios))
+        return r
+
+    return RatioSeries(years, tuple(ratios(records.year <= year) for year in years))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import logging
 from functools import partial
-from itertools import chain, compress
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -50,12 +50,6 @@ def _str_order(strings: Sequence[str]) -> np.ndarray:
     return rank
 
 
-def _paper_order(records: GraphRecords) -> np.ndarray:
-    """The papers' rows in order of paper id: the graph's paper order."""
-    codes = records.codes
-    return np.argsort(_str_order(codes.paper_ids)[codes.paper_id], kind="stable")
-
-
 def _distinct(values: np.ndarray) -> np.ndarray:
     """The distinct values, ascending."""
     values = np.sort(values)
@@ -65,10 +59,11 @@ def _distinct(values: np.ndarray) -> np.ndarray:
 
 
 def _edges(cited: np.ndarray, citer: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct (cited, citer) pairs whose ends are known (>= 0) and differ."""
+    """Distinct (cited, citer) pairs whose ends are known (>= 0) and differ,
+    column-major: by citer, then by cited."""
     ok = (cited >= 0) & (citer >= 0) & (cited != citer)
-    pairs = _distinct(cited[ok] * n + citer[ok])
-    return pairs // max(n, 1), pairs % max(n, 1)
+    pairs = _distinct(citer[ok] * n + cited[ok])
+    return pairs % max(n, 1), pairs // max(n, 1)
 
 
 def _share_author(author_ptr: np.ndarray, authors: np.ndarray, n_authors: int,
@@ -91,22 +86,22 @@ def _share_author(author_ptr: np.ndarray, authors: np.ndarray, n_authors: int,
     return shared
 
 
-def _assemble(theorem_keys: tuple[tuple[str, str], ...], paper_ids: tuple[str, ...],
-              canonical_field: np.ndarray, theorem_paper: np.ndarray,
+def _assemble(vocabs: tuple[tuple[str, ...], tuple[str, ...]], paper_code: np.ndarray,
+              theorem_code: np.ndarray, canonical_field: np.ndarray, theorem_paper: np.ndarray,
               t_matrix: SparseWeightMatrix, p_matrix: SparseWeightMatrix) -> ThreeLevelGraph:
     """The graph of the given parts, paper p lying in canonical field
-    ``canonical_field[p]``.
+    ``canonical_field[p]``, its ids coded into ``vocabs``.
 
     The field axis is the populated canonical fields, ascending, and the
     field matrix is counted from ``p_matrix``. The index arrays are frozen.
     """
     field_indices = _distinct(canonical_field)
     paper_field = np.searchsorted(field_indices, canonical_field)
-    for arr in (field_indices, theorem_paper, paper_field):
+    for arr in (paper_code, theorem_code, field_indices, theorem_paper, paper_field):
         arr.setflags(write=False)
     return ThreeLevelGraph(
-        theorem_keys=theorem_keys, paper_ids=paper_ids, field_indices=field_indices,
-        t_matrix=t_matrix, p_matrix=p_matrix,
+        *vocabs, paper_code=paper_code, theorem_code=theorem_code,
+        field_indices=field_indices, t_matrix=t_matrix, p_matrix=p_matrix,
         f_matrix=build_field_matrix(paper_field, int(field_indices.size), p_matrix),
         theorem_paper=theorem_paper, paper_field=paper_field)
 
@@ -130,12 +125,12 @@ def build_graph(records: GraphRecords) -> ThreeLevelGraph:
     codes = records.codes
     keys = codes.keys
 
-    # Papers by id. index_of[code] is a paper's place in the graph, -1 for
-    # an id no paper record has.
-    order = _paper_order(records)
-    paper_code = codes.paper_id[order]
-    paper_ids = tuple(map(codes.paper_ids.__getitem__, paper_code.tolist()))
-    n_papers = len(paper_ids)
+    # Papers by id. The papers table holds no id twice, so a paper's code
+    # is its row. index_of[code] is a paper's place in the graph, -1 for an
+    # id no paper record has.
+    paper_code = np.array(sorted(range(codes.n_known_papers), key=codes.paper_ids.__getitem__),
+                          dtype=np.int64)
+    n_papers = paper_code.size
     index_of = np.full(len(codes.paper_ids), -1, dtype=np.int64)
     index_of[paper_code] = np.arange(n_papers)
 
@@ -143,11 +138,9 @@ def build_graph(records: GraphRecords) -> ThreeLevelGraph:
     # theorem's place in the graph, -1 for a key no theorem record has.
     t_order = np.lexsort((_str_order(codes.theorem_ids)[codes.theorem_id],
                           index_of[codes.theorem_paper]))
-    theorem_keys = tuple(zip(
-        map(codes.paper_ids.__getitem__, codes.theorem_paper[t_order].tolist()),
-        map(codes.theorem_ids.__getitem__, codes.theorem_id[t_order].tolist())))
+    theorem_code = codes.theorem_id[t_order]
     theorem_paper = index_of[codes.theorem_paper[t_order]]
-    n_theorems = len(theorem_keys)
+    n_theorems = theorem_code.size
     theorem_of = np.full(keys.count, -1, dtype=np.int64)
     theorem_of[keys.theorem[t_order]] = np.arange(n_theorems)
 
@@ -167,26 +160,28 @@ def build_graph(records: GraphRecords) -> ThreeLevelGraph:
     weight = np.where(cited_paper == citer_paper, SAME_PAPER_WEIGHT,
                       np.where(share_author(citer_paper, cited_paper),
                                SHARED_AUTHOR_WEIGHT, INDEPENDENT_WEIGHT))
-    t_matrix = SparseWeightMatrix.from_arrays((n_theorems, n_theorems), cited, citer, weight)
+    t_matrix = SparseWeightMatrix((n_theorems, n_theorems), cited, citer, weight)
 
     # Paper-level matrix: entry (cited, citer).
     cited, citer = _edges(index_of[codes.pc_dst], index_of[codes.pc_src], n_papers)
     weight = np.where(share_author(citer, cited), SHARED_AUTHOR_WEIGHT, INDEPENDENT_WEIGHT)
-    p_matrix = SparseWeightMatrix.from_arrays((n_papers, n_papers), cited, citer, weight)
+    p_matrix = SparseWeightMatrix((n_papers, n_papers), cited, citer, weight)
 
-    return _assemble(theorem_keys, paper_ids, field_index_column(records.msc_primary)[order],
+    return _assemble((codes.paper_ids, codes.theorem_ids), paper_code, theorem_code,
+                     field_index_column(records.msc_primary)[paper_code],
                      theorem_paper, t_matrix, p_matrix)
 
 
 def restrict_graph(graph: ThreeLevelGraph, keep_papers: np.ndarray) -> ThreeLevelGraph:
     """The subgraph induced by the papers where ``keep_papers`` is true.
 
-    ``keep_papers`` is a boolean mask aligned with ``graph.paper_ids``. The
-    kept papers' theorems survive, and so do the citations whose endpoints
-    both survive. Edge weights depend only on the two endpoints, and a mask
-    keeps the (paper_id) and (paper_id, theorem_id) order, so the result
-    equals ``build_graph`` of the correspondingly restricted records, array
-    for array.
+    ``keep_papers`` is a boolean mask over the graph's papers. The kept
+    papers' theorems survive, and so do the citations whose endpoints both
+    survive. Edge weights depend only on the two endpoints, and a mask keeps
+    the (paper_id) and (paper_id, theorem_id) order, so the result equals
+    ``build_graph`` of the correspondingly restricted records, label for
+    label, and array for array apart from the codes: it shares this graph's
+    vocabularies.
     """
     keep_papers = np.asarray(keep_papers)
     if keep_papers.dtype != bool or keep_papers.shape != (graph.n_papers,):
@@ -194,8 +189,8 @@ def restrict_graph(graph: ThreeLevelGraph, keep_papers: np.ndarray) -> ThreeLeve
     keep_theorems = keep_papers[graph.theorem_paper]
     new_paper = np.cumsum(keep_papers) - 1
     return _assemble(
-        tuple(compress(graph.theorem_keys, keep_theorems.tolist())),
-        tuple(compress(graph.paper_ids, keep_papers.tolist())),
+        (graph.paper_vocab, graph.theorem_vocab),
+        graph.paper_code[keep_papers], graph.theorem_code[keep_theorems],
         graph.field_indices[graph.paper_field[keep_papers]],
         new_paper[graph.theorem_paper[keep_theorems]],
         graph.t_matrix.principal_submatrix(keep_theorems),

@@ -15,11 +15,11 @@ import csv
 import gc
 import io
 import sys
-from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 
 import click
+import numpy as np
 
 from .analysis import (
     YEAR_EMPTY,
@@ -33,7 +33,7 @@ from .analysis import (
 )
 from .build import build_graph
 from .corpus import parse_corpus
-from .fields import FIELD_NAMES, msc_to_field
+from .fields import FIELD_NAMES, field_index_column, is_subject_code
 from .records import validate_records
 from .solver import DegenerateLevelError, Hyperparameters, compute_scores, normalize_matrices
 
@@ -231,15 +231,11 @@ def build(papers_path, theorems_path, thm_cites_path, paper_cites_path, out_dir)
     details += [i.detail for i in report.issues]
     _write_table(out / "validation.csv", ("kind", "detail"), "{},{}", [kinds, details])
 
-    field_counts = {name: 0 for name in FIELD_NAMES}
-    for code, count in Counter(records.msc_primary).items():
-        try:
-            field_counts[msc_to_field(code).name] += count
-        except ValueError:
-            pass
+    # A paper whose subject code is malformed counts in no field.
+    field = field_index_column(list(filter(is_subject_code, records.msc_primary)))
     metrics = ["papers", "theorems", "theorem_citations", "paper_citations"]
     metrics += [f"papers_in.{name}" for name in FIELD_NAMES]
-    values = [*records.sizes, *field_counts.values()]
+    values = [*records.sizes, *np.bincount(field, minlength=len(FIELD_NAMES)).tolist()]
     _write_table(out / "summary.csv", ("metric", "value"), "{},{}", [metrics, values])
 
     n_papers, n_theorems, *_ = records.sizes

@@ -21,8 +21,10 @@ from .sparsemat import SparseWeightMatrix
 
 @dataclass(frozen=True)
 class ThreeLevelGraph:
-    theorem_keys: tuple[tuple[str, str], ...]
-    paper_ids: tuple[str, ...]
+    paper_vocab: tuple[str, ...]    # the records' paper ids, by code
+    theorem_vocab: tuple[str, ...]  # the records' theorem ids, by code
+    paper_code: np.ndarray          # paper index -> paper id code
+    theorem_code: np.ndarray        # theorem index -> theorem id code
     field_indices: np.ndarray  # canonical indices of populated fields, ascending
 
     t_matrix: SparseWeightMatrix  # theorem x theorem
@@ -34,11 +36,11 @@ class ThreeLevelGraph:
 
     @property
     def n_theorems(self) -> int:
-        return len(self.theorem_keys)
+        return self.theorem_code.size
 
     @property
     def n_papers(self) -> int:
-        return len(self.paper_ids)
+        return self.paper_code.size
 
     @property
     def n_fields(self) -> int:
@@ -48,6 +50,20 @@ class ThreeLevelGraph:
     def field_names(self) -> tuple[str, ...]:
         return tuple(FIELD_NAMES[i] for i in self.field_indices)
 
+    @property
+    def paper_ids(self) -> tuple[str, ...]:
+        return tuple(self.paper_labels(slice(None)))
+
+    def paper_labels(self, papers: np.ndarray) -> list[str]:
+        """The ids of the papers at the given indices."""
+        return list(map(self.paper_vocab.__getitem__, self.paper_code[papers].tolist()))
+
+    def theorem_labels(self, theorems: np.ndarray) -> list[str]:
+        """The ``paper_id:theorem_id`` labels of the theorems at the given indices."""
+        paper_ids = self.paper_labels(self.theorem_paper[theorems])
+        theorem_ids = map(self.theorem_vocab.__getitem__, self.theorem_code[theorems].tolist())
+        return list(map("{}:{}".format, paper_ids, theorem_ids))
+
     def theorem_label(self, i: int) -> str:
-        paper_id, theorem_id = self.theorem_keys[i]
-        return f"{paper_id}:{theorem_id}"
+        paper = self.paper_code[self.theorem_paper[i]]
+        return f"{self.paper_vocab[paper]}:{self.theorem_vocab[self.theorem_code[i]]}"

@@ -14,17 +14,16 @@ from functools import cached_property
 import numpy as np
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True)
 class SparseWeightMatrix:
     shape: tuple[int, int]
     rowidx: np.ndarray  # int64, ascending within each column
     colidx: np.ndarray  # int64, ascending
     values: np.ndarray  # float64, strictly positive
+
+    def __post_init__(self) -> None:
+        for arr in (self.rowidx, self.colidx, self.values):
+            arr.setflags(write=False)
 
     @classmethod
     def from_arrays(
@@ -48,7 +47,7 @@ class SparseWeightMatrix:
             if same.any():
                 k = int(np.flatnonzero(same)[0])
                 raise ValueError(f"duplicate entry at ({rows[k]}, {cols[k]})")
-        return cls(shape, _frozen(rows), _frozen(cols), _frozen(vals))
+        return cls(shape, rows, cols, vals)
 
     @cached_property
     def column_normalized(self) -> "SparseWeightMatrix":
@@ -61,7 +60,7 @@ class SparseWeightMatrix:
         if not np.all(self.values > 0):
             raise ValueError("stored weights must be strictly positive")
         values = self.values / self.column_sums()[self.colidx]
-        return SparseWeightMatrix(self.shape, self.rowidx, self.colidx, _frozen(values))
+        return SparseWeightMatrix(self.shape, self.rowidx, self.colidx, values)
 
     def principal_submatrix(self, keep: np.ndarray) -> "SparseWeightMatrix":
         """The rows and columns of a square matrix where ``keep`` is true.
@@ -73,9 +72,8 @@ class SparseWeightMatrix:
         new_index = np.cumsum(keep) - 1
         both = keep[self.rowidx] & keep[self.colidx]
         n = int(np.count_nonzero(keep))
-        return SparseWeightMatrix((n, n), _frozen(new_index[self.rowidx[both]]),
-                                  _frozen(new_index[self.colidx[both]]),
-                                  _frozen(self.values[both]))
+        return SparseWeightMatrix((n, n), new_index[self.rowidx[both]],
+                                  new_index[self.colidx[both]], self.values[both])
 
     def column_sums(self) -> np.ndarray:
         """Each column's sum, its entries added in storage order."""

@@ -8,7 +8,10 @@ file order (a paper's authors as listed); record objects, sets of tuples,
 one weight call per edge and one set lookup per row.
 ``test_columnar.py`` requires the columnar versions to give equal records
 (column for column, and code for code for snapshots), malformed-line
-reasons and reports, and graphs equal array for array.
+reasons and reports, and graphs equal label for label and array for
+array (``build_graph_loop`` codes each id by a dict over the records'
+vocabulary). ``theorem_keys`` reads each theorem's (paper id, theorem id)
+from a graph's codes, one theorem at a time.
 ``theorem_edge_weight`` and ``paper_edge_weight`` are the weight tiers as
 scalar definitions, one edge at a time.
 
@@ -16,9 +19,10 @@ scalar definitions, one edge at a time.
 ids first and then looks every id up; ``test_records.py`` requires
 ``intern_codes`` to give equal codes and an equal vocabulary.
 
-``rank_entities_loop`` builds an (id, field, score) triple for every entity
-and sorts them all; ``iterate_once_reduceat`` takes each paper's strongest
-theorem with ``np.maximum.reduceat`` over the papers that own theorems.
+``rank_entities_loop`` builds an (id, field, score) triple for every entity,
+labelling theorems through ``theorem_keys``, and sorts them all;
+``iterate_once_reduceat`` takes each paper's strongest theorem with
+``np.maximum.reduceat`` over the papers that own theorems.
 ``compute_scores_loop`` is the solve as a loop of ``iterate_once_reduceat``
 and ``residual``, one ``ScoreState`` per step.
 ``test_analysis.py`` and ``test_solver.py`` require ``rank_entities`` to
@@ -251,8 +255,11 @@ def build_graph_loop(records: GraphRecords) -> ThreeLevelGraph:
     paper_by_id = {p.paper_id: p for p in papers}
 
     theorems = sorted(records.theorems, key=lambda t: t.key)
-    theorem_keys = tuple(t.key for t in theorems)
-    theorem_index = {key: i for i, key in enumerate(theorem_keys)}
+    theorem_index = {t.key: i for i, t in enumerate(theorems)}
+
+    # Ids as codes into the records' vocabularies.
+    vocabs = records.codes.paper_ids, records.codes.theorem_ids
+    paper_code, theorem_code = ({name: code for code, name in enumerate(v)} for v in vocabs)
 
     n_papers = len(papers)
     n_theorems = len(theorems)
@@ -299,8 +306,10 @@ def build_graph_loop(records: GraphRecords) -> ThreeLevelGraph:
         [paper_index[t.paper_id] for t in theorems], dtype=np.int64)
 
     return ThreeLevelGraph(
-        theorem_keys=theorem_keys,
-        paper_ids=paper_ids,
+        paper_vocab=vocabs[0],
+        theorem_vocab=vocabs[1],
+        paper_code=np.array([paper_code[pid] for pid in paper_ids], dtype=np.int64),
+        theorem_code=np.array([theorem_code[t.theorem_id] for t in theorems], dtype=np.int64),
         field_indices=field_indices,
         t_matrix=t_matrix,
         p_matrix=p_matrix,
@@ -310,19 +319,27 @@ def build_graph_loop(records: GraphRecords) -> ThreeLevelGraph:
     )
 
 
+def theorem_keys(graph: ThreeLevelGraph) -> list[tuple[str, str]]:
+    """Each theorem's (paper id, theorem id), in index order, one theorem at
+    a time."""
+    paper_ids = graph.paper_ids
+    return [(paper_ids[p], graph.theorem_vocab[t])
+            for p, t in zip(graph.theorem_paper.tolist(), graph.theorem_code.tolist())]
+
+
 def _level_entities(graph: ThreeLevelGraph, state: ScoreState, level: str):
     """(entity_id, owning field name, score) triples for one level."""
     names = graph.field_names
     if level == "theorem":
         fields = graph.paper_field[graph.theorem_paper]
         return [
-            (graph.theorem_label(i), names[fields[i]], float(state.u_t[i]))
-            for i in range(graph.n_theorems)
+            (f"{paper_id}:{theorem_id}", names[fields[i]], float(state.u_t[i]))
+            for i, (paper_id, theorem_id) in enumerate(theorem_keys(graph))
         ]
     if level == "paper":
         return [
-            (graph.paper_ids[i], names[graph.paper_field[i]], float(state.u_p[i]))
-            for i in range(graph.n_papers)
+            (paper_id, names[graph.paper_field[i]], float(state.u_p[i]))
+            for i, paper_id in enumerate(graph.paper_ids)
         ]
     if level == "field":
         return [(names[i], names[i], float(state.u_f[i])) for i in range(graph.n_fields)]

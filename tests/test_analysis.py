@@ -29,9 +29,10 @@ from mathrank.solver import (
 )
 
 from conftest import paper, theorem
-from loop_reference import rank_entities_loop
+from loop_reference import rank_entities_loop, theorem_keys
 from oracle import DenseSolver, build_dense, impact_double_sum
-from synthdata import CODE_POOL, make_random_records, planted_ties_state, with_late_field
+from synthdata import (CODE_POOL, make_random_records, planted_ties_state, shuffled,
+                       with_late_field)
 
 HP = Hyperparameters()
 
@@ -146,7 +147,7 @@ class TestRankEntitiesMatchesLoop:
         records = GraphRecords(papers=[paper("a"), paper("a-b")],
                                theorems=[theorem("a", "x"), theorem("a-b", "x")])
         graph = build_graph(records)
-        assert graph.theorem_keys == (("a", "x"), ("a-b", "x"))
+        assert theorem_keys(graph) == [("a", "x"), ("a-b", "x")]
         state = ScoreState(np.full(2, 0.5), np.full(2, 0.5), np.array([1.0]))
         for top_k in (1, 2, 3):
             table = rank_entities(graph, state, "theorem", top_k, group_by_field)
@@ -375,6 +376,13 @@ class TestFieldSeriesMatchesSnapshots:
         fs = field_series(records, range(1990, 2025), hp)
         assert fs.status[0] == YEAR_EMPTY and YEAR_OK in fs.status
         assert_bitwise_reference(fs, records, hp)
+
+    def test_papers_out_of_id_order_bitwise(self, rng):
+        # Each year's papers are taken by their rows in the papers table.
+        records = shuffled(make_random_records(rng, n_papers=30, n_theorems=45), rng)
+        assert list(records.paper_id) != sorted(records.paper_id)
+        hp = Hyperparameters(max_iterations=500)
+        assert_bitwise_reference(field_series(records, range(1990, 2025), hp), records, hp)
 
     def test_not_converged_years_bitwise(self, rng):
         records = make_random_records(rng, n_papers=30, n_theorems=45)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mathrank.build import BuildError, build_field_matrix, build_graph, restrict_graph
-from mathrank.corpus import snapshot_filter
+from mathrank.corpus import parse_corpus, snapshot_filter
 from mathrank.sparsemat import SparseWeightMatrix
 from mathrank.records import (
     GraphRecords,
@@ -14,8 +14,8 @@ from mathrank.records import (
 
 import oracle
 from conftest import dense, entries, paper, theorem
-from loop_reference import paper_edge_weight, theorem_edge_weight
-from synthdata import CODE_POOL, make_random_records, shuffled, with_late_field
+from loop_reference import paper_edge_weight, theorem_edge_weight, theorem_keys
+from synthdata import CODE_POOL, make_random_records, shuffled, with_late_field, write_corpus
 
 P_SHARED = paper("x1", authors=("a1", "a2"))
 P_SHARED2 = paper("x2", authors=("a2", "a3"))
@@ -118,8 +118,9 @@ class TestBuildSmall:
         # holds a paper.
         owned = [np.flatnonzero(g.theorem_paper == p) for p in range(g.n_papers)]
         assert np.concatenate(owned).tolist() == list(range(g.n_theorems))
+        keys, paper_ids = theorem_keys(g), g.paper_ids
         for p, theorems in enumerate(owned):
-            assert all(g.theorem_keys[t][0] == g.paper_ids[p] for t in theorems)
+            assert all(keys[t][0] == paper_ids[p] for t in theorems)
         for f in range(g.n_fields):
             assert np.flatnonzero(g.paper_field == f).size > 0
 
@@ -144,6 +145,30 @@ class TestBuildErrors:
             g = build_graph(records)
         assert g.p_matrix.values.size == 1
         assert "dropping 1 invalid citation edges" in caplog.text
+
+    def test_paper_code_is_papers_table_row(self, tmp_path, rng):
+        # Papers out of id order, and dangling citations whose ids get codes
+        # after the papers table's.
+        records = make_random_records(rng, n_papers=12, n_theorems=30)
+        first, second = records.papers[0].paper_id, records.papers[1].paper_id
+        t = records.theorems[0]
+        records = GraphRecords(
+            papers=records.papers[::-1], theorems=records.theorems,
+            theorem_citations=records.theorem_citations + (
+                TheoremCitation("ghost", "thm 1", t.paper_id, t.theorem_id),),
+            paper_citations=records.paper_citations + (
+                PaperCitation("nowhere", first), PaperCitation(second, "elsewhere")))
+        paths = [tmp_path / name for name in ("p", "t", "tc", "pc")]
+        write_corpus(records, *paths)
+        parsed, malformed = parse_corpus(*paths)
+        assert not malformed
+        for recs in (records, parsed):
+            codes = recs.codes
+            assert len(codes.paper_ids) == codes.n_known_papers + 3
+            graph = build_graph(recs)
+            assert graph.paper_ids == tuple(sorted(recs.paper_id))
+            row = {pid: r for r, pid in enumerate(recs.paper_id)}
+            assert graph.paper_code.tolist() == [row[pid] for pid in graph.paper_ids]
 
     def test_self_citation_dropped(self):
         records = GraphRecords(
@@ -201,7 +226,7 @@ class TestDeterminism:
         records = make_random_records(rng, n_papers=18, n_theorems=45)
         g1 = build_graph(records)
         g2 = build_graph(shuffled(records, rng))
-        assert g1.theorem_keys == g2.theorem_keys
+        assert theorem_keys(g1) == theorem_keys(g2)
         assert g1.paper_ids == g2.paper_ids
         np.testing.assert_array_equal(g1.field_indices, g2.field_indices)
         for a, b in ((g1.t_matrix, g2.t_matrix), (g1.p_matrix, g2.p_matrix),
@@ -221,7 +246,7 @@ class TestAgainstDenseOracle:
                 n_theorems=int(rng.integers(1, 80)))
             g = build_graph(records)
             ref = oracle.build_dense(records)
-            assert list(g.theorem_keys) == ref.theorem_keys
+            assert theorem_keys(g) == ref.theorem_keys
             assert list(g.paper_ids) == ref.paper_ids
             assert list(g.field_names) == ref.field_names
             np.testing.assert_array_equal(dense(g.t_matrix), ref.T)
@@ -262,9 +287,19 @@ def restriction_corpus(seed: int) -> GraphRecords:
 
 
 def assert_same_graph(a, b):
+    """Equal ids and labels in index order, and every array bitwise but the
+    codes, which index each graph's own vocabularies; the codes too where
+    both graphs hold the same vocabularies."""
     assert a.paper_ids == b.paper_ids
-    assert a.theorem_keys == b.theorem_keys
-    for name in ("field_indices", "theorem_paper", "paper_field"):
+    keys = theorem_keys(a)
+    assert keys == theorem_keys(b)
+    everything = np.arange(a.n_theorems)
+    assert a.theorem_labels(everything) == b.theorem_labels(everything) == [
+        f"{paper_id}:{theorem_id}" for paper_id, theorem_id in keys]
+    names = ["field_indices", "theorem_paper", "paper_field"]
+    if (a.paper_vocab, a.theorem_vocab) == (b.paper_vocab, b.theorem_vocab):
+        names += ["paper_code", "theorem_code"]
+    for name in names:
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and np.array_equal(x, y), name
     for name in ("t_matrix", "p_matrix", "f_matrix"):
@@ -302,11 +337,21 @@ class TestRestrictGraph:
                 restrict_graph(full, mask)
 
     @pytest.mark.parametrize("seed", range(4))
+    def test_shares_the_records_vocabularies(self, seed):
+        records = restriction_corpus(seed)
+        full = build_graph(records)
+        keep = np.arange(full.n_papers) % 2 == 0
+        for g in (full, restrict_graph(full, keep), restrict_graph(full, ~keep)):
+            assert g.paper_vocab is records.codes.paper_ids
+            assert g.theorem_vocab is records.codes.theorem_ids
+
+    @pytest.mark.parametrize("seed", range(4))
     def test_graph_arrays_are_read_only(self, seed):
         full = build_graph(restriction_corpus(seed))
         keep = np.arange(full.n_papers) % 2 == 0
         for g in (full, restrict_graph(full, keep)):
-            arrays = [g.field_indices, g.theorem_paper, g.paper_field]
+            arrays = [g.paper_code, g.theorem_code, g.field_indices, g.theorem_paper,
+                      g.paper_field]
             for m in (g.t_matrix, g.p_matrix, g.f_matrix):
                 arrays += [m.rowidx, m.colidx, m.values]
             assert not any(a.flags.writeable for a in arrays)

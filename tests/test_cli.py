@@ -184,7 +184,7 @@ class TestRank:
         state, _ = compute_scores(graph, Hyperparameters())
         rows = read_csv(out / "rankings_paper.csv")[1:]
         assert len(rows) == 5
-        by_id = {graph.paper_ids[i]: state.u_p[i] for i in range(graph.n_papers)}
+        by_id = dict(zip(graph.paper_ids, state.u_p))
         for _, pid, _, score in rows:
             assert float(score) == pytest.approx(by_id[pid], rel=1e-11)
 

@@ -26,6 +26,7 @@ from loop_reference import (
     build_graph_loop,
     parse_corpus_loop,
     snapshot_filter_loop,
+    theorem_keys,
     validate_records_loop,
 )
 from synthdata import CODE_POOL, make_random_records
@@ -274,8 +275,7 @@ class TestValidationEdgeCases:
         assert validate_records(records).is_clean
         graph = build_graph(records)
         assert graph.paper_ids == tuple(sorted(ids))
-        assert graph.theorem_keys == tuple(sorted(zip(records.theorem_paper,
-                                                      records.theorem_id)))
+        assert theorem_keys(graph) == sorted(zip(records.theorem_paper, records.theorem_id))
         assert_same_graph(graph, build_graph_loop(records))
 
 
