@@ -12,7 +12,6 @@ be written.
 from __future__ import annotations
 
 import csv
-import gc
 import io
 import sys
 from contextlib import contextmanager
@@ -187,33 +186,9 @@ def _solved(graph, hp: Hyperparameters):
         sys.exit(1)
 
 
-@contextmanager
-def _collector_paused():
-    """Run the body with the cyclic garbage collector off.
-
-    A command makes no reference cycles, so the collector's passes over the
-    many small objects of a corpus free nothing. On leaving, the collector
-    is left enabled or not, and its freeze count, as found. Where nothing
-    was frozen, a freeze and unfreeze first move the body's survivors into
-    the oldest generation, so that enabling it starts no pass over them.
-    """
-    enabled, frozen = gc.isenabled(), gc.get_freeze_count()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            if not frozen:
-                gc.freeze()
-                gc.unfreeze()
-            gc.enable()
-
-
 @click.group()
-@click.pass_context
-def main(ctx):
+def main():
     """Build citation graphs, compute influence scores, export analyses."""
-    ctx.with_resource(_collector_paused())
 
 
 @main.command()

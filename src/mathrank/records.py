@@ -92,18 +92,14 @@ def intern_codes(vocab: dict[str, int], strings: Sequence[str]) -> np.ndarray:
     in order of first appearance.
 
     Each string is looked up in ``vocab`` once, and only the misses are then
-    numbered, in a dict of their own. A column that ``vocab`` sees first is
-    all misses, so an empty ``vocab`` is not looked up at all.
+    numbered, in a dict of their own.
     """
-    if vocab:
-        codes = np.fromiter(map(vocab.get, strings, repeat(-1)), dtype=np.int64,
-                            count=len(strings))
-        miss = np.flatnonzero(codes < 0)
-        if not miss.size:
-            return codes
-        misses = list(map(strings.__getitem__, miss.tolist()))
-    else:
-        codes, miss, misses = np.empty(len(strings), dtype=np.int64), slice(None), strings
+    codes = np.fromiter(map(vocab.get, strings, repeat(-1)), dtype=np.int64,
+                        count=len(strings))
+    miss = np.flatnonzero(codes < 0)
+    if not miss.size:
+        return codes
+    misses = list(map(strings.__getitem__, miss.tolist()))
     new = dict.fromkeys(misses)
     new.update(zip(new, count(len(vocab))))
     vocab.update(new)

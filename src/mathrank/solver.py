@@ -48,8 +48,8 @@ class Hyperparameters:
         if not self.alpha_p + self.beta_p < 1.0:
             raise ValueError(
                 f"alpha_p + beta_p must be < 1, got {self.alpha_p + self.beta_p}")
-        if not self.tolerance > 0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
+        if not 0.0 < self.tolerance < np.inf:
+            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
 

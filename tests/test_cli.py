@@ -1,4 +1,3 @@
-import contextlib
 import csv
 import errno
 import gc
@@ -219,6 +218,16 @@ class TestRank:
             "--out-dir", str(out), "--alpha-p", "0.95", "--beta-p", "0.05"])
         assert result.exit_code == 2
         assert not (out / "rankings_paper.csv").exists()
+
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_non_finite_tolerance_rejected(self, tmp_path, runner, solvable_records, tol):
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "rank", *corpus_args(tmp_path, solvable_records),
+            "--out-dir", str(out), "--tol", tol])
+        assert result.exit_code == 2, result.output
+        assert "tolerance must be positive and finite" in result.output
+        assert not out.exists() or not any(out.iterdir())
 
     def test_alternative_hyperparameters_accepted(self, tmp_path, runner,
                                                   solvable_records):
@@ -756,23 +765,6 @@ class TestLoneSurrogate:
         assert read_csv(out / "validation.csv")[1:] == [["malformed_line", where]]
 
 
-def collections_during(fn):
-    """fn's result and the generation of each collection that ran while it
-    ran, from a fresh start."""
-    generations = []
-
-    def record(phase, info):
-        if phase == "start":
-            generations.append(info["generation"])
-
-    gc.collect()
-    gc.callbacks.append(record)
-    try:
-        return fn(), generations
-    finally:
-        gc.callbacks.remove(record)
-
-
 COMMANDS = {
     "rank": ["rank", "--top-k", "1000"],
     "build": ["build"],
@@ -781,14 +773,13 @@ COMMANDS = {
 }
 
 
-class TestCollectorPause:
-    """Each command runs with the cyclic collector off, which is safe because
-    a command makes no reference cycles, and leaves the collector as found."""
+class TestCollector:
+    """A command leaves the cyclic collector as it found it and makes no
+    reference cycles."""
 
     @pytest.fixture
     def large_args(self, tmp_path, rng):
-        """A corpus large enough that rank and build, run without the pause,
-        each run collections."""
+        """A corpus large enough that its commands make many objects."""
         records = make_random_records(rng, n_papers=1200, n_theorems=3600,
                                       n_paper_citations=3600, n_theorem_citations=7200)
         return corpus_args(tmp_path, records)
@@ -819,25 +810,6 @@ class TestCollectorPause:
             gc.unfreeze()
             if was_enabled:
                 gc.enable()
-
-    @pytest.mark.parametrize("command, code", [("rank", 0), ("build", 2)])
-    def test_no_collection_from_entry_to_return(self, tmp_path, runner, monkeypatch,
-                                                large_args, command, code):
-        if code == 2:
-            append_line(large_args, "--papers", b"{broken json")
-
-        def run():
-            return runner.invoke(main, [*COMMANDS[command], *large_args,
-                                        "--out-dir", str(tmp_path / "out")])
-
-        with monkeypatch.context() as patch:
-            patch.setattr(mathrank.cli, "_collector_paused", contextlib.nullcontext)
-            result, generations = collections_during(run)
-        assert result.exit_code == code, result.output
-        assert generations, "the command without the pause should run a collection"
-        result, generations = collections_during(run)
-        assert result.exit_code == code, result.output
-        assert generations == []
 
     @pytest.mark.parametrize("spoiled", [False, True], ids=["valid", "malformed_line"])
     @pytest.mark.parametrize("command", COMMANDS)

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -55,6 +56,7 @@ class TestHyperparameters:
         {"alpha_p": 0.95, "beta_p": 0.05},   # sum exactly 1
         {"alpha_p": 0.9, "beta_p": 0.2},     # sum above 1
         {"tolerance": 0.0}, {"tolerance": -1e-9},
+        {"tolerance": math.inf}, {"tolerance": math.nan},
         {"max_iterations": 0},
     ])
     def test_invalid_rejected(self, kwargs):
