@@ -34,13 +34,15 @@ def build_field_matrix(
     """Count, per ordered field pair, the paper pairs with a positive weight.
 
     Entry (i, j) is the number of ordered paper pairs (cited in field i,
-    citer in field j) connected at the paper level.
+    citer in field j) connected at the paper level. Pairs are counted under
+    the column-major key ``j * n_fields + i``, so the nonzero keys, in
+    ascending order, are the stored entries in storage order.
     """
-    dense = np.zeros((n_fields, n_fields), dtype=np.float64)
-    np.add.at(dense, (paper_field[p_matrix.rowidx], paper_field[p_matrix.colidx]), 1.0)
-    rows, cols = np.nonzero(dense)
-    return SparseWeightMatrix.from_arrays(
-        (n_fields, n_fields), rows, cols, dense[rows, cols])
+    counts = np.bincount(paper_field[p_matrix.colidx] * n_fields + paper_field[p_matrix.rowidx],
+                         minlength=n_fields * n_fields)
+    keys = np.flatnonzero(counts)
+    cols, rows = np.divmod(keys, n_fields)
+    return SparseWeightMatrix((n_fields, n_fields), rows, cols, counts[keys].astype(np.float64))
 
 
 def _str_order(strings: Sequence[str]) -> np.ndarray:

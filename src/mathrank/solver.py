@@ -10,8 +10,10 @@ every step (synchronous update: new values read only old ones).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Callable
+from itertools import islice
+from typing import Iterator
 
 import numpy as np
 
@@ -50,8 +52,14 @@ class Hyperparameters:
                 f"alpha_p + beta_p must be < 1, got {self.alpha_p + self.beta_p}")
         if not 0.0 < self.tolerance < np.inf:
             raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        # operator.index takes any integer type and no float; it takes a bool
+        # too, which is never a meant count.
+        try:
+            count = operator.index(self.max_iterations)
+        except TypeError:
+            count = 0
+        if isinstance(self.max_iterations, bool) or count < 1:
+            raise ValueError(f"max_iterations must be an integer >= 1, got {self.max_iterations!r}")
 
 
 @dataclass(frozen=True)
@@ -109,25 +117,10 @@ def init_state(graph: ThreeLevelGraph) -> ScoreState:
     return ScoreState(*(np.full(n, 1.0 / n) for n in _level_sizes(graph)), iteration=0)
 
 
-def _l1_normalize(hat: np.ndarray, level: str) -> np.ndarray:
-    """``hat`` divided by its sum, in place."""
-    total = float(np.add.reduce(hat))
-    if total <= 0.0:
-        # A single-entity level carries the whole unit mass by definition;
-        # anything larger with zero total mass is a genuine degeneracy.
-        if hat.size == 1:
-            hat[0] = 1.0
-            return hat
-        raise DegenerateLevelError(
-            f"{level} level produced an all-zero update; cannot renormalize")
-    hat /= total
-    return hat
-
-
-def _level_slices(state: ScoreState, graph: ThreeLevelGraph, name: str) -> tuple[slice, ...]:
-    """Each level's slice of the stacked ``[u_t, u_p, u_f]``, after checking
-    that ``state`` (called ``name``) has the graph's level sizes and only
-    finite, non-negative scores."""
+def _stacked(state: ScoreState, graph: ThreeLevelGraph, name: str) -> np.ndarray:
+    """``[u_t, u_p, u_f]`` of ``state`` (called ``name``) in a new array, after
+    checking that it has the graph's level sizes and only finite,
+    non-negative scores."""
     sizes = _level_sizes(graph)
     given = tuple(level.shape for level in state.levels())
     if given != tuple((n,) for n in sizes):
@@ -136,15 +129,16 @@ def _level_slices(state: ScoreState, graph: ThreeLevelGraph, name: str) -> tuple
     for level_name, level in zip(_LEVEL_NAMES, state.levels()):
         if not (np.isfinite(level) & (level >= 0.0)).all():
             raise ValueError(f"{name} has a non-finite or negative {level_name} score")
-    n_t, n_p, _ = sizes
-    return slice(0, n_t), slice(n_t, n_t + n_p), slice(n_t + n_p, None)
+    return np.concatenate(state.levels())
 
 
-def _prepare_step(
-    graph: ThreeLevelGraph, norm: NormalizedMatrices, hp: Hyperparameters
-) -> Callable[[np.ndarray, np.ndarray], None]:
-    """``step(u, new)``, which writes into ``new`` the l1-normalized update of
-    the stacked levels ``u = [u_t, u_p, u_f]``; the two must not overlap.
+def _steps(
+    graph: ThreeLevelGraph, norm: NormalizedMatrices, hp: Hyperparameters, u: np.ndarray
+) -> Iterator[tuple[float, tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+    """The solve from the stacked levels ``u = [u_t, u_p, u_f]``, which it
+    takes over: each step writes the l1-normalized update into the other of
+    two buffers and yields the residual and the new levels, views that the
+    step after next overwrites.
 
     Theorems get citations plus their paper's score, scaled by the
     paper-to-theorem population ratio. Papers get citations, their field's
@@ -152,55 +146,76 @@ def _prepare_step(
     citations plus the excess of papers scoring above the uniform paper
     share. The normalized matrices are set up as one block-diagonal
     operator whose rows keep their entries in stored order, so its row sums
-    add the same terms in the same order as each matrix's own product.
+    add the same terms in the same order as each matrix's own product. The
+    residual is the largest per-level l1 distance from the state before.
     """
     sizes = n_t, n_p, n_f = graph.n_theorems, graph.n_papers, graph.n_fields
-    t, p, f = slice(0, n_t), slice(n_t, n_t + n_p), slice(n_t + n_p, None)
     blocks, offsets = (norm.t_norm, norm.p_norm, norm.f_norm), (0, n_t, n_t + n_p)
     rows = np.concatenate([m.rowidx + k for m, k in zip(blocks, offsets)])
     cols = np.concatenate([m.colidx + k for m, k in zip(blocks, offsets)])
     vals = np.concatenate([m.values for m in blocks])
     alpha = np.repeat([hp.alpha_t, hp.alpha_p, hp.alpha_f], sizes)
-    # upper = [u_p's share for its theorems, u_f's share for its papers];
-    # parent[i] is the slot of entity i's container there.
+    # Containment from above, over the tail [u_p, u_f]: each tail entity's
+    # share c * (u / r) for what it contains, and parent[i] the tail slot of
+    # entity i's container. c * (u[parent] / r) == (c * (u / r))[parent].
+    ratio = np.repeat([n_t / n_p, n_p / n_f], (n_p, n_f))
+    coef = np.repeat([1.0 - hp.alpha_t, hp.beta_p], (n_p, n_f))
     parent = np.concatenate([graph.theorem_paper, n_p + graph.paper_field])
-    r_t, r_p = n_t / n_p, n_p / n_f
-    c_t, c_best, c_f = 1.0 - hp.alpha_t, 1.0 - hp.alpha_p - hp.beta_p, 1.0 - hp.alpha_f
+    c_best, c_f, share = 1.0 - hp.alpha_p - hp.beta_p, 1.0 - hp.alpha_f, 1.0 / n_p
     gathered = np.empty(cols.size)
     upper, inherited = np.empty(n_p + n_f), np.empty(n_t + n_p)
     best, above = np.empty(n_p), np.empty(n_p)
 
-    def step(u: np.ndarray, new: np.ndarray) -> None:
-        u_t, u_p, u_f = u[t], u[p], u[f]
+    def views(buf: np.ndarray) -> tuple[np.ndarray, ...]:
+        """buf, its three levels, its [u_t, u_p] head and [u_p, u_f] tail."""
+        return (buf, buf[:n_t], buf[n_t:n_t + n_p], buf[n_t + n_p:],
+                buf[:n_t + n_p], buf[n_t:])
+
+    diff, d_t, d_p, d_f, _, _ = views(np.empty_like(u))
+    cur, nxt = views(u), views(np.empty_like(u))
+    add = np.add.reduce
+    while True:
+        u, u_t, u_p, _, _, tail = cur
+        new, new_t, new_p, new_f, head, _ = nxt
         # Citations within each level. The default mode="raise" would buffer
         # the output of take; every index is in range.
-        np.take(u, cols, out=gathered, mode="clip")
+        u.take(cols, out=gathered, mode="clip")
         np.multiply(gathered, vals, out=gathered)
         # bincount returns int64 when there are no entries; the multiply casts.
         np.multiply(np.bincount(rows, gathered, minlength=u.size), alpha, out=new)
-        # Containment from above: c * (u[parent] / r) == (c * (u / r))[parent].
-        np.divide(u_p, r_t, out=upper[:n_p])
-        upper[:n_p] *= c_t
-        np.divide(u_f, r_p, out=upper[n_p:])
-        upper[n_p:] *= hp.beta_p
-        np.take(upper, parent, out=inherited, mode="clip")
-        new[:n_t + n_p] += inherited
+        np.divide(tail, ratio, out=upper)
+        upper *= coef
+        upper.take(parent, out=inherited, mode="clip")
+        head += inherited
         # Each paper's strongest theorem: scores are nonnegative, so a maximum
         # started from zero is the paper's own, and zero without theorems.
         best.fill(0.0)
         np.maximum.at(best, graph.theorem_paper, u_t)
-        np.multiply(best, c_best, out=best)
-        new[p] += best
+        best *= c_best
+        new_p += best
         # Each field's excess of papers above the uniform share.
-        np.subtract(u_p, 1.0 / n_p, out=above)
+        np.subtract(u_p, share, out=above)
         np.maximum(above, 0.0, out=above)
-        new[f] += c_f * np.bincount(graph.paper_field, above, minlength=n_f)
-        # Per-level sums over slices: np.add.reduceat does not add in the
-        # order np.sum does, so its totals can differ in the last bit.
-        for name, s in zip(_LEVEL_NAMES, (t, p, f)):
-            _l1_normalize(new[s], name)
-
-    return step
+        new_f += c_f * np.bincount(graph.paper_field, above, minlength=n_f)
+        # Per-level sums over views: np.add.reduceat does not add in the
+        # order np.add.reduce does, so its totals can differ in the last bit.
+        for name, level in zip(_LEVEL_NAMES, (new_t, new_p, new_f)):
+            total = float(add(level))
+            if total <= 0.0:
+                # A single-entity level carries the whole unit mass by
+                # definition; anything larger with zero total mass is a
+                # genuine degeneracy.
+                if level.size != 1:
+                    raise DegenerateLevelError(
+                        f"{name} level produced an all-zero update; cannot renormalize")
+                level[0] = 1.0
+            else:
+                level /= total
+        np.subtract(new, u, out=diff)
+        np.abs(diff, out=diff)
+        yield (max(float(add(d_t)), float(add(d_p)), float(add(d_f))),
+               (new_t, new_p, new_f))
+        cur, nxt = nxt, cur
 
 
 def iterate_once(
@@ -210,14 +225,11 @@ def iterate_once(
     hp: Hyperparameters,
 ) -> ScoreState:
     """One synchronous update of all three levels, then l1 renormalization:
-    one step of ``compute_scores``' update, set up for this call. Raises as
+    the first step of ``compute_scores``' solve from ``state``. Raises as
     ``compute_scores`` does for an empty level or a state that does not fit.
     """
-    t, p, f = _level_slices(state, graph, "state")
-    u = np.concatenate(state.levels())
-    new = np.empty_like(u)
-    _prepare_step(graph, norm, hp)(u, new)
-    return ScoreState(new[t], new[p], new[f], iteration=state.iteration + 1)
+    _, levels = next(_steps(graph, norm, hp, _stacked(state, graph, "state")))
+    return ScoreState(*levels, iteration=state.iteration + 1)
 
 
 def compute_scores(
@@ -241,26 +253,23 @@ def compute_scores(
     """
     if hp is None:
         hp = Hyperparameters()
-    state = initial_state if initial_state is not None else init_state(graph)
-    t, p, f = _level_slices(state, graph, "initial_state")
-    step = _prepare_step(graph, normalize_matrices(graph), hp)
-    u = np.concatenate(state.levels())
-    new, diff = np.empty_like(u), np.empty_like(u)
+    if initial_state is None:
+        initial_state = init_state(graph)
+        u = np.concatenate(initial_state.levels())
+    else:
+        u = _stacked(initial_state, graph, "initial_state")
     history: list[float] = []
     converged = False
-    for _ in range(hp.max_iterations):
-        step(u, new)
-        np.subtract(new, u, out=diff)
-        np.abs(diff, out=diff)
-        history.append(max([float(np.add.reduce(diff[s])) for s in (t, p, f)]))
-        u, new = new, u
-        if history[-1] < hp.tolerance:
+    for residual, levels in islice(_steps(graph, normalize_matrices(graph), hp, u),
+                                   hp.max_iterations):
+        history.append(residual)
+        if residual < hp.tolerance:
             converged = True
             break
-    iterations = state.iteration + len(history)
-    return ScoreState(u[t], u[p], u[f], iteration=iterations), ConvergenceReport(
+    iterations = initial_state.iteration + len(history)
+    return ScoreState(*levels, iteration=iterations), ConvergenceReport(
         converged=converged,
         iterations=iterations,
-        residual=history[-1] if history else 0.0,
+        residual=history[-1],
         residual_history=tuple(history),
     )

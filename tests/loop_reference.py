@@ -31,6 +31,8 @@ bitwise-equal states and residuals, and
 ``test_cli.py`` requires ``rank`` to write ``rank_entities_loop``'s tables
 byte for byte as ``csv.writer`` writes them.
 
+``l1_normalized`` divides a level by its sum, as a separate call per level.
+
 ``csv_table_bytes`` writes a table row by row through ``csv.writer``;
 ``test_cli.py`` requires every file of every command to be what it writes
 for the same cells. ``matvec`` is a matrix's product with a vector, each
@@ -69,8 +71,8 @@ from mathrank.records import (
 )
 from mathrank.solver import (
     ConvergenceReport,
+    DegenerateLevelError,
     ScoreState,
-    _l1_normalize,
     init_state,
     normalize_matrices,
 )
@@ -396,6 +398,17 @@ def residual(prev: ScoreState, new: ScoreState) -> float:
     return max(diffs)
 
 
+def l1_normalized(hat: np.ndarray, level: str) -> np.ndarray:
+    """``hat`` over its sum; a one-entity level that sums to zero is [1.0],
+    and a larger one raises DegenerateLevelError naming ``level``."""
+    total = float(np.sum(hat))
+    if total > 0.0:
+        return hat / total
+    if hat.size == 1:
+        return np.ones(1)
+    raise DegenerateLevelError(f"{level} level produced an all-zero update; cannot renormalize")
+
+
 def iterate_once_reduceat(state, graph, norm, hp) -> ScoreState:
     n_t, n_p, n_f = graph.n_theorems, graph.n_papers, graph.n_fields
 
@@ -422,9 +435,9 @@ def iterate_once_reduceat(state, graph, norm, hp) -> ScoreState:
     hat_f += (1.0 - hp.alpha_f) * excess
 
     return ScoreState(
-        u_t=_l1_normalize(hat_t, "theorem"),
-        u_p=_l1_normalize(hat_p, "paper"),
-        u_f=_l1_normalize(hat_f, "field"),
+        u_t=l1_normalized(hat_t, "theorem"),
+        u_p=l1_normalized(hat_p, "paper"),
+        u_f=l1_normalized(hat_f, "field"),
         iteration=state.iteration + 1,
     )
 

@@ -215,6 +215,34 @@ class TestFieldMatrix:
             recomputed = build_field_matrix(g.paper_field, g.n_fields, g.p_matrix)
             np.testing.assert_array_equal(dense(recomputed), dense(g.f_matrix))
 
+    def test_stored_arrays_equal_dense_construction(self, rng):
+        """Counting into a dense matrix with np.add.at and storing its nonzero
+        entries through from_arrays gives the same arrays, bit for bit, for
+        built graphs, yearly restrictions and a graph with no citations."""
+        def dense_construction(paper_field, n_fields, p_matrix):
+            counts = np.zeros((n_fields, n_fields))
+            np.add.at(counts, (paper_field[p_matrix.rowidx], paper_field[p_matrix.colidx]), 1.0)
+            rows, cols = np.nonzero(counts)
+            return SparseWeightMatrix.from_arrays((n_fields, n_fields), rows, cols,
+                                                  counts[rows, cols])
+
+        graphs = []
+        for _ in range(20):
+            records = make_random_records(
+                rng, n_papers=int(rng.integers(1, 60)), n_theorems=int(rng.integers(1, 40)),
+                n_paper_citations=int(rng.integers(0, 150)))
+            g = build_graph(records)
+            year = records.year[g.paper_code]
+            graphs += [g, restrict_graph(g, year <= int(rng.integers(1991, 2024)))]
+        for g in graphs:
+            got = build_field_matrix(g.paper_field, g.n_fields, g.p_matrix)
+            want = dense_construction(g.paper_field, g.n_fields, g.p_matrix)
+            assert got.shape == want.shape
+            for a, b in ((got.rowidx, want.rowidx), (got.colidx, want.colidx),
+                         (got.values, want.values)):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert any(g.p_matrix.values.size == 0 for g in graphs)
+
     def test_total_equals_collapsed_citation_pairs(self, rng):
         records = make_random_records(rng, n_papers=20, n_theorems=10)
         g = build_graph(records)

@@ -57,11 +57,19 @@ class TestHyperparameters:
         {"alpha_p": 0.9, "beta_p": 0.2},     # sum above 1
         {"tolerance": 0.0}, {"tolerance": -1e-9},
         {"tolerance": math.inf}, {"tolerance": math.nan},
-        {"max_iterations": 0},
+        {"max_iterations": 0}, {"max_iterations": -1},
+        {"max_iterations": 2.5}, {"max_iterations": 10.0}, {"max_iterations": "10"},
+        {"max_iterations": True}, {"max_iterations": False}, {"max_iterations": None},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             Hyperparameters(**kwargs)
+
+    def test_integer_cap_of_any_integer_type(self, rng):
+        """A numpy integer is a count; the solve runs to it."""
+        hp = Hyperparameters(max_iterations=np.int64(3), tolerance=1e-300)
+        _, report = compute_scores(build_graph(make_random_records(rng, n_papers=9, n_theorems=21)), hp)
+        assert report.iterations == 3 and not report.converged
 
     def test_alternative_configuration_accepted(self):
         hp = Hyperparameters(alpha_t=0.85, alpha_p=0.6, beta_p=0.05, alpha_f=0.85)
