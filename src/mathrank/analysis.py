@@ -9,7 +9,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .build import _str_order, build_graph, restrict_graph
-from .fields import FIELD_NAMES, N_FIELDS, field_index_column
+from .fields import FIELD_NAMES, N_FIELDS
 from .graph import ThreeLevelGraph
 from .records import GraphRecords
 from .solver import (
@@ -233,7 +233,10 @@ def category_ratios(
     years = tuple(years)
     if not years:
         raise ValueError("years must be non-empty")
-    paper_fields = field_index_column(records.msc_primary)
+    paper_fields = records.canonical_field
+    bad = np.flatnonzero(paper_fields < 0)
+    if bad.size:
+        raise ValueError(f"bad subject code {records.msc_primary[bad[0]]!r}")
 
     def ratios(included: np.ndarray) -> np.ndarray | None:
         if not included.any():

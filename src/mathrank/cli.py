@@ -32,7 +32,7 @@ from .analysis import (
 )
 from .build import build_graph
 from .corpus import parse_corpus
-from .fields import FIELD_NAMES, field_index_column, is_subject_code
+from .fields import FIELD_NAMES
 from .records import validate_records
 from .solver import DegenerateLevelError, Hyperparameters, compute_scores, normalize_matrices
 
@@ -207,10 +207,10 @@ def build(papers_path, theorems_path, thm_cites_path, paper_cites_path, out_dir)
     _write_table(out / "validation.csv", ("kind", "detail"), "{},{}", [kinds, details])
 
     # A paper whose subject code is malformed counts in no field.
-    field = field_index_column(list(filter(is_subject_code, records.msc_primary)))
+    field = records.canonical_field
     metrics = ["papers", "theorems", "theorem_citations", "paper_citations"]
     metrics += [f"papers_in.{name}" for name in FIELD_NAMES]
-    values = [*records.sizes, *np.bincount(field, minlength=len(FIELD_NAMES)).tolist()]
+    values = [*records.sizes, *np.bincount(field[field >= 0], minlength=len(FIELD_NAMES)).tolist()]
     _write_table(out / "summary.csv", ("metric", "value"), "{},{}", [metrics, values])
 
     n_papers, n_theorems, *_ = records.sizes

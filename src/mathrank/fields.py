@@ -3,9 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
 
 FIELD_NAMES: tuple[str, ...] = (
     "Algebra",
@@ -55,39 +52,27 @@ FIELDS: tuple[FieldId, ...] = tuple(
     FieldId(i, name) for i, name in enumerate(FIELD_NAMES)
 )
 
-OTHERS = FIELDS[FIELD_NAMES.index("Others")]
-
-_CODE_TO_FIELD: dict[str, FieldId] = {}
-for _name, _codes in CODE_GROUPS.items():
-    _field = FIELDS[FIELD_NAMES.index(_name)]
-    for _code in _codes:
-        if _code in _CODE_TO_FIELD:
-            raise AssertionError(f"code {_code!r} assigned to two fields")
-        _CODE_TO_FIELD[_code] = _field
+# Field index of each grouped code.
+_FIELD_INDEX: dict[str, int] = {
+    code: FIELD_NAMES.index(name) for name, codes in CODE_GROUPS.items() for code in codes}
 
 
-def is_subject_code(code: object) -> bool:
-    """True for a string of exactly two ASCII letters or digits."""
-    return isinstance(code, str) and len(code) == 2 and code.isascii() and code.isalnum()
+def field_index(code: object) -> int:
+    """The canonical index of the field of a two-character subject code.
+
+    Codes are matched as exact two-character strings (leading zeros matter).
+    Codes not in any group map to Others. Anything that is not a string of
+    exactly two ASCII letters or digits gives -1.
+    """
+    if not (isinstance(code, str) and len(code) == 2 and code.isascii() and code.isalnum()):
+        return -1
+    return _FIELD_INDEX.get(code, N_FIELDS - 1)  # Others, the last field
 
 
 def msc_to_field(code: str) -> FieldId:
-    """Classify a two-character subject code into one of the 13 fields.
-
-    Codes are matched as exact two-character strings (leading zeros matter).
-    Codes not in any group map to Others. Raises ValueError for anything
-    ``is_subject_code`` rejects.
-    """
-    if not is_subject_code(code):
+    """The field of a subject code (see field_index); raises ValueError for
+    a malformed code."""
+    index = field_index(code)
+    if index < 0:
         raise ValueError(f"subject code must be two ASCII letters or digits, got {code!r}")
-    return _CODE_TO_FIELD.get(code, OTHERS)
-
-
-def field_index_column(codes: Sequence[str]) -> np.ndarray:
-    """``msc_to_field(code).index`` for each code, as int64.
-
-    Each distinct code is classified once, in order of first appearance, so
-    the first invalid code raises as msc_to_field would.
-    """
-    index_of = {code: msc_to_field(code).index for code in dict.fromkeys(codes)}
-    return np.array([index_of[code] for code in codes], dtype=np.int64)
+    return FIELDS[index]

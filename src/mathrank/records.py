@@ -10,7 +10,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .fields import is_subject_code
+from .fields import field_index
 
 # ASCII digits only, the whole string: ``\d`` would also take other scripts'
 # digits, and ``$`` a trailing newline. The corpus reader matches dates with
@@ -306,6 +306,17 @@ class GraphRecords:
         return c.paper_id.size, c.theorem_id.size, c.tc_src_paper.size, c.pc_src.size
 
     @cached_property
+    def canonical_field(self) -> np.ndarray:
+        """Each paper's canonical field index (``fields.field_index`` of its
+        subject code, -1 where the code is malformed), read-only int64.
+        Each distinct code is classified once."""
+        index_of = {code: field_index(code) for code in set(self.msc_primary)}
+        field = np.fromiter(map(index_of.__getitem__, self.msc_primary), dtype=np.int64,
+                            count=len(self.msc_primary))
+        field.setflags(write=False)
+        return field
+
+    @cached_property
     def papers(self) -> tuple[PaperRecord, ...]:
         return tuple(
             PaperRecord(pid, msc, frozenset(authors), YearMonth(y, m))
@@ -418,9 +429,7 @@ def _find_issues(records: GraphRecords) -> ValidationReport:
 
     msc = records.msc_primary
     dup_paper = _repeats(c.paper_id)
-    code_vocab: dict[str, int] = {}
-    msc_code = intern_codes(code_vocab, msc)
-    bad_code = ~np.array([is_subject_code(k) for k in code_vocab], dtype=bool)[msc_code]
+    bad_code = records.canonical_field < 0
     year, month = records.year, records.month
     bad_date = ~((year >= 1) & (month >= 1) & (month <= 12))  # YearMonth.is_valid
     for i in np.flatnonzero(dup_paper | bad_code | bad_date).tolist():

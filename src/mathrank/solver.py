@@ -11,6 +11,7 @@ every step (synchronous update: new values read only old ones).
 from __future__ import annotations
 
 import operator
+import sys
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator
@@ -53,13 +54,15 @@ class Hyperparameters:
         if not 0.0 < self.tolerance < np.inf:
             raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
         # operator.index takes any integer type and no float; it takes a bool
-        # too, which is never a meant count.
+        # too, which is never a meant count. The solve counts steps with
+        # islice, which takes no count above sys.maxsize.
         try:
             count = operator.index(self.max_iterations)
         except TypeError:
             count = 0
-        if isinstance(self.max_iterations, bool) or count < 1:
-            raise ValueError(f"max_iterations must be an integer >= 1, got {self.max_iterations!r}")
+        if isinstance(self.max_iterations, bool) or not 1 <= count <= sys.maxsize:
+            raise ValueError(f"max_iterations must be an integer from 1 to {sys.maxsize}, "
+                             f"got {self.max_iterations!r}")
 
 
 @dataclass(frozen=True)

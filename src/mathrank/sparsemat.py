@@ -25,30 +25,6 @@ class SparseWeightMatrix:
         for arr in (self.rowidx, self.colidx, self.values):
             arr.setflags(write=False)
 
-    @classmethod
-    def from_arrays(
-        cls, shape: tuple[int, int], rows: np.ndarray, cols: np.ndarray, vals: np.ndarray
-    ) -> "SparseWeightMatrix":
-        n_rows, n_cols = shape
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        vals = np.asarray(vals, dtype=np.float64)
-        if rows.size:
-            if rows.min() < 0 or rows.max() >= n_rows:
-                raise ValueError("row index out of bounds")
-            if cols.min() < 0 or cols.max() >= n_cols:
-                raise ValueError("column index out of bounds")
-            if not np.all(vals > 0):
-                raise ValueError("stored weights must be strictly positive")
-        order = np.lexsort((rows, cols))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        if rows.size > 1:
-            same = (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])
-            if same.any():
-                k = int(np.flatnonzero(same)[0])
-                raise ValueError(f"duplicate entry at ({rows[k]}, {cols[k]})")
-        return cls(shape, rows, cols, vals)
-
     @cached_property
     def column_normalized(self) -> "SparseWeightMatrix":
         """Every nonzero column divided by its sum; zero columns stay zero.

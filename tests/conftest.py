@@ -9,11 +9,21 @@ from mathrank.records import (
     TheoremRecord,
     YearMonth,
 )
+from mathrank.sparsemat import SparseWeightMatrix
 
 
 def entries(m):
     """(row, col, value) triples in storage order."""
     return list(zip(m.rowidx.tolist(), m.colidx.tolist(), m.values.tolist()))
+
+
+def stored(shape, rows=(), cols=(), vals=()):
+    """The SparseWeightMatrix of entries given in any order, lexsorted into
+    its stored form: column-major, rows ascending within a column."""
+    rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+    order = np.lexsort((rows, cols))
+    return SparseWeightMatrix(tuple(shape), rows[order], cols[order],
+                              np.asarray(vals, dtype=np.float64)[order])
 
 
 def dense(m):

@@ -239,9 +239,12 @@ def paper_edge_weight(src: PaperRecord, dst: PaperRecord) -> float:
 
 
 def _matrix(n: int, entries: list[tuple[int, int, float]]) -> SparseWeightMatrix:
+    """The n x n matrix of distinct (row, col, value) entries, stored by
+    column, then row."""
+    entries = sorted(entries, key=lambda e: (e[1], e[0]))
     rows, cols, vals = (np.array([e[k] for e in entries], dtype=dtype)
                         for k, dtype in ((0, np.int64), (1, np.int64), (2, np.float64)))
-    return SparseWeightMatrix.from_arrays((n, n), rows, cols, vals)
+    return SparseWeightMatrix((n, n), rows, cols, vals)
 
 
 def build_graph_loop(records: GraphRecords) -> ThreeLevelGraph:

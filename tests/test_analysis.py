@@ -467,6 +467,12 @@ class TestCategoryRatios:
         for ratios in rs.ratios:
             np.testing.assert_allclose(ratios, np.full(13, 1 / 13))
 
+    def test_malformed_code_named(self):
+        records = GraphRecords(papers=[paper("p1", msc="53"), paper("p2", msc="5"),
+                                       paper("p3", msc=None)])
+        with pytest.raises(ValueError, match="bad subject code '5'"):
+            category_ratios(records, [2000])
+
     def test_three_quarters(self):
         records = GraphRecords(papers=[
             paper("p1", msc="53", date=(1995, 1)),

@@ -25,6 +25,21 @@ T2 = theorem("x1", "thm 2")
 T3 = theorem("x3", "thm 1")
 
 
+def assert_stored_form(m):
+    """int64 indices in range, positive float64 values, a strictly
+    increasing column-major key, and read-only arrays."""
+    n_rows, n_cols = m.shape
+    arrays = (m.rowidx, m.colidx, m.values)
+    assert [a.dtype for a in arrays] == [np.int64, np.int64, np.float64]
+    assert m.rowidx.size == m.colidx.size == m.values.size
+    if m.values.size:
+        assert 0 <= m.rowidx.min() and m.rowidx.max() < n_rows
+        assert 0 <= m.colidx.min() and m.colidx.max() < n_cols
+    assert np.all(m.values > 0)
+    assert np.all(np.diff(m.colidx * n_rows + m.rowidx) > 0)
+    assert not any(a.flags.writeable for a in arrays)
+
+
 class TestWeightTiers:
     """Exhaustive cases of the piecewise weight definitions."""
 
@@ -217,14 +232,13 @@ class TestFieldMatrix:
 
     def test_stored_arrays_equal_dense_construction(self, rng):
         """Counting into a dense matrix with np.add.at and storing its nonzero
-        entries through from_arrays gives the same arrays, bit for bit, for
-        built graphs, yearly restrictions and a graph with no citations."""
+        entries column-major gives the same arrays, bit for bit, for built
+        graphs, yearly restrictions and a graph with no citations."""
         def dense_construction(paper_field, n_fields, p_matrix):
             counts = np.zeros((n_fields, n_fields))
             np.add.at(counts, (paper_field[p_matrix.rowidx], paper_field[p_matrix.colidx]), 1.0)
-            rows, cols = np.nonzero(counts)
-            return SparseWeightMatrix.from_arrays((n_fields, n_fields), rows, cols,
-                                                  counts[rows, cols])
+            cols, rows = np.nonzero(counts.T)
+            return SparseWeightMatrix((n_fields, n_fields), rows, cols, counts[rows, cols])
 
         graphs = []
         for _ in range(20):
@@ -385,7 +399,10 @@ class TestRestrictGraph:
             assert not any(a.flags.writeable for a in arrays)
 
     @pytest.mark.parametrize("seed", range(2, 8))
-    def test_matrices_equal_from_arrays_of_their_entries(self, seed):
+    def test_matrices_in_stored_form(self, seed):
+        """Every matrix of a build or a restriction, and its column-normalized
+        form, holds read-only int64 indices in range, positive float64 values
+        and a strictly increasing column-major key."""
         full = build_graph(restriction_corpus(seed))
         rng = np.random.default_rng(seed)
         n = full.n_papers
@@ -393,16 +410,9 @@ class TestRestrictGraph:
         single[rng.integers(n)] = True
         masks = [np.ones(n, dtype=bool), np.zeros(n, dtype=bool), single,
                  *(rng.random(n) < q for q in (0.2, 0.5, 0.8, 0.95))]
-        for keep in masks:
-            g = restrict_graph(full, keep)
-            for m in (g.t_matrix, g.p_matrix):
-                # from_arrays sorts, and rejects out-of-range and duplicate entries.
-                ref = SparseWeightMatrix.from_arrays(m.shape, m.rowidx, m.colidx, m.values)
-                assert ref.shape == m.shape
-                for part in ("rowidx", "colidx", "values"):
-                    u, v = getattr(m, part), getattr(ref, part)
-                    assert u.dtype == v.dtype and np.array_equal(u, v), part
-                    assert not u.flags.writeable
-                # Column-major, rows ascending within a column, no duplicates.
-                key = m.colidx * m.shape[0] + m.rowidx
-                assert np.all(np.diff(key) > 0)
+        graphs = [full, *(restrict_graph(full, keep) for keep in masks)]
+        for g in graphs:
+            for m in (g.t_matrix, g.p_matrix, g.f_matrix):
+                assert_stored_form(m)
+                assert_stored_form(m.column_normalized)
+        assert any(g.t_matrix.values.size == 0 for g in graphs)

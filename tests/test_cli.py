@@ -4,6 +4,8 @@ import gc
 import io
 import os
 import string
+import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,7 @@ from click.testing import CliRunner
 import mathrank.cli
 from mathrank.build import build_graph
 from mathrank.cli import main
-from mathrank.fields import FIELD_NAMES
+from mathrank.fields import FIELD_NAMES, field_index
 from mathrank.records import GraphRecords, PaperCitation, TheoremCitation
 from mathrank.solver import Hyperparameters, compute_scores, normalize_matrices
 from mathrank.sparsemat import SparseWeightMatrix
@@ -831,6 +833,43 @@ class TestCollector:
         finally:
             if was_enabled:
                 gc.enable()
+
+
+@pytest.mark.parametrize("command", ["rank", "series", "impact"])
+def test_iteration_cap_above_maxsize_rejected(tmp_path, runner, solvable_records, command):
+    out = tmp_path / "out"
+    result = runner.invoke(main, [*COMMANDS[command], *corpus_args(tmp_path, solvable_records),
+                                  "--out-dir", str(out), "--max-iter", str(sys.maxsize + 1)])
+    assert result.exit_code == 2, result.output
+    assert "max_iterations must be an integer" in result.output
+    assert not out.exists()
+
+
+class TestCommandsClassifyOnce:
+    """Each command classifies each distinct subject code once: validation,
+    the build, the summary and the ratios read one per-paper column."""
+
+    @pytest.mark.parametrize("bad_code", [False, True], ids=["clean", "bad_code"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_field_index_once_per_code(self, tmp_path, runner, monkeypatch, solvable_records,
+                                       command, bad_code):
+        records = solvable_records
+        if bad_code:
+            records = GraphRecords(records.papers + (paper("zz", msc="5"),), records.theorems,
+                                   records.theorem_citations, records.paper_citations)
+        args = corpus_args(tmp_path, records)
+        calls = Counter()
+
+        def counted(code):
+            calls[code] += 1
+            return field_index(code)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("mathrank") and getattr(module, "field_index", None) is field_index:
+                monkeypatch.setattr(module, "field_index", counted)
+        result = runner.invoke(main, [*COMMANDS[command], *args, "--out-dir", str(tmp_path / "out")])
+        assert (result.exit_code == 2) == bad_code, result.output
+        assert calls == dict.fromkeys(records.msc_primary, 1)
 
 
 class TestCommandsReadCodes:

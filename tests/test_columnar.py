@@ -14,6 +14,7 @@ import mathrank.records
 from mathrank.build import BuildError, build_graph
 from mathrank.cli import main
 from mathrank.corpus import parse_corpus, snapshot_filter
+from mathrank.fields import msc_to_field
 from mathrank.records import (
     PAPER_ID_COLUMNS,
     THEOREM_ID_COLUMNS,
@@ -113,6 +114,23 @@ def write_files(tmp_path, lines):
     for path, name in zip(paths, ("papers", "theorems", "thm_cites", "paper_cites")):
         path.write_text("".join(line + "\n" for line in lines[name]), encoding="utf-8")
     return paths
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_canonical_field_of_dirty_corpus(tmp_path, seed):
+    """Each paper's canonical field is msc_to_field's index of its code, or
+    -1 where msc_to_field raises."""
+    def index(code):
+        try:
+            return msc_to_field(code).index
+        except ValueError:
+            return -1
+
+    rng = np.random.default_rng(seed)
+    records, _ = parse_corpus(*write_files(tmp_path, dirty_corpus(rng, seed % 2 == 1)))
+    field = records.canonical_field
+    assert field.dtype == np.int64 and not field.flags.writeable
+    assert field.tolist() == [index(code) for code in records.msc_primary]
 
 
 @pytest.mark.parametrize("seed", range(40))

@@ -135,6 +135,33 @@ class TestValidation:
         assert "missing" in issue.detail
 
 
+class TestCanonicalField:
+    CODES = ["53", "06", "99", "ab", "5", "", "123", 60, None, b"60", "٦٠", "53"]
+
+    def test_field_index_or_minus_one_per_paper(self):
+        records = GraphRecords(papers=[paper(f"p{i}", msc=c) for i, c in enumerate(self.CODES)])
+        field = records.canonical_field
+        assert field.dtype == np.int64
+        assert field.tolist() == [2, 0, 12, 12, -1, -1, -1, -1, -1, -1, -1, 2]
+        for code, index in zip(self.CODES, field.tolist()):
+            if index < 0:
+                with pytest.raises(ValueError):
+                    msc_to_field(code)
+            else:
+                assert msc_to_field(code).index == index
+
+    def test_read_only_and_computed_once(self):
+        records = GraphRecords(papers=[paper("p1", msc="60"), paper("p2", msc="6")])
+        field = records.canonical_field
+        with pytest.raises(ValueError):
+            field[0] = 0
+        assert records.canonical_field is field
+
+    def test_no_papers(self):
+        field = GraphRecords().canonical_field
+        assert field.dtype == np.int64 and field.shape == (0,)
+
+
 class TestColumns:
     COLUMNS = ("paper_id", "msc_primary", "author_ids", "year", "month",
                "theorem_paper", "theorem_id", "tc_src_paper", "tc_src_theorem",

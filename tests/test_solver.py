@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from mathrank.solver import (
     normalize_matrices,
 )
 
-from conftest import dense, paper, theorem
+from conftest import dense, paper, stored, theorem
 from loop_reference import compute_scores_loop, iterate_once_reduceat, residual
 from oracle import DenseSolver, build_dense
 from synthdata import make_random_records
@@ -60,10 +61,16 @@ class TestHyperparameters:
         {"max_iterations": 0}, {"max_iterations": -1},
         {"max_iterations": 2.5}, {"max_iterations": 10.0}, {"max_iterations": "10"},
         {"max_iterations": True}, {"max_iterations": False}, {"max_iterations": None},
+        {"max_iterations": sys.maxsize + 1},  # more than islice can count
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             Hyperparameters(**kwargs)
+
+    def test_largest_cap_accepted(self, rng):
+        hp = Hyperparameters(max_iterations=sys.maxsize)
+        _, report = compute_scores(build_graph(make_random_records(rng, n_papers=9, n_theorems=21)), hp)
+        assert report.converged
 
     def test_integer_cap_of_any_integer_type(self, rng):
         """A numpy integer is a count; the solve runs to it."""
@@ -78,11 +85,11 @@ class TestHyperparameters:
 
 class TestColumnNormalize:
     def test_uniform_column(self):
-        m = SparseWeightMatrix.from_arrays((2, 1), [0, 1], [0, 0], [1.0, 1.0])
+        m = stored((2, 1), [0, 1], [0, 0], [1.0, 1.0])
         np.testing.assert_allclose(m.column_normalized.values, [0.5, 0.5])
 
     def test_tiered_column(self):
-        m = SparseWeightMatrix.from_arrays((3, 1), [0, 1, 2], [0, 0, 0], [0.05, 0.1, 1.0])
+        m = stored((3, 1), [0, 1, 2], [0, 0, 0], [0.05, 0.1, 1.0])
         normalized = m.column_normalized.values
         np.testing.assert_allclose(
             normalized, np.array([0.05, 0.1, 1.0]) / 1.15, atol=1e-15)
@@ -90,7 +97,7 @@ class TestColumnNormalize:
             normalized, [0.04348, 0.08696, 0.86957], atol=5e-6)
 
     def test_zero_column_stays_zero(self):
-        m = SparseWeightMatrix.from_arrays((2, 3), [0, 1], [0, 2], [2.0, 4.0])
+        m = stored((2, 3), [0, 1], [0, 2], [2.0, 4.0])
         normalized = m.column_normalized
         matrix = dense(normalized)
         np.testing.assert_array_equal(matrix[:, 1], [0.0, 0.0])

@@ -3,21 +3,19 @@ import pytest
 
 from mathrank.sparsemat import SparseWeightMatrix
 
-from conftest import dense, entries
+from conftest import dense, entries, stored
 from loop_reference import matvec
 
 
 def from_entries(shape, triples):
-    """The matrix of (row, col, value) triples, through from_arrays."""
-    rows, cols, vals = zip(*triples) if triples else ((), (), ())
-    return SparseWeightMatrix.from_arrays(shape, rows, cols, vals)
+    """The matrix of (row, col, value) triples."""
+    return stored(shape, *zip(*triples))
 
 
 def random_matrix(rng, n_rows, n_cols, density=0.2):
     dense = (rng.random((n_rows, n_cols)) < density) * rng.random((n_rows, n_cols))
     rows, cols = np.nonzero(dense)
-    return SparseWeightMatrix.from_arrays(
-        (n_rows, n_cols), rows, cols, dense[rows, cols]), dense
+    return stored((n_rows, n_cols), rows, cols, dense[rows, cols]), dense
 
 
 def test_entries_stored_column_major():
@@ -60,7 +58,7 @@ def large_random_matrix(rng, n=100_000, nnz=500_000):
     """n x n with about nnz distinct entries and positive weights."""
     flat = np.unique(rng.integers(0, n * n, size=nnz))
     vals = rng.uniform(0.05, 1.0, size=flat.size)
-    return SparseWeightMatrix.from_arrays((n, n), flat // n, flat % n, vals)
+    return stored((n, n), flat // n, flat % n, vals)
 
 
 def longdouble_sums(index, weights, n):
@@ -85,21 +83,11 @@ def test_column_sums_precision_at_scale(rng):
     np.testing.assert_allclose(m.column_sums(), ref.astype(np.float64), rtol=1e-13, atol=0)
 
 
-def test_duplicate_entries_rejected():
-    with pytest.raises(ValueError, match="duplicate"):
-        from_entries((2, 2), [(0, 1, 1.0), (0, 1, 2.0)])
-
-
-@pytest.mark.parametrize("entry", [(-1, 0, 1.0), (2, 0, 1.0), (0, -1, 1.0), (0, 2, 1.0)])
-def test_out_of_bounds_rejected(entry):
-    with pytest.raises(ValueError, match="out of bounds"):
-        from_entries((2, 2), [entry])
-
-
 @pytest.mark.parametrize("weight", [0.0, -0.5])
 def test_nonpositive_weights_rejected(weight):
+    m = SparseWeightMatrix((2, 2), np.array([0]), np.array([1]), np.array([weight]))
     with pytest.raises(ValueError, match="positive"):
-        from_entries((2, 2), [(0, 1, weight)])
+        m.column_normalized
 
 
 def test_empty_matrix():
