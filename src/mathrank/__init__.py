@@ -13,7 +13,7 @@ from .analysis import (
 )
 from .build import BuildError, build_graph, restrict_graph
 from .corpus import parse_corpus, snapshot_filter
-from .fields import FIELD_NAMES, FIELDS, FieldId, msc_to_field
+from .fields import FIELD_NAMES
 from .graph import ThreeLevelGraph
 from .records import (
     GraphRecords,
@@ -46,9 +46,7 @@ __all__ = [
     "ConvergenceReport",
     "DegenerateLevelError",
     "EmptyLevelError",
-    "FIELDS",
     "FIELD_NAMES",
-    "FieldId",
     "FieldSeries",
     "GraphRecords",
     "Hyperparameters",
@@ -73,7 +71,6 @@ __all__ = [
     "impact_asymmetry",
     "init_state",
     "iterate_once",
-    "msc_to_field",
     "normalize_matrices",
     "parse_corpus",
     "rank_entities",

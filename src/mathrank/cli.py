@@ -6,7 +6,8 @@ identical inputs and flags produce byte-identical files.
 
 Exit codes: 0 success, 1 solver did not converge (outputs still written),
 2 input or validation failure, or an output directory or file that cannot
-be written.
+be written. An exit 2 leaves no file that the command wrote, except that
+``build`` writes both of its files for a corpus it rejects.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import csv
 import io
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 
 import click
@@ -74,32 +74,51 @@ def _csv_cell(text: str) -> str:
     return buf.getvalue()[:-1]
 
 
-def _write_table(path: Path, header, row_format: str, columns, comments=None):
-    """Write ``# `` comment lines, the header and one ``row_format`` line per row.
+def _write_tables(out: Path, tables, comments=(), warning=None):
+    """Write each ``(name, header, row_format, columns)`` table to ``out / name``.
 
-    The header's names need no quoting. ``columns`` holds one sequence per
-    field of ``row_format``, each all text or all numbers. A text cell that
-    may need quoting is written as this Python's csv.writer writes it, so
-    the file is what csv.writer writes for these cells. A cell csv.writer
-    refuses (a NUL on 3.10) exits 2 before the file is opened; a file that
-    cannot be opened or written exits 2 as well.
+    A file holds one ``# `` line per comment, the header and one
+    ``row_format`` line per row. The header's names need no quoting.
+    ``columns`` holds one sequence per field of ``row_format``, each all
+    text or all numbers. A text cell that may need quoting is written as
+    this Python's csv.writer writes it, so the file is what csv.writer
+    writes for these cells.
+
+    Every table is formatted before any file is opened, so a cell
+    csv.writer refuses (a NUL on 3.10) exits 2 with no file written. A file
+    that cannot be opened or written exits 2 too, after the files this call
+    wrote are removed. Once every file is written, a ``warning`` is printed
+    and the command exits 1.
     """
-    try:
-        columns = [
-            [_csv_cell(c) if _may_need_quoting(c) else c for c in column]
-            if column and isinstance(column[0], str) and _may_need_quoting("".join(column))
-            else column
-            for column in columns]
-    except csv.Error as exc:
-        _fail(f"cannot write a row to {path.name}: {exc}")
-    lines = [f"# {comment}\n" for comment in comments or ()]
-    lines.append(",".join(header) + "\n")
-    lines.append("".join(map((row_format + "\n").format, *columns)))
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(lines)
-    except OSError as exc:
-        _fail(f"cannot write {path.name}: {exc}")
+    texts = []
+    for name, header, row_format, columns in tables:
+        try:
+            columns = [
+                [_csv_cell(c) if _may_need_quoting(c) else c for c in column]
+                if column and isinstance(column[0], str) and _may_need_quoting("".join(column))
+                else column
+                for column in columns]
+        except csv.Error as exc:
+            _fail(f"cannot write a row to {name}: {exc}")
+        texts.append((out / name, [*(f"# {comment}\n" for comment in comments),
+                                   ",".join(header) + "\n",
+                                   "".join(map((row_format + "\n").format, *columns))]))
+    written = []
+    for path, lines in texts:
+        try:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                written.append(path)
+                fh.writelines(lines)
+        except OSError as exc:
+            for done in written:
+                try:
+                    done.unlink()
+                except OSError:
+                    pass
+            _fail(f"cannot write {path.name}: {exc}")
+    if warning:
+        click.echo(f"warning: {warning}", err=True)
+        sys.exit(1)
 
 
 def corpus_options(f):
@@ -148,9 +167,17 @@ def _ensure_out_dir(out_dir: str) -> Path:
     return path
 
 
+def _read_corpus(papers_path, theorems_path, thm_cites_path, paper_cites_path):
+    """parse_corpus, exiting with code 2 on a file that cannot be read."""
+    try:
+        return parse_corpus(papers_path, theorems_path, thm_cites_path, paper_cites_path)
+    except OSError as exc:
+        _fail(f"cannot read the corpus: {exc}")
+
+
 def _load_valid_corpus(papers_path, theorems_path, thm_cites_path, paper_cites_path):
     """Parse and validate, exiting with code 2 on any corpus defect."""
-    records, malformed = parse_corpus(
+    records, malformed = _read_corpus(
         papers_path, theorems_path, thm_cites_path, paper_cites_path)
     if malformed:
         for m in malformed[:10]:
@@ -164,26 +191,24 @@ def _load_valid_corpus(papers_path, theorems_path, thm_cites_path, paper_cites_p
     return records
 
 
-@contextmanager
-def _solved(graph, hp: Hyperparameters):
-    """Solve, yielding the state and the comment lines for the output files.
+def _solve(graph, hp: Hyperparameters):
+    """Solve, returning the state, the comment lines for the output files
+    and the warning to print once they are written.
 
-    A graph the solver rejects exits 2. Once the body has written its files,
-    a run that hit the iteration cap warns and exits 1.
+    A graph the solver rejects exits 2. A run that hit the iteration cap
+    gets a comment line and a warning; one that converged gets neither.
     """
     try:
         state, report = compute_scores(graph, hp)
     except (ValueError, DegenerateLevelError) as exc:
         _fail(str(exc))
-    comments = None
-    if not report.converged:
-        comments = [f"not_converged after {report.iterations} iterations; "
-                    f"residual {report.residual:.6g}"]
-    yield state, comments
-    if not report.converged:
-        click.echo(f"warning: solver did not converge within {hp.max_iterations} "
-                   f"iterations (residual {report.residual:.6g})", err=True)
-        sys.exit(1)
+    if report.converged:
+        return state, (), None
+    return (state,
+            [f"not_converged after {report.iterations} iterations; "
+             f"residual {report.residual:.6g}"],
+            f"solver did not converge within {hp.max_iterations} iterations "
+            f"(residual {report.residual:.6g})")
 
 
 @click.group()
@@ -197,21 +222,20 @@ def main():
 def build(papers_path, theorems_path, thm_cites_path, paper_cites_path, out_dir):
     """Validate a corpus and write a graph summary plus a validation report."""
     out = _ensure_out_dir(out_dir)
-    records, malformed = parse_corpus(
+    records, malformed = _read_corpus(
         papers_path, theorems_path, thm_cites_path, paper_cites_path)
     report = validate_records(records)
 
     kinds = ["malformed_line"] * len(malformed) + [i.kind for i in report.issues]
     details = [f"{m.path}:{m.line_number}: {m.reason}" for m in malformed]
     details += [i.detail for i in report.issues]
-    _write_table(out / "validation.csv", ("kind", "detail"), "{},{}", [kinds, details])
-
     # A paper whose subject code is malformed counts in no field.
     field = records.canonical_field
     metrics = ["papers", "theorems", "theorem_citations", "paper_citations"]
     metrics += [f"papers_in.{name}" for name in FIELD_NAMES]
     values = [*records.sizes, *np.bincount(field[field >= 0], minlength=len(FIELD_NAMES)).tolist()]
-    _write_table(out / "summary.csv", ("metric", "value"), "{},{}", [metrics, values])
+    _write_tables(out, [("validation.csv", ("kind", "detail"), "{},{}", [kinds, details]),
+                        ("summary.csv", ("metric", "value"), "{},{}", [metrics, values])])
 
     n_papers, n_theorems, *_ = records.sizes
     failed = False
@@ -247,11 +271,14 @@ def rank(papers_path, theorems_path, thm_cites_path, paper_cites_path,
     records = _load_valid_corpus(
         papers_path, theorems_path, thm_cites_path, paper_cites_path)
     graph = build_graph(records)
-    with _solved(graph, hp) as (state, comments):
-        for level in (level_choice,) if level_choice else _RANK_LEVELS:
-            columns = ranking_columns(graph, state, level, top_k, group_by_field)
-            _write_table(out / f"rankings_{level}.csv", ("rank", "id", "field", "score"),
-                         "{},{},{},{:.12g}", columns, comments)
+    state, comments, warning = _solve(graph, hp)
+    # A generator, so that each level's columns are formatted before the
+    # next level's are made.
+    _write_tables(out, ((f"rankings_{level}.csv", ("rank", "id", "field", "score"),
+                         "{},{},{},{:.12g}",
+                         ranking_columns(graph, state, level, top_k, group_by_field))
+                        for level in ((level_choice,) if level_choice else _RANK_LEVELS)),
+                  comments, warning)
 
 
 @main.command()
@@ -273,18 +300,14 @@ def series(papers_path, theorems_path, thm_cites_path, paper_cites_path,
     years = range(from_year, to_year + 1)
 
     fs = field_series(records, years, hp)
-    _write_table(out / "field_scores.csv", _SERIES_HEADER, _SERIES_ROW,
-                 [fs.years, fs.status, *_field_columns(fs.scores)])
-
     rs = category_ratios(records, years)
     status = [YEAR_EMPTY if ratios is None else YEAR_OK for ratios in rs.ratios]
-    _write_table(out / "category_ratios.csv", _SERIES_HEADER, _SERIES_ROW,
-                 [rs.years, status, *_field_columns(rs.ratios)])
-
     bad_years = [y for y, s in zip(fs.years, fs.status) if s == YEAR_NOT_CONVERGED]
-    if bad_years:
-        click.echo(f"warning: solver did not converge for years {bad_years}", err=True)
-        sys.exit(1)
+    _write_tables(out, [("field_scores.csv", _SERIES_HEADER, _SERIES_ROW,
+                         [fs.years, fs.status, *_field_columns(fs.scores)]),
+                        ("category_ratios.csv", _SERIES_HEADER, _SERIES_ROW,
+                         [rs.years, status, *_field_columns(rs.ratios)])],
+                  warning=f"solver did not converge for years {bad_years}" if bad_years else None)
 
 
 @main.command()
@@ -300,16 +323,16 @@ def impact(papers_path, theorems_path, thm_cites_path, paper_cites_path,
         papers_path, theorems_path, thm_cites_path, paper_cites_path)
     graph = build_graph(records)
     norm = normalize_matrices(graph)
-    with _solved(graph, hp) as (state, comments):
-        matrix = field_impact(graph, norm, state.u_p)
-        _write_table(out / "impact_matrix.csv", ("field", *FIELD_NAMES),
-                     "{}" + ",{:.12g}" * len(FIELD_NAMES),
-                     [FIELD_NAMES, *matrix.expand_canonical().T.tolist()], comments)
-        pairs = impact_asymmetry(matrix)
-        _write_table(out / "impact_asymmetry.csv", ("source", "target", "ratio"), "{},{},{}",
-                     [[src for src, _, _ in pairs], [dst for _, dst, _ in pairs],
-                      ["" if ratio is None else _fmt(ratio) for _, _, ratio in pairs]],
-                     comments)
+    state, comments, warning = _solve(graph, hp)
+    matrix = field_impact(graph, norm, state.u_p)
+    pairs = impact_asymmetry(matrix)
+    _write_tables(out, [("impact_matrix.csv", ("field", *FIELD_NAMES),
+                         "{}" + ",{:.12g}" * len(FIELD_NAMES),
+                         [FIELD_NAMES, *matrix.expand_canonical().T.tolist()]),
+                        ("impact_asymmetry.csv", ("source", "target", "ratio"), "{},{},{}",
+                         [[src for src, _, _ in pairs], [dst for _, dst, _ in pairs],
+                          ["" if ratio is None else _fmt(ratio) for _, _, ratio in pairs]])],
+                  comments, warning)
 
 
 if __name__ == "__main__":

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 FIELD_NAMES: tuple[str, ...] = (
     "Algebra",
     "AlgGeom",
@@ -40,18 +38,6 @@ CODE_GROUPS: dict[str, tuple[str, ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class FieldId:
-    """One of the 13 fields; ``index`` is its position in FIELD_NAMES."""
-
-    index: int
-    name: str
-
-
-FIELDS: tuple[FieldId, ...] = tuple(
-    FieldId(i, name) for i, name in enumerate(FIELD_NAMES)
-)
-
 # Field index of each grouped code.
 _FIELD_INDEX: dict[str, int] = {
     code: FIELD_NAMES.index(name) for name, codes in CODE_GROUPS.items() for code in codes}
@@ -67,12 +53,3 @@ def field_index(code: object) -> int:
     if not (isinstance(code, str) and len(code) == 2 and code.isascii() and code.isalnum()):
         return -1
     return _FIELD_INDEX.get(code, N_FIELDS - 1)  # Others, the last field
-
-
-def msc_to_field(code: str) -> FieldId:
-    """The field of a subject code (see field_index); raises ValueError for
-    a malformed code."""
-    index = field_index(code)
-    if index < 0:
-        raise ValueError(f"subject code must be two ASCII letters or digits, got {code!r}")
-    return FIELDS[index]

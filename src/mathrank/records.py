@@ -35,10 +35,6 @@ class YearMonth(NamedTuple):
     def __str__(self) -> str:
         return f"{self.year:04d}-{self.month:02d}"
 
-    @property
-    def is_valid(self) -> bool:
-        return self.year >= 1 and 1 <= self.month <= 12
-
 
 @dataclass(frozen=True)
 class PaperRecord:
@@ -431,7 +427,7 @@ def _find_issues(records: GraphRecords) -> ValidationReport:
     dup_paper = _repeats(c.paper_id)
     bad_code = records.canonical_field < 0
     year, month = records.year, records.month
-    bad_date = ~((year >= 1) & (month >= 1) & (month <= 12))  # YearMonth.is_valid
+    bad_date = ~((year >= 1) & (month >= 1) & (month <= 12))
     for i in np.flatnonzero(dup_paper | bad_code | bad_date).tolist():
         pid = pids[c.paper_id[i]]
         if dup_paper[i]:

@@ -10,8 +10,10 @@ one weight call per edge and one set lookup per row.
 (column for column, and code for code for snapshots), malformed-line
 reasons and reports, and graphs equal label for label and array for
 array (``build_graph_loop`` codes each id by a dict over the records'
-vocabulary). ``theorem_keys`` reads each theorem's (paper id, theorem id)
-from a graph's codes, one theorem at a time.
+vocabulary and classifies each paper with ``oracle.field_of_paper``).
+``validate_records_loop`` states the date rule itself. ``theorem_keys``
+reads each theorem's (paper id, theorem id) from a graph's codes, one
+theorem at a time.
 ``theorem_edge_weight`` and ``paper_edge_weight`` are the weight tiers as
 scalar definitions, one edge at a time.
 
@@ -58,7 +60,6 @@ from mathrank.build import (
     BuildError,
     build_field_matrix,
 )
-from mathrank.fields import msc_to_field
 from mathrank.graph import ThreeLevelGraph
 from mathrank.records import (
     TABLES,
@@ -77,6 +78,8 @@ from mathrank.solver import (
     normalize_matrices,
 )
 from mathrank.sparsemat import SparseWeightMatrix
+
+import oracle
 
 
 def _require_str(obj: dict, key: str) -> str:
@@ -181,7 +184,8 @@ def validate_records_loop(records: GraphRecords) -> ValidationReport:
         if not (isinstance(code, str) and len(code) == 2 and code.isascii() and code.isalnum()):
             issues.append(ValidationIssue(
                 "malformed_paper", f"{p.paper_id}: bad subject code {p.msc_primary!r}"))
-        if not p.first_version_date.is_valid:
+        date = p.first_version_date
+        if not (date.year >= 1 and 1 <= date.month <= 12):
             issues.append(ValidationIssue(
                 "malformed_paper", f"{p.paper_id}: bad date {p.first_version_date}"))
 
@@ -270,7 +274,8 @@ def build_graph_loop(records: GraphRecords) -> ThreeLevelGraph:
     n_theorems = len(theorems)
 
     canonical_field = np.array(
-        [msc_to_field(p.msc_primary).index for p in papers], dtype=np.int64)
+        [oracle.FIELD_ORDER.index(oracle.field_of_paper(p.msc_primary)) for p in papers],
+        dtype=np.int64)
     field_indices = np.unique(canonical_field)
     local_of_canonical = {int(c): i for i, c in enumerate(field_indices)}
     paper_field = np.array(

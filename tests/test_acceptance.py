@@ -13,7 +13,7 @@ from click.testing import CliRunner
 from mathrank.build import build_graph
 from mathrank.cli import main as cli_main
 from mathrank.corpus import snapshot_filter
-from mathrank.fields import FIELD_NAMES, msc_to_field
+from mathrank.fields import FIELD_NAMES, field_index
 from mathrank.records import (
     GraphRecords,
     PaperCitation,
@@ -202,14 +202,15 @@ def test_criterion_4_weight_scheme_exactness():
     """Exact classification table and exact piecewise citation weights."""
     # Every listed code, via the independently transcribed table.
     for code, expected in sorted(oracle.FIELD_OF_CODE.items()):
-        assert msc_to_field(code).name == expected, code
-    assert {msc_to_field(c).name for c in oracle.FIELD_OF_CODE} == set(FIELD_NAMES) - {"Others"}
+        assert field_index(code) == FIELD_NAMES.index(expected), code
+    assert ({field_index(c) for c in oracle.FIELD_OF_CODE}
+            == set(range(len(FIELD_NAMES))) - {FIELD_NAMES.index("Others")})
     # All unlisted two-digit codes fall through to Others.
     unlisted = [a + b for a in string.digits for b in string.digits
                 if a + b not in oracle.FIELD_OF_CODE]
     assert unlisted, "sanity: some codes must be unlisted"
     for code in unlisted:
-        assert msc_to_field(code).name == "Others", code
+        assert field_index(code) == FIELD_NAMES.index("Others"), code
 
     p_a = paper("pa", authors=("a1", "a2"))
     p_b = paper("pb", authors=("a2", "a3"))

@@ -423,18 +423,20 @@ class TestTablesMatchCsvWriter:
 
     def test_every_table(self, tmp_path, runner, monkeypatch):
         written = []
-        write_table = mathrank.cli._write_table
+        write_tables = mathrank.cli._write_tables
 
-        def recording(path, header, row_format, columns, comments=None):
-            assert len({len(column) for column in columns}) == 1
-            specs = [spec for _, field, spec, _ in string.Formatter().parse(row_format)
-                     if field is not None]
-            rows = [[format(cell, spec) for cell, spec in zip(row, specs)]
-                    for row in zip(*columns)]
-            written.append((path, csv_table_bytes(header, rows, comments or ())))
-            write_table(path, header, row_format, columns, comments)
+        def recording(out, tables, comments=(), warning=None):
+            tables = list(tables)
+            for name, header, row_format, columns in tables:
+                assert len({len(column) for column in columns}) == 1
+                specs = [spec for _, field, spec, _ in string.Formatter().parse(row_format)
+                         if field is not None]
+                rows = [[format(cell, spec) for cell, spec in zip(row, specs)]
+                        for row in zip(*columns)]
+                written.append((out / name, csv_table_bytes(header, rows, comments)))
+            write_tables(out, tables, comments, warning)
 
-        monkeypatch.setattr(mathrank.cli, "_write_table", recording)
+        monkeypatch.setattr(mathrank.cli, "_write_tables", recording)
         records = quoting_corpus_records()
         clean = corpus_args(tmp_path, records, sub="clean,corpus")
         dirty = corpus_args(tmp_path, GraphRecords(
@@ -491,8 +493,7 @@ class TestUnusableOutDir:
         reason = IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(blocked))
         assert result.output == f"error: cannot write rankings_paper.csv: {reason}\n"
         assert not list(blocked.iterdir())
-        assert sorted(p.name for p in out.iterdir()) == ["rankings_paper.csv",
-                                                        "rankings_theorem.csv"]
+        assert [p.name for p in out.iterdir()] == ["rankings_paper.csv"]
 
 
 class TestSeries:

@@ -14,7 +14,7 @@ import mathrank.records
 from mathrank.build import BuildError, build_graph
 from mathrank.cli import main
 from mathrank.corpus import parse_corpus, snapshot_filter
-from mathrank.fields import msc_to_field
+from mathrank.fields import field_index
 from mathrank.records import (
     PAPER_ID_COLUMNS,
     THEOREM_ID_COLUMNS,
@@ -118,19 +118,13 @@ def write_files(tmp_path, lines):
 
 @pytest.mark.parametrize("seed", range(40))
 def test_canonical_field_of_dirty_corpus(tmp_path, seed):
-    """Each paper's canonical field is msc_to_field's index of its code, or
-    -1 where msc_to_field raises."""
-    def index(code):
-        try:
-            return msc_to_field(code).index
-        except ValueError:
-            return -1
-
+    """Each paper's canonical field is field_index of its code: -1 for a
+    malformed code."""
     rng = np.random.default_rng(seed)
     records, _ = parse_corpus(*write_files(tmp_path, dirty_corpus(rng, seed % 2 == 1)))
     field = records.canonical_field
     assert field.dtype == np.int64 and not field.flags.writeable
-    assert field.tolist() == [index(code) for code in records.msc_primary]
+    assert field.tolist() == [field_index(code) for code in records.msc_primary]
 
 
 @pytest.mark.parametrize("seed", range(40))

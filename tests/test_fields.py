@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mathrank.fields import CODE_GROUPS, FIELD_NAMES, FIELDS, FieldId, msc_to_field
+from mathrank.fields import CODE_GROUPS, FIELD_NAMES, field_index
 
 # The full classification, spelled out code by code.
 EXPECTED = {
@@ -36,39 +36,37 @@ def test_thirteen_fields_in_canonical_order():
     assert len(FIELD_NAMES) == 13
     assert FIELD_NAMES[0] == "Algebra"
     assert FIELD_NAMES[-1] == "Others"
-    assert [f.index for f in FIELDS] == list(range(13))
-    assert [f.name for f in FIELDS] == list(FIELD_NAMES)
 
 
 @pytest.mark.parametrize("code,expected", sorted(EXPECTED.items()))
 def test_every_listed_code(code, expected):
-    assert msc_to_field(code).name == expected
+    assert field_index(code) == FIELD_NAMES.index(expected)
 
 
 @pytest.mark.parametrize("code", ["99", "00", "05", "07", "50", "3a", "ab"])
 def test_unlisted_codes_map_to_others(code):
-    assert msc_to_field(code).name == "Others"
+    assert field_index(code) == FIELD_NAMES.index("Others")
 
 
 def test_representative_codes():
-    assert msc_to_field("62").name == "Statistics"
-    assert msc_to_field("37").name == "DynSys"
-    assert msc_to_field("90").name == "Optimization"
-    assert msc_to_field("99").name == "Others"
+    assert field_index("62") == FIELD_NAMES.index("Statistics")
+    assert field_index("37") == FIELD_NAMES.index("DynSys")
+    assert field_index("90") == FIELD_NAMES.index("Optimization")
+    assert field_index("99") == FIELD_NAMES.index("Others")
 
 
 def test_leading_zero_codes_are_distinct_strings():
-    assert msc_to_field("06").name == "Algebra"
+    assert field_index("06") == FIELD_NAMES.index("Algebra")
     # "6 " or "60" are different codes entirely; "06" must not alias them.
-    assert msc_to_field("60").name == "Probability"
+    assert field_index("60") == FIELD_NAMES.index("Probability")
 
 
 def test_total_over_all_two_digit_codes():
     seen = set()
     for a in string.digits:
         for b in string.digits:
-            seen.add(msc_to_field(a + b).name)
-    assert seen == set(FIELD_NAMES)  # surjective onto the 13 fields
+            seen.add(field_index(a + b))
+    assert seen == set(range(len(FIELD_NAMES)))  # surjective onto the 13 fields
 
 
 def test_code_groups_are_disjoint():
@@ -79,21 +77,17 @@ def test_code_groups_are_disjoint():
 
 @pytest.mark.parametrize("bad", ["6", "123", "", "6!", "-1", "6 ", "  ", "６２"])
 def test_malformed_codes_rejected(bad):
-    with pytest.raises(ValueError):
-        msc_to_field(bad)
+    assert field_index(bad) == -1
 
 
 @given(st.text(alphabet=_ALNUM, min_size=2, max_size=2))
 def test_any_alphanumeric_pair_classifies(code):
-    field = msc_to_field(code)
-    assert isinstance(field, FieldId)
-    assert field.name in FIELD_NAMES
+    assert 0 <= field_index(code) < len(FIELD_NAMES)
 
 
 @given(st.text(max_size=5))
 def test_non_pairs_raise_or_classify(code):
     if len(code) == 2 and code.isascii() and code.isalnum():
-        assert msc_to_field(code).name in FIELD_NAMES
+        assert 0 <= field_index(code) < len(FIELD_NAMES)
     else:
-        with pytest.raises(ValueError):
-            msc_to_field(code)
+        assert field_index(code) == -1

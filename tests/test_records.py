@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mathrank.fields import msc_to_field
+from mathrank.fields import field_index
 from mathrank.records import (
     GraphRecords,
     PaperCitation,
@@ -53,9 +53,11 @@ class TestYearMonth:
         assert YearMonth(2000, 1) < YearMonth(2000, 2)
 
     def test_validity(self):
-        assert YearMonth(1998, 12).is_valid
-        assert not YearMonth(1998, 13).is_valid
-        assert not YearMonth(1998, 0).is_valid
+        # Validation's date rule: a year from 1, a month from 1 to 12.
+        for date, valid in (((1998, 12), True), ((1998, 13), False), ((1998, 0), False),
+                            ((0, 6), False), ((1, 1), True)):
+            report = validate_records(GraphRecords(papers=[paper("p1", date=date)]))
+            assert report.is_clean == valid, date
 
 
 class TestValidation:
@@ -116,10 +118,9 @@ class TestValidation:
         assert report.counts() == {"malformed_paper": 1}
 
     @pytest.mark.parametrize("code", [60, None, b"60", "٦٠"])
-    def test_codes_msc_to_field_rejects_are_issues(self, code):
-        # msc_to_field rejects the same codes, so the two rules agree.
-        with pytest.raises(ValueError):
-            msc_to_field(code)
+    def test_codes_field_index_rejects_are_issues(self, code):
+        # field_index rejects the same codes, so the two rules agree.
+        assert field_index(code) == -1
         (issue,) = validate_records(GraphRecords(papers=[paper("p1", msc=code)])).issues
         assert issue == ValidationIssue("malformed_paper", f"p1: bad subject code {code!r}")
 
@@ -143,12 +144,7 @@ class TestCanonicalField:
         field = records.canonical_field
         assert field.dtype == np.int64
         assert field.tolist() == [2, 0, 12, 12, -1, -1, -1, -1, -1, -1, -1, 2]
-        for code, index in zip(self.CODES, field.tolist()):
-            if index < 0:
-                with pytest.raises(ValueError):
-                    msc_to_field(code)
-            else:
-                assert msc_to_field(code).index == index
+        assert field.tolist() == [field_index(code) for code in self.CODES]
 
     def test_read_only_and_computed_once(self):
         records = GraphRecords(papers=[paper("p1", msc="60"), paper("p2", msc="6")])
