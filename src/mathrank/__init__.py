@@ -17,10 +17,6 @@ from .fields import FIELD_NAMES
 from .graph import ThreeLevelGraph
 from .records import (
     GraphRecords,
-    PaperCitation,
-    PaperRecord,
-    TheoremCitation,
-    TheoremRecord,
     ValidationReport,
     YearMonth,
     validate_records,
@@ -52,14 +48,10 @@ __all__ = [
     "Hyperparameters",
     "ImpactMatrix",
     "NormalizedMatrices",
-    "PaperCitation",
-    "PaperRecord",
     "RankingTable",
     "RatioSeries",
     "ScoreState",
     "SparseWeightMatrix",
-    "TheoremCitation",
-    "TheoremRecord",
     "ThreeLevelGraph",
     "ValidationReport",
     "YearMonth",

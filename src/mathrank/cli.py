@@ -7,7 +7,8 @@ identical inputs and flags produce byte-identical files.
 Exit codes: 0 success, 1 solver did not converge (outputs still written),
 2 input or validation failure, or an output directory or file that cannot
 be written. An exit 2 leaves no file that the command wrote, except that
-``build`` writes both of its files for a corpus it rejects.
+``build`` writes both of its files for a corpus it rejects; one before the
+write step makes no directory either.
 """
 
 from __future__ import annotations
@@ -74,8 +75,8 @@ def _csv_cell(text: str) -> str:
     return buf.getvalue()[:-1]
 
 
-def _write_tables(out: Path, tables, comments=(), warning=None):
-    """Write each ``(name, header, row_format, columns)`` table to ``out / name``.
+def _write_tables(out_dir: str, tables, comments=(), warning=None):
+    """Write each ``(name, header, row_format, columns)`` table to ``out_dir / name``.
 
     A file holds one ``# `` line per comment, the header and one
     ``row_format`` line per row. The header's names need no quoting.
@@ -84,12 +85,14 @@ def _write_tables(out: Path, tables, comments=(), warning=None):
     this Python's csv.writer writes it, so the file is what csv.writer
     writes for these cells.
 
-    Every table is formatted before any file is opened, so a cell
-    csv.writer refuses (a NUL on 3.10) exits 2 with no file written. A file
-    that cannot be opened or written exits 2 too, after the files this call
-    wrote are removed. Once every file is written, a ``warning`` is printed
-    and the command exits 1.
+    Every table is formatted before the directory is made or any file is
+    opened, so a cell csv.writer refuses (a NUL on 3.10) exits 2 with no
+    file written. A directory that cannot be made exits 2, and so does a
+    file that cannot be opened or written, after the files this call wrote
+    are removed. Once every file is written, a ``warning`` is printed and
+    the command exits 1.
     """
+    out = Path(out_dir)
     texts = []
     for name, header, row_format, columns in tables:
         try:
@@ -103,6 +106,10 @@ def _write_tables(out: Path, tables, comments=(), warning=None):
         texts.append((out / name, [*(f"# {comment}\n" for comment in comments),
                                    ",".join(header) + "\n",
                                    "".join(map((row_format + "\n").format, *columns))]))
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        _fail(f"cannot make the output directory: {exc}")
     written = []
     for path, lines in texts:
         try:
@@ -156,15 +163,6 @@ def _make_hp(alpha_t, alpha_p, beta_p, alpha_f, tol, max_iter) -> Hyperparameter
             tolerance=tol, max_iterations=max_iter)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-
-
-def _ensure_out_dir(out_dir: str) -> Path:
-    path = Path(out_dir)
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        _fail(f"cannot make the output directory: {exc}")
-    return path
 
 
 def _read_corpus(papers_path, theorems_path, thm_cites_path, paper_cites_path):
@@ -221,7 +219,6 @@ def main():
 @out_dir_option
 def build(papers_path, theorems_path, thm_cites_path, paper_cites_path, out_dir):
     """Validate a corpus and write a graph summary plus a validation report."""
-    out = _ensure_out_dir(out_dir)
     records, malformed = _read_corpus(
         papers_path, theorems_path, thm_cites_path, paper_cites_path)
     report = validate_records(records)
@@ -234,14 +231,14 @@ def build(papers_path, theorems_path, thm_cites_path, paper_cites_path, out_dir)
     metrics = ["papers", "theorems", "theorem_citations", "paper_citations"]
     metrics += [f"papers_in.{name}" for name in FIELD_NAMES]
     values = [*records.sizes, *np.bincount(field[field >= 0], minlength=len(FIELD_NAMES)).tolist()]
-    _write_tables(out, [("validation.csv", ("kind", "detail"), "{},{}", [kinds, details]),
-                        ("summary.csv", ("metric", "value"), "{},{}", [metrics, values])])
+    _write_tables(out_dir, [("validation.csv", ("kind", "detail"), "{},{}", [kinds, details]),
+                            ("summary.csv", ("metric", "value"), "{},{}", [metrics, values])])
 
     n_papers, n_theorems, *_ = records.sizes
     failed = False
     if kinds:
         click.echo(f"validation failed: {len(kinds)} issues "
-                   f"(see {out / 'validation.csv'})", err=True)
+                   f"(see {Path(out_dir) / 'validation.csv'})", err=True)
         failed = True
     for level, count in (("paper", n_papers), ("theorem", n_theorems)):
         if count == 0:
@@ -267,17 +264,16 @@ def rank(papers_path, theorems_path, thm_cites_path, paper_cites_path,
     hp = _make_hp(alpha_t, alpha_p, beta_p, alpha_f, tol, max_iter)
     if top_k < 1:
         raise click.UsageError(f"--top-k must be >= 1, got {top_k}")
-    out = _ensure_out_dir(out_dir)
     records = _load_valid_corpus(
         papers_path, theorems_path, thm_cites_path, paper_cites_path)
     graph = build_graph(records)
     state, comments, warning = _solve(graph, hp)
     # A generator, so that each level's columns are formatted before the
     # next level's are made.
-    _write_tables(out, ((f"rankings_{level}.csv", ("rank", "id", "field", "score"),
-                         "{},{},{},{:.12g}",
-                         ranking_columns(graph, state, level, top_k, group_by_field))
-                        for level in ((level_choice,) if level_choice else _RANK_LEVELS)),
+    _write_tables(out_dir, ((f"rankings_{level}.csv", ("rank", "id", "field", "score"),
+                             "{},{},{},{:.12g}",
+                             ranking_columns(graph, state, level, top_k, group_by_field))
+                            for level in ((level_choice,) if level_choice else _RANK_LEVELS)),
                   comments, warning)
 
 
@@ -294,7 +290,6 @@ def series(papers_path, theorems_path, thm_cites_path, paper_cites_path,
     hp = _make_hp(alpha_t, alpha_p, beta_p, alpha_f, tol, max_iter)
     if to_year < from_year:
         raise click.UsageError("--to-year must be >= --from-year")
-    out = _ensure_out_dir(out_dir)
     records = _load_valid_corpus(
         papers_path, theorems_path, thm_cites_path, paper_cites_path)
     years = range(from_year, to_year + 1)
@@ -303,10 +298,10 @@ def series(papers_path, theorems_path, thm_cites_path, paper_cites_path,
     rs = category_ratios(records, years)
     status = [YEAR_EMPTY if ratios is None else YEAR_OK for ratios in rs.ratios]
     bad_years = [y for y, s in zip(fs.years, fs.status) if s == YEAR_NOT_CONVERGED]
-    _write_tables(out, [("field_scores.csv", _SERIES_HEADER, _SERIES_ROW,
-                         [fs.years, fs.status, *_field_columns(fs.scores)]),
-                        ("category_ratios.csv", _SERIES_HEADER, _SERIES_ROW,
-                         [rs.years, status, *_field_columns(rs.ratios)])],
+    _write_tables(out_dir, [("field_scores.csv", _SERIES_HEADER, _SERIES_ROW,
+                             [fs.years, fs.status, *_field_columns(fs.scores)]),
+                            ("category_ratios.csv", _SERIES_HEADER, _SERIES_ROW,
+                             [rs.years, status, *_field_columns(rs.ratios)])],
                   warning=f"solver did not converge for years {bad_years}" if bad_years else None)
 
 
@@ -318,7 +313,6 @@ def impact(papers_path, theorems_path, thm_cites_path, paper_cites_path,
            alpha_t, alpha_p, beta_p, alpha_f, tol, max_iter, out_dir):
     """Write the field-to-field impact matrix and pairwise asymmetry ratios."""
     hp = _make_hp(alpha_t, alpha_p, beta_p, alpha_f, tol, max_iter)
-    out = _ensure_out_dir(out_dir)
     records = _load_valid_corpus(
         papers_path, theorems_path, thm_cites_path, paper_cites_path)
     graph = build_graph(records)
@@ -326,12 +320,12 @@ def impact(papers_path, theorems_path, thm_cites_path, paper_cites_path,
     state, comments, warning = _solve(graph, hp)
     matrix = field_impact(graph, norm, state.u_p)
     pairs = impact_asymmetry(matrix)
-    _write_tables(out, [("impact_matrix.csv", ("field", *FIELD_NAMES),
-                         "{}" + ",{:.12g}" * len(FIELD_NAMES),
-                         [FIELD_NAMES, *matrix.expand_canonical().T.tolist()]),
-                        ("impact_asymmetry.csv", ("source", "target", "ratio"), "{},{},{}",
-                         [[src for src, _, _ in pairs], [dst for _, dst, _ in pairs],
-                          ["" if ratio is None else _fmt(ratio) for _, _, ratio in pairs]])],
+    _write_tables(out_dir, [("impact_matrix.csv", ("field", *FIELD_NAMES),
+                             "{}" + ",{:.12g}" * len(FIELD_NAMES),
+                             [FIELD_NAMES, *matrix.expand_canonical().T.tolist()]),
+                            ("impact_asymmetry.csv", ("source", "target", "ratio"), "{},{},{}",
+                             [[src for src, _, _ in pairs], [dst for _, dst, _ in pairs],
+                              ["" if ratio is None else _fmt(ratio) for _, _, ratio in pairs]])],
                   comments, warning)
 
 

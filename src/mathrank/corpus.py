@@ -272,7 +272,7 @@ def parse_corpus(
         columns.update(_read_table(path, table, errors, vocabularies))
     others = [columns.pop(name) for name in ("msc_primary", "author_ids", "year", "month")]
     codes = IdCodes(tuple(paper_ids), tuple(theorem_ids), n_known, **columns)
-    return GraphRecords.from_codes(codes, *others), errors
+    return GraphRecords(codes, *others), errors
 
 
 def snapshot_filter(records: GraphRecords, year: int) -> GraphRecords:
@@ -284,8 +284,9 @@ def snapshot_filter(records: GraphRecords, year: int) -> GraphRecords:
     This is the reference definition of a yearly snapshot: ``field_series``
     does not call it, but ``build.restrict_graph`` of the whole corpus's
     graph to the same papers reproduces ``build_graph`` of its result. The
-    result is built by ``GraphRecords.from_columns`` from the kept rows of
-    each column, which numbers its ids afresh (see ``IdCodes.of``).
+    result is built by ``from_columns`` of the records' own type from the
+    kept rows of each column, which numbers its ids afresh (see
+    ``IdCodes.of``).
     """
     codes = records.codes
     # (year, month) <= (year, 12) as tuples
@@ -299,6 +300,6 @@ def snapshot_filter(records: GraphRecords, year: int) -> GraphRecords:
     masks = (keep_papers, keep_theorems,
              kept_theorem[keys.tc_src] & kept_theorem[keys.tc_dst],
              kept_paper[codes.pc_src] & kept_paper[codes.pc_dst])
-    return GraphRecords.from_columns(**{
+    return type(records).from_columns(**{
         name: tuple(compress(getattr(records, name), keep.tolist()))
         for table, keep in zip(TABLES, masks) for name in table})

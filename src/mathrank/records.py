@@ -6,7 +6,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import count, repeat
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,53 +34,6 @@ class YearMonth(NamedTuple):
 
     def __str__(self) -> str:
         return f"{self.year:04d}-{self.month:02d}"
-
-
-@dataclass(frozen=True)
-class PaperRecord:
-    paper_id: str
-    msc_primary: str
-    author_ids: frozenset[str]
-    first_version_date: YearMonth
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "author_ids", frozenset(self.author_ids))
-
-
-@dataclass(frozen=True)
-class TheoremRecord:
-    paper_id: str
-    theorem_id: str
-
-    @property
-    def key(self) -> tuple[str, str]:
-        return (self.paper_id, self.theorem_id)
-
-
-@dataclass(frozen=True)
-class TheoremCitation:
-    """The proof of (src_paper, src_theorem) cites (dst_paper, dst_theorem)."""
-
-    src_paper: str
-    src_theorem: str
-    dst_paper: str
-    dst_theorem: str
-
-    @property
-    def src_key(self) -> tuple[str, str]:
-        return (self.src_paper, self.src_theorem)
-
-    @property
-    def dst_key(self) -> tuple[str, str]:
-        return (self.dst_paper, self.dst_theorem)
-
-
-@dataclass(frozen=True)
-class PaperCitation:
-    """Paper ``src`` cites paper ``dst``."""
-
-    src: str
-    dst: str
 
 
 def intern_codes(vocab: dict[str, int], strings: Sequence[str]) -> np.ndarray:
@@ -190,7 +143,7 @@ def _id_column(name: str, vocabulary: str) -> cached_property:
     return cached_property(strings)
 
 
-# Each table's columns, in the order of the record fields they hold.
+# Each table's columns, in the order of its corpus file's fields.
 TABLES = (
     ("paper_id", "msc_primary", "author_ids", "year", "month"),
     ("theorem_paper", "theorem_id"),
@@ -217,12 +170,11 @@ class GraphRecords:
     The ids are held as ``codes`` (see IdCodes): a code column per id
     column and one string per distinct id. The id columns above are tuples
     of those strings, built when first asked for; the commands read the
-    codes. ``GraphRecords(papers, theorems, theorem_citations,
-    paper_citations)`` takes record objects, ``from_columns`` columns and
-    ``from_codes`` the codes. The record-object views ``papers``,
-    ``theorems``, ``theorem_citations`` and ``paper_citations`` are built
-    when first asked for. A GraphRecords is immutable, so its validation
-    report is computed once.
+    codes. ``GraphRecords(codes, msc_primary, author_ids, year, month)``
+    takes the codes and the papers' other columns, as ``parse_corpus``
+    reads them; ``from_columns`` takes every column by name, ids as
+    strings. A GraphRecords is immutable, so its validation report is
+    computed once.
     """
 
     paper_id = _id_column("paper_id", "paper_ids")
@@ -235,51 +187,7 @@ class GraphRecords:
     pc_src = _id_column("pc_src", "paper_ids")
     pc_dst = _id_column("pc_dst", "paper_ids")
 
-    def __init__(
-        self,
-        papers: Iterable[PaperRecord] = (),
-        theorems: Iterable[TheoremRecord] = (),
-        theorem_citations: Iterable[TheoremCitation] = (),
-        paper_citations: Iterable[PaperCitation] = (),
-    ) -> None:
-        papers, theorems = tuple(papers), tuple(theorems)
-        tcs, pcs = tuple(theorem_citations), tuple(paper_citations)
-        self._set_columns(
-            paper_id=[p.paper_id for p in papers],
-            msc_primary=[p.msc_primary for p in papers],
-            author_ids=[tuple(sorted(p.author_ids)) for p in papers],
-            year=[p.first_version_date.year for p in papers],
-            month=[p.first_version_date.month for p in papers],
-            theorem_paper=[t.paper_id for t in theorems],
-            theorem_id=[t.theorem_id for t in theorems],
-            tc_src_paper=[c.src_paper for c in tcs],
-            tc_src_theorem=[c.src_theorem for c in tcs],
-            tc_dst_paper=[c.dst_paper for c in tcs],
-            tc_dst_theorem=[c.dst_theorem for c in tcs],
-            pc_src=[c.src for c in pcs],
-            pc_dst=[c.dst for c in pcs],
-        )
-
-    @classmethod
-    def from_columns(cls, **columns) -> "GraphRecords":
-        """Records from their columns, passed by name (see the class docstring)."""
-        records = cls.__new__(cls)
-        records._set_columns(**columns)
-        return records
-
-    @classmethod
-    def from_codes(cls, codes: IdCodes, msc_primary, author_ids, year, month) -> "GraphRecords":
-        """Records from their id codes and the papers' other columns."""
-        records = cls.__new__(cls)
-        records._set(codes, msc_primary, author_ids, year, month)
-        return records
-
-    def _set_columns(self, **columns) -> None:
-        if set(columns) != _COLUMNS:
-            raise TypeError(f"GraphRecords columns are {', '.join(sum(TABLES, ()))}")
-        self._set(IdCodes.of(columns), *(columns[name] for name in TABLES[0][1:]))
-
-    def _set(self, codes: IdCodes, msc_primary, author_ids, year, month) -> None:
+    def __init__(self, codes: IdCodes, msc_primary, author_ids, year, month) -> None:
         year, month = np.array(year, dtype=np.int64), np.array(month, dtype=np.int64)
         year.setflags(write=False)
         month.setflags(write=False)
@@ -291,6 +199,14 @@ class GraphRecords:
             if len({len(getattr(codes if name in _ID_COLUMNS else self, name))
                     for name in table}) > 1:
                 raise ValueError(f"columns {', '.join(table)} differ in length")
+
+    @classmethod
+    def from_columns(cls, **columns) -> "GraphRecords":
+        """Records from their columns, passed by name, ids as strings (see
+        the class docstring)."""
+        if set(columns) != _COLUMNS:
+            raise TypeError(f"GraphRecords columns are {', '.join(sum(TABLES, ()))}")
+        return cls(IdCodes.of(columns), *(columns[name] for name in TABLES[0][1:]))
 
     def __setattr__(self, name, value):
         raise AttributeError("GraphRecords is immutable")
@@ -311,27 +227,6 @@ class GraphRecords:
                             count=len(self.msc_primary))
         field.setflags(write=False)
         return field
-
-    @cached_property
-    def papers(self) -> tuple[PaperRecord, ...]:
-        return tuple(
-            PaperRecord(pid, msc, frozenset(authors), YearMonth(y, m))
-            for pid, msc, authors, y, m in zip(
-                self.paper_id, self.msc_primary, self.author_ids,
-                self.year.tolist(), self.month.tolist()))
-
-    @cached_property
-    def theorems(self) -> tuple[TheoremRecord, ...]:
-        return tuple(map(TheoremRecord, self.theorem_paper, self.theorem_id))
-
-    @cached_property
-    def theorem_citations(self) -> tuple[TheoremCitation, ...]:
-        return tuple(map(TheoremCitation, self.tc_src_paper, self.tc_src_theorem,
-                         self.tc_dst_paper, self.tc_dst_theorem))
-
-    @cached_property
-    def paper_citations(self) -> tuple[PaperCitation, ...]:
-        return tuple(map(PaperCitation, self.pc_src, self.pc_dst))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GraphRecords):

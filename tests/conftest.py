@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from mathrank.records import (
-    GraphRecords,
+from mathrank.records import YearMonth
+from mathrank.sparsemat import SparseWeightMatrix
+
+from record_objects import (
+    ObjectRecords,
     PaperCitation,
     PaperRecord,
     TheoremCitation,
     TheoremRecord,
-    YearMonth,
 )
-from mathrank.sparsemat import SparseWeightMatrix
 
 
 def entries(m):
@@ -49,7 +50,7 @@ def rng():
 @pytest.fixture
 def tiny_records():
     """Two papers (same field), one citation, two theorems, one thm citation."""
-    return GraphRecords(
+    return ObjectRecords.of(
         papers=[
             paper("p1", msc="53", authors=("a1", "a2"), date=(1995, 3)),
             paper("p2", msc="53", authors=("b1",), date=(1999, 11)),
@@ -63,7 +64,7 @@ def tiny_records():
 @pytest.fixture
 def singleton_records():
     """One paper, one theorem, no citations."""
-    return GraphRecords(
+    return ObjectRecords.of(
         papers=[paper("p1", msc="60")],
         theorems=[theorem("p1", "thm 1")],
     )

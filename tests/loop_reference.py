@@ -4,8 +4,9 @@
 ``snapshot_filter_loop`` are ``parse_corpus``, ``validate_records``,
 ``build_graph`` and ``snapshot_filter`` written one record at a time:
 ``json.loads`` and a tuple of fields per line, gathered into columns in
-file order (a paper's authors as listed); record objects, sets of tuples,
-one weight call per edge and one set lookup per row.
+file order (a paper's authors as listed); record objects (the views of
+``record_objects.ObjectRecords``), sets of tuples, one weight call per edge
+and one set lookup per row.
 ``test_columnar.py`` requires the columnar versions to give equal records
 (column for column, and code for code for snapshots), malformed-line
 reasons and reports, and graphs equal label for label and array for
@@ -64,8 +65,6 @@ from mathrank.graph import ThreeLevelGraph
 from mathrank.records import (
     TABLES,
     GraphRecords,
-    PaperRecord,
-    TheoremRecord,
     ValidationIssue,
     ValidationReport,
     YearMonth,
@@ -80,6 +79,7 @@ from mathrank.solver import (
 from mathrank.sparsemat import SparseWeightMatrix
 
 import oracle
+from record_objects import ObjectRecords, PaperRecord, TheoremRecord
 
 
 def _require_str(obj: dict, key: str) -> str:
@@ -173,6 +173,7 @@ def snapshot_filter_loop(records: GraphRecords, year: int) -> GraphRecords:
 
 
 def validate_records_loop(records: GraphRecords) -> ValidationReport:
+    records = ObjectRecords.wrap(records)
     issues: list[ValidationIssue] = []
 
     seen_papers: set[str] = set()
@@ -252,6 +253,7 @@ def _matrix(n: int, entries: list[tuple[int, int, float]]) -> SparseWeightMatrix
 
 
 def build_graph_loop(records: GraphRecords) -> ThreeLevelGraph:
+    records = ObjectRecords.wrap(records)
     report = validate_records_loop(records)
     fatal = report.fatal_issues
     if fatal:

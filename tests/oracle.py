@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from record_objects import ObjectRecords
+
 # Independent copy of the code-to-field table (canonical field order).
 FIELD_ORDER = [
     "Algebra", "AlgGeom", "DiffGeom", "Topology", "Analysis", "PDE",
@@ -57,6 +59,7 @@ class DenseGraph:
 
 def build_dense(records):
     """Assemble dense weight matrices and containment maps from records."""
+    records = ObjectRecords.wrap(records)
     papers = sorted(records.papers, key=lambda p: p.paper_id)
     paper_ids = [p.paper_id for p in papers]
     paper_pos = {pid: i for i, pid in enumerate(paper_ids)}

@@ -7,15 +7,16 @@ import json
 
 import numpy as np
 
-from mathrank.records import (
-    GraphRecords,
+from mathrank.records import GraphRecords, YearMonth
+from mathrank.solver import ScoreState
+
+from record_objects import (
+    ObjectRecords,
     PaperCitation,
     PaperRecord,
     TheoremCitation,
     TheoremRecord,
-    YearMonth,
 )
-from mathrank.solver import ScoreState
 
 # A spread of subject codes hitting every field plus unlisted ones (Others).
 CODE_POOL = [
@@ -145,7 +146,7 @@ def make_random_records(
             paper_citations.append(PaperCitation(
                 papers[int(i)].paper_id, papers[int(j)].paper_id))
 
-    return GraphRecords(papers, theorems, theorem_citations, paper_citations)
+    return ObjectRecords.of(papers, theorems, theorem_citations, paper_citations)
 
 
 def planted_ties_state(rng: np.random.Generator, graph, n_values: int) -> ScoreState:
@@ -162,7 +163,7 @@ def shuffled(records: GraphRecords, rng: np.random.Generator) -> GraphRecords:
         rng.shuffle(seq)
         return tuple(seq)
 
-    return GraphRecords(
+    return ObjectRecords.of(
         papers=mix(records.papers),
         theorems=mix(records.theorems),
         theorem_citations=mix(records.theorem_citations),
@@ -176,7 +177,7 @@ def with_late_field(records: GraphRecords, code: str, year: int) -> GraphRecords
     late = PaperRecord("q_late", code, frozenset({"late author"}), YearMonth(year, 5))
     old_paper = records.papers[0].paper_id
     old = records.theorems[0]
-    return GraphRecords(
+    return ObjectRecords.of(
         papers=records.papers + (late,),
         theorems=records.theorems + (
             TheoremRecord("q_late", "thm 1"), TheoremRecord("q_late", "thm 2")),

@@ -14,14 +14,7 @@ from mathrank.build import build_graph
 from mathrank.cli import main as cli_main
 from mathrank.corpus import snapshot_filter
 from mathrank.fields import FIELD_NAMES, field_index
-from mathrank.records import (
-    GraphRecords,
-    PaperCitation,
-    PaperRecord,
-    TheoremCitation,
-    YearMonth,
-    validate_records,
-)
+from mathrank.records import YearMonth, validate_records
 from mathrank.solver import (
     Hyperparameters,
     ScoreState,
@@ -35,6 +28,7 @@ from mathrank.analysis import field_impact
 import oracle
 from conftest import dense, paper, theorem
 from loop_reference import paper_edge_weight, residual, theorem_edge_weight
+from record_objects import ObjectRecords, PaperCitation, PaperRecord, TheoremCitation
 from synthdata import make_random_records, write_corpus
 
 DEFAULT_HP = Hyperparameters()
@@ -160,7 +154,7 @@ def test_criterion_3_stopping_criterion(singleton_records):
         np.testing.assert_array_equal(level, [1.0])
 
     # Hand-built five-paper citation cycle, one theorem per paper.
-    cycle_records = GraphRecords(
+    cycle_records = ObjectRecords.of(
         papers=[paper(f"p{i}", msc="53", authors=(f"a{i}",)) for i in range(5)],
         theorems=[theorem(f"p{i}", "thm 1") for i in range(5)],
         paper_citations=[PaperCitation(f"p{i}", f"p{(i + 1) % 5}")
@@ -227,7 +221,7 @@ def test_criterion_4_weight_scheme_exactness():
 
     # The built matrices hold the same tiers at (cited, citer), and 0 for
     # every pair without a citation.
-    graph = build_graph(GraphRecords(
+    graph = build_graph(ObjectRecords.of(
         papers=[p_a, p_b, p_c], theorems=[t_a1, t_a2, t_b, t_c],
         theorem_citations=[TheoremCitation(*t_a1.key, *t.key) for t in (t_a2, t_b, t_c)],
         paper_citations=[PaperCitation("pa", "pb"), PaperCitation("pa", "pc")]))
@@ -291,7 +285,7 @@ def test_criterion_6_snapshot_monotonicity_and_closure(rng):
     dated = [PaperRecord(f"p{i}", "53", frozenset({"a"}), YearMonth(y, m))
              for i, (y, m) in enumerate(
                  [(1991, 1), (1994, 7), (1999, 12), (2000, 1), (2000, 12), (2001, 1)])]
-    snap = snapshot_filter(GraphRecords(papers=dated), 2000)
+    snap = snapshot_filter(ObjectRecords.of(papers=dated), 2000)
     assert [p.paper_id for p in snap.papers] == ["p0", "p1", "p2", "p3", "p4"]
     print("\nACCEPTANCE 6 PASS - snapshot monotonicity/closure on 20 corpora "
           "x 33 years; 1991..Dec-2000 boundary exact")

@@ -18,7 +18,6 @@ from mathrank.analysis import (
 from mathrank.build import BuildError, build_graph
 from mathrank.corpus import snapshot_filter
 from mathrank.fields import FIELD_NAMES
-from mathrank.records import GraphRecords, PaperCitation, TheoremCitation
 from mathrank.solver import (
     DegenerateLevelError,
     EmptyLevelError,
@@ -31,6 +30,7 @@ from mathrank.solver import (
 from conftest import paper, theorem
 from loop_reference import rank_entities_loop, theorem_keys
 from oracle import DenseSolver, build_dense, impact_double_sum
+from record_objects import ObjectRecords, PaperCitation, TheoremCitation
 from synthdata import (CODE_POOL, make_random_records, planted_ties_state, shuffled,
                        with_late_field)
 
@@ -39,7 +39,7 @@ HP = Hyperparameters()
 
 def three_paper_graph():
     """Three same-field papers, no citations; score vectors set by hand."""
-    records = GraphRecords(
+    records = ObjectRecords.of(
         papers=[paper("pa", msc="53"), paper("pb", msc="53"), paper("pc", msc="53")],
         theorems=[theorem("pa", "thm 1"), theorem("pb", "thm 1"),
                   theorem("pc", "thm 1")])
@@ -144,8 +144,8 @@ class TestRankEntitiesMatchesLoop:
     @pytest.mark.parametrize("group_by_field", [False, True])
     def test_label_order_differs_from_key_order(self, group_by_field):
         # ("a", "x") < ("a-b", "x") as keys, but "a-b:x" < "a:x" as labels.
-        records = GraphRecords(papers=[paper("a"), paper("a-b")],
-                               theorems=[theorem("a", "x"), theorem("a-b", "x")])
+        records = ObjectRecords.of(papers=[paper("a"), paper("a-b")],
+                                   theorems=[theorem("a", "x"), theorem("a-b", "x")])
         graph = build_graph(records)
         assert theorem_keys(graph) == [("a", "x"), ("a-b", "x")]
         state = ScoreState(np.full(2, 0.5), np.full(2, 0.5), np.array([1.0]))
@@ -156,8 +156,8 @@ class TestRankEntitiesMatchesLoop:
 
     def test_fields_tie_break_on_names(self):
         # Canonical order puts Algebra before AlgGeom; their names sort the other way.
-        records = GraphRecords(papers=[paper("pa", msc="06"), paper("pb", msc="11")],
-                               theorems=[theorem("pa", "x"), theorem("pb", "x")])
+        records = ObjectRecords.of(papers=[paper("pa", msc="06"), paper("pb", msc="11")],
+                                   theorems=[theorem("pa", "x"), theorem("pb", "x")])
         graph = build_graph(records)
         assert graph.field_names == ("Algebra", "AlgGeom")
         state = ScoreState(np.full(2, 0.5), np.full(2, 0.5), np.full(2, 0.5))
@@ -182,7 +182,7 @@ class TestFieldImpact:
     def test_single_citation_puts_citer_score_on_pair(self):
         # pb (Probability) cites pa (DiffGeom); pb's only citation, so the
         # normalized weight is 1 and the impact entry is u_p(pb) = 0.4.
-        records = GraphRecords(
+        records = ObjectRecords.of(
             papers=[paper("pa", msc="53", authors=("a1",)),
                     paper("pb", msc="60", authors=("b1",))],
             theorems=[theorem("pa", "thm 1")],
@@ -224,7 +224,7 @@ class TestFieldImpact:
                 assert abs(impact.values[:, f].sum() - expected) < 1e-12
 
     def test_expand_canonical_embeds_populated_fields(self):
-        records = GraphRecords(
+        records = ObjectRecords.of(
             papers=[paper("pa", msc="53", authors=("a1",)),
                     paper("pb", msc="60", authors=("b1",))],
             theorems=[theorem("pa", "thm 1")],
@@ -241,7 +241,7 @@ class TestFieldImpact:
 
 class TestImpactAsymmetry:
     def test_ratios_and_undefined(self):
-        records = GraphRecords(
+        records = ObjectRecords.of(
             papers=[paper("pa", msc="53", authors=("a1",)),
                     paper("pb", msc="60", authors=("b1",))],
             theorems=[theorem("pa", "thm 1")],
@@ -284,7 +284,7 @@ class TestFieldSeries:
                 assert abs(scores.sum() - 1.0) < 1e-12
 
     def test_empty_years_marked_absent(self):
-        records = GraphRecords(
+        records = ObjectRecords.of(
             papers=[paper("p1", date=(2005, 3))],
             theorems=[theorem("p1", "thm 1")])
         fs = field_series(records, range(2003, 2007), HP)
@@ -294,7 +294,7 @@ class TestFieldSeries:
     def test_field_appearing_late_scores_zero_before(self):
         # Probability enters the corpus in 2011 with p3, which is cited by
         # p2; before 2011 the field is entirely absent from the snapshot.
-        records = GraphRecords(
+        records = ObjectRecords.of(
             papers=[paper("p1", msc="53", date=(2000, 1), authors=("a1",)),
                     paper("p2", msc="53", date=(2000, 6), authors=("a2",)),
                     paper("p3", msc="60", date=(2011, 1), authors=("a3",))],
@@ -418,7 +418,7 @@ class TestFieldSeriesInputContract:
     any year is solved, whatever years are requested."""
 
     def test_duplicate_paper_after_last_year_raises(self, monkeypatch):
-        records = GraphRecords(
+        records = ObjectRecords.of(
             papers=[paper("p1", date=(2000, 1)), paper("p2", date=(2001, 1)),
                     paper("p2", date=(2015, 1))],
             theorems=[theorem("p1", "thm 1"), theorem("p2", "thm 1")],
@@ -429,7 +429,7 @@ class TestFieldSeriesInputContract:
         assert solves == []
 
     def test_theorem_of_unknown_paper_raises(self, monkeypatch):
-        records = GraphRecords(
+        records = ObjectRecords.of(
             papers=[paper("p1", date=(2000, 1)), paper("p2", date=(2001, 1))],
             theorems=[theorem("p1", "thm 1"), theorem("ghost", "thm 1")],
             paper_citations=[PaperCitation("p2", "p1")])
@@ -441,7 +441,7 @@ class TestFieldSeriesInputContract:
     def test_dangling_and_self_citations_dropped_once(self, rng, caplog):
         base = make_random_records(rng, n_papers=20, n_theorems=30)
         p0, t0 = base.papers[0].paper_id, base.theorems[0]
-        records = GraphRecords(
+        records = ObjectRecords.of(
             papers=base.papers,
             theorems=base.theorems,
             theorem_citations=base.theorem_citations + (
@@ -460,7 +460,7 @@ class TestCategoryRatios:
     def test_one_paper_per_field(self):
         codes = ["06", "11", "32", "19", "26", "31", "37",
                  "70", "60", "90", "65", "62", "99"]
-        records = GraphRecords(
+        records = ObjectRecords.of(
             papers=[paper(f"p{i:02d}", msc=c, date=(1991, 1))
                     for i, c in enumerate(codes)])
         rs = category_ratios(records, range(1991, 1994))
@@ -468,13 +468,13 @@ class TestCategoryRatios:
             np.testing.assert_allclose(ratios, np.full(13, 1 / 13))
 
     def test_malformed_code_named(self):
-        records = GraphRecords(papers=[paper("p1", msc="53"), paper("p2", msc="5"),
-                                       paper("p3", msc=None)])
+        records = ObjectRecords.of(papers=[paper("p1", msc="53"), paper("p2", msc="5"),
+                                            paper("p3", msc=None)])
         with pytest.raises(ValueError, match="bad subject code '5'"):
             category_ratios(records, [2000])
 
     def test_three_quarters(self):
-        records = GraphRecords(papers=[
+        records = ObjectRecords.of(papers=[
             paper("p1", msc="53", date=(1995, 1)),
             paper("p2", msc="53", date=(1996, 1)),
             paper("p3", msc="53", date=(1999, 12)),
@@ -492,7 +492,7 @@ class TestCategoryRatios:
                 assert abs(ratios.sum() - 1.0) < 1e-12
 
     def test_years_without_papers_absent(self):
-        records = GraphRecords(papers=[paper("p1", date=(2000, 5))])
+        records = ObjectRecords.of(papers=[paper("p1", date=(2000, 5))])
         rs = category_ratios(records, [1999, 2000])
         assert rs.ratios[0] is None
         assert rs.ratios[1] is not None

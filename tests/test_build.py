@@ -6,15 +6,12 @@ import pytest
 from mathrank.build import BuildError, build_field_matrix, build_graph, restrict_graph
 from mathrank.corpus import parse_corpus, snapshot_filter
 from mathrank.sparsemat import SparseWeightMatrix
-from mathrank.records import (
-    GraphRecords,
-    PaperCitation,
-    TheoremCitation,
-)
+from mathrank.records import GraphRecords
 
 import oracle
 from conftest import dense, entries, paper, theorem
 from loop_reference import paper_edge_weight, theorem_edge_weight, theorem_keys
+from record_objects import ObjectRecords, PaperCitation, TheoremCitation
 from synthdata import CODE_POOL, make_random_records, shuffled, with_late_field, write_corpus
 
 P_SHARED = paper("x1", authors=("a1", "a2"))
@@ -45,7 +42,7 @@ class TestWeightTiers:
 
     def test_theorem_no_citation(self):
         # x3's theorem cites x1's, not the other way round: that pair weighs 0.
-        g = build_graph(GraphRecords(
+        g = build_graph(ObjectRecords.of(
             papers=[P_SHARED, P_DISJOINT], theorems=[T1, T3],
             theorem_citations=[TheoremCitation(*T3.key, *T1.key)]))
         np.testing.assert_array_equal(dense(g.t_matrix), [[0.0, 1.0], [0.0, 0.0]])
@@ -61,7 +58,7 @@ class TestWeightTiers:
         assert theorem_edge_weight(T1, T3, P_SHARED, P_DISJOINT) == 1.0
 
     def test_paper_no_citation(self):
-        g = build_graph(GraphRecords(
+        g = build_graph(ObjectRecords.of(
             papers=[P_SHARED, P_DISJOINT], theorems=[T1],
             paper_citations=[PaperCitation("x3", "x1")]))
         np.testing.assert_array_equal(dense(g.p_matrix), [[0.0, 1.0], [0.0, 0.0]])
@@ -85,7 +82,7 @@ class TestBuildSmall:
     def test_two_papers_one_citation_disjoint_authors(self):
         # p2 cites p1, same field, no shared authors: the matrix holds the
         # weight at (cited, citer) and the field matrix a single diagonal 1.
-        records = GraphRecords(
+        records = ObjectRecords.of(
             papers=[paper("p1", msc="53", authors=("a1",)),
                     paper("p2", msc="53", authors=("b1",))],
             theorems=[theorem("p1", "thm 1"), theorem("p2", "thm 1")],
@@ -101,7 +98,7 @@ class TestBuildSmall:
         assert entries(g.t_matrix) == [(0, 1, 1.0)]
 
     def test_shared_author_weights_in_matrices(self):
-        records = GraphRecords(
+        records = ObjectRecords.of(
             papers=[paper("p1", authors=("a1", "a2")), paper("p2", authors=("a2",))],
             theorems=[theorem("p1", "thm 1"), theorem("p2", "thm 1")],
             theorem_citations=[TheoremCitation("p2", "thm 1", "p1", "thm 1")],
@@ -111,7 +108,7 @@ class TestBuildSmall:
         assert entries(g.p_matrix) == [(0, 1, 0.1)]
 
     def test_same_paper_theorem_citation_weight(self):
-        records = GraphRecords(
+        records = ObjectRecords.of(
             papers=[paper("p1")],
             theorems=[theorem("p1", "thm 1"), theorem("p1", "thm 2")],
             theorem_citations=[TheoremCitation("p1", "thm 1", "p1", "thm 2")])
@@ -119,7 +116,7 @@ class TestBuildSmall:
         assert entries(g.t_matrix) == [(1, 0, 0.05)]
 
     def test_duplicate_citations_collapse(self):
-        records = GraphRecords(
+        records = ObjectRecords.of(
             papers=[paper("p1", authors=("a1",)), paper("p2", authors=("b1",))],
             theorems=[theorem("p1", "thm 1")],
             paper_citations=[PaperCitation("p2", "p1"), PaperCitation("p2", "p1")])
@@ -142,17 +139,17 @@ class TestBuildSmall:
 
 class TestBuildErrors:
     def test_duplicate_paper_raises(self):
-        records = GraphRecords(papers=[paper("p1"), paper("p1")])
+        records = ObjectRecords.of(papers=[paper("p1"), paper("p1")])
         with pytest.raises(BuildError, match="duplicate_paper.*p1"):
             build_graph(records)
 
     def test_theorem_of_unknown_paper_raises(self):
-        records = GraphRecords(theorems=[theorem("ghost", "thm 1")])
+        records = ObjectRecords.of(theorems=[theorem("ghost", "thm 1")])
         with pytest.raises(BuildError, match="ghost"):
             build_graph(records)
 
     def test_dangling_edges_dropped_with_warning(self, caplog):
-        records = GraphRecords(
+        records = ObjectRecords.of(
             papers=[paper("p1"), paper("p2", authors=("b1",))],
             theorems=[theorem("p1", "thm 1")],
             paper_citations=[PaperCitation("p2", "p1"), PaperCitation("p2", "nowhere")])
@@ -167,7 +164,7 @@ class TestBuildErrors:
         records = make_random_records(rng, n_papers=12, n_theorems=30)
         first, second = records.papers[0].paper_id, records.papers[1].paper_id
         t = records.theorems[0]
-        records = GraphRecords(
+        records = ObjectRecords.of(
             papers=records.papers[::-1], theorems=records.theorems,
             theorem_citations=records.theorem_citations + (
                 TheoremCitation("ghost", "thm 1", t.paper_id, t.theorem_id),),
@@ -186,7 +183,7 @@ class TestBuildErrors:
             assert graph.paper_code.tolist() == [row[pid] for pid in graph.paper_ids]
 
     def test_self_citation_dropped(self):
-        records = GraphRecords(
+        records = ObjectRecords.of(
             papers=[paper("p1")],
             theorems=[theorem("p1", "thm 1")],
             paper_citations=[PaperCitation("p1", "p1")])
@@ -205,7 +202,7 @@ class TestFieldMatrix:
             [paper(f"a{i}", msc="42", authors=(f"x{i}",)) for i in range(3)]
             + [paper(f"b{i}", msc="35", authors=(f"y{i}",)) for i in range(3)]
         )
-        records = GraphRecords(
+        records = ObjectRecords.of(
             papers=papers,
             theorems=[theorem("a0", "thm 1")],
             paper_citations=[PaperCitation(f"b{i}", f"a{i}") for i in range(3)])

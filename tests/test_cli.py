@@ -16,13 +16,14 @@ import mathrank.cli
 from mathrank.build import build_graph
 from mathrank.cli import main
 from mathrank.fields import FIELD_NAMES, field_index
-from mathrank.records import GraphRecords, PaperCitation, TheoremCitation
+from mathrank.records import GraphRecords
 from mathrank.solver import Hyperparameters, compute_scores, normalize_matrices
 from mathrank.sparsemat import SparseWeightMatrix
 from mathrank.analysis import field_impact
 
 from conftest import paper, theorem
 from loop_reference import csv_table_bytes, rank_entities_loop
+from record_objects import ObjectRecords, PaperCitation, TheoremCitation
 from synthdata import make_random_records, planted_ties_state, write_corpus
 
 
@@ -80,7 +81,7 @@ class TestBuild:
         assert read_csv(out / "validation.csv") == [["kind", "detail"]]
 
     def test_dangling_edge_fails_and_names_edge(self, tmp_path, runner):
-        records = GraphRecords(
+        records = ObjectRecords.of(
             papers=[paper("p1")],
             theorems=[theorem("p1", "thm 1")],
             paper_citations=[PaperCitation("p1", "nowhere")])
@@ -104,7 +105,7 @@ class TestBuild:
 
     def test_empty_corpus_reports_empty_level(self, tmp_path, runner):
         out = tmp_path / "out"
-        result = runner.invoke(main, ["build", *corpus_args(tmp_path, GraphRecords()),
+        result = runner.invoke(main, ["build", *corpus_args(tmp_path, ObjectRecords.of()),
                                       "--out-dir", str(out)])
         assert result.exit_code != 0
         assert "empty level" in result.output
@@ -121,8 +122,8 @@ class TestBuild:
         assert any(r[0] == "malformed_line" for r in rows[1:])
 
     def test_nul_in_issue_detail(self, tmp_path, runner):
-        records = GraphRecords(papers=[paper("p\x00"), paper("p\x00")],
-                               theorems=[theorem("p\x00", "x")])
+        records = ObjectRecords.of(papers=[paper("p\x00"), paper("p\x00")],
+                                   theorems=[theorem("p\x00", "x")])
         out = tmp_path / "out"
         result = runner.invoke(main, ["build", *corpus_args(tmp_path, records),
                                       "--out-dir", str(out)])
@@ -135,14 +136,14 @@ class TestBuild:
             # Python 3.10's csv.writer refuses a NUL: one error line, before
             # the file is opened.
             assert result.output == f"error: cannot write a row to validation.csv: {exc}\n"
-            assert not list(out.iterdir())
+            assert not out.exists()
             return
         assert (out / "validation.csv").read_text(encoding="utf-8") == expected.getvalue()
 
     def test_csv_cannot_write_exits_two(self, tmp_path, runner, monkeypatch):
         # The duplicated id "p,1" is the validation detail, a cell to quote.
-        records = GraphRecords(papers=[paper("p,1"), paper("p,1")],
-                               theorems=[theorem("p,1", "x")])
+        records = ObjectRecords.of(papers=[paper("p,1"), paper("p,1")],
+                                   theorems=[theorem("p,1", "x")])
 
         class Refusing:
             def __init__(self, fh, **kwargs):
@@ -161,7 +162,7 @@ class TestBuild:
         assert isinstance(result.exception, SystemExit)
         assert result.output == ("error: cannot write a row to validation.csv: "
                                  "need to escape, but no escapechar set\n")
-        assert not list(out.iterdir())
+        assert not out.exists()
 
 
 class TestRank:
@@ -229,7 +230,7 @@ class TestRank:
             "--out-dir", str(out), "--tol", tol])
         assert result.exit_code == 2, result.output
         assert "tolerance must be positive and finite" in result.output
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     def test_alternative_hyperparameters_accepted(self, tmp_path, runner,
                                                   solvable_records):
@@ -240,8 +241,8 @@ class TestRank:
         assert result.exit_code == 0, result.output
 
     def test_invalid_corpus_exits_two(self, tmp_path, runner):
-        records = GraphRecords(papers=[paper("p1"), paper("p1")],
-                               theorems=[theorem("p1", "thm 1")])
+        records = ObjectRecords.of(papers=[paper("p1"), paper("p1")],
+                                   theorems=[theorem("p1", "thm 1")])
         result = runner.invoke(main, ["rank", *corpus_args(tmp_path, records),
                                       "--out-dir", str(tmp_path / "out")])
         assert result.exit_code == 2
@@ -352,7 +353,7 @@ class TestRankIdQuoting:
     @pytest.mark.parametrize("ids", [QUOTING_IDS, ("p\x00", "a")], ids=["quoting", "nul"])
     def test_ids_as_csv_writer_writes_them(self, tmp_path, runner, planted_scores, ids):
         codes = ("53", "11", "60")
-        records = GraphRecords(
+        records = ObjectRecords.of(
             papers=[paper(pid, msc=codes[k % 3]) for k, pid in enumerate(ids)],
             theorems=[theorem(pid, tid) for pid in ids for tid in ("x", "t,1", 'y"')],
             theorem_citations=[TheoremCitation(src, "x", dst, "t,1")
@@ -370,7 +371,7 @@ class TestRankIdQuoting:
             # one error line, before it opens the file.
             assert result.exit_code == 2, result.output
             assert result.output == f"error: cannot write a row to rankings_theorem.csv: {exc}\n"
-            assert not list(out.iterdir())
+            assert not out.exists()
             return
         assert result.exit_code == 0, result.output
         for level in RANK_LEVELS:
@@ -382,9 +383,9 @@ class TestRankIdQuoting:
             raise csv.Error("need to escape, but no escapechar set")
 
         monkeypatch.setattr(mathrank.cli, "_csv_cell", refuse)
-        records = GraphRecords(papers=[paper("p,1"), paper("p2")],
-                               theorems=[theorem("p,1", "x"), theorem("p2", "x")],
-                               paper_citations=[PaperCitation("p2", "p,1")])
+        records = ObjectRecords.of(papers=[paper("p,1"), paper("p2")],
+                                   theorems=[theorem("p,1", "x"), theorem("p2", "x")],
+                                   paper_citations=[PaperCitation("p2", "p,1")])
         out = tmp_path / "out"
         result = runner.invoke(main, ["rank", *corpus_args(tmp_path, records),
                                       "--out-dir", str(out)])
@@ -392,14 +393,14 @@ class TestRankIdQuoting:
         assert isinstance(result.exception, SystemExit)
         assert result.output == ("error: cannot write a row to rankings_theorem.csv: "
                                  "need to escape, but no escapechar set\n")
-        assert not list(out.iterdir())
+        assert not out.exists()
 
 
 def quoting_corpus_records():
     """Papers with ids csv.writer must quote, over three fields and 2000-2002,
     with theorems, citations and a blank asymmetry ratio between them."""
     codes = ("53", "11", "60")
-    return GraphRecords(
+    return ObjectRecords.of(
         papers=[paper(pid, msc=codes[k % 3], date=(2000 + k % 3, 6))
                 for k, pid in enumerate(QUOTING_IDS)],
         theorems=[theorem(pid, tid) for pid in QUOTING_IDS for tid in ("x", "t,1", 'y"')],
@@ -425,7 +426,7 @@ class TestTablesMatchCsvWriter:
         written = []
         write_tables = mathrank.cli._write_tables
 
-        def recording(out, tables, comments=(), warning=None):
+        def recording(out_dir, tables, comments=(), warning=None):
             tables = list(tables)
             for name, header, row_format, columns in tables:
                 assert len({len(column) for column in columns}) == 1
@@ -433,13 +434,13 @@ class TestTablesMatchCsvWriter:
                          if field is not None]
                 rows = [[format(cell, spec) for cell, spec in zip(row, specs)]
                         for row in zip(*columns)]
-                written.append((out / name, csv_table_bytes(header, rows, comments)))
-            write_tables(out, tables, comments, warning)
+                written.append((Path(out_dir) / name, csv_table_bytes(header, rows, comments)))
+            write_tables(out_dir, tables, comments, warning)
 
         monkeypatch.setattr(mathrank.cli, "_write_tables", recording)
         records = quoting_corpus_records()
         clean = corpus_args(tmp_path, records, sub="clean,corpus")
-        dirty = corpus_args(tmp_path, GraphRecords(
+        dirty = corpus_args(tmp_path, ObjectRecords.of(
             papers=[*records.papers, paper("p,1")],
             theorems=records.theorems,
             paper_citations=[*records.paper_citations, PaperCitation("p,1", 'q"9')]),
@@ -558,7 +559,7 @@ class TestSeries:
 
 class TestImpact:
     def test_citation_free_corpus_zero_matrix(self, tmp_path, runner):
-        records = GraphRecords(
+        records = ObjectRecords.of(
             papers=[paper("p1", msc="53")],
             theorems=[theorem("p1", "thm 1")])
         out = tmp_path / "out"
@@ -572,7 +573,7 @@ class TestImpact:
             assert all(float(v) == 0.0 for v in row[1:])
 
     def test_single_citation_entry(self, tmp_path, runner):
-        records = GraphRecords(
+        records = ObjectRecords.of(
             papers=[paper("pa", msc="53", authors=("a1",)),
                     paper("pb", msc="60", authors=("b1",))],
             theorems=[theorem("pa", "thm 1"), theorem("pb", "thm 1")],
@@ -685,7 +686,7 @@ EXIT_PATHS = {
 
 
 # Two uncited papers in different fields: the field level's update is all zero.
-DEGENERATE = GraphRecords(
+DEGENERATE = ObjectRecords.of(
     papers=[paper("p1", msc="05"), paper("p2", msc="35")],
     theorems=[theorem("p1", "thm 1"), theorem("p2", "thm 1")])
 
@@ -758,7 +759,7 @@ class TestLoneSurrogate:
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
         assert f"malformed line {where}\n" in result.output
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     def test_build_reports_malformed_line(self, tmp_path, runner, solvable_records):
         args, where = self.spoiled_args(tmp_path, solvable_records)
@@ -856,8 +857,8 @@ class TestCommandsClassifyOnce:
                                        command, bad_code):
         records = solvable_records
         if bad_code:
-            records = GraphRecords(records.papers + (paper("zz", msc="5"),), records.theorems,
-                                   records.theorem_citations, records.paper_citations)
+            records = ObjectRecords.of(records.papers + (paper("zz", msc="5"),), records.theorems,
+                                       records.theorem_citations, records.paper_citations)
         args = corpus_args(tmp_path, records)
         calls = Counter()
 
@@ -874,12 +875,11 @@ class TestCommandsClassifyOnce:
 
 
 class TestCommandsReadCodes:
-    """The commands read ids as codes: none builds a string id column or a
-    record-object view of its records."""
+    """The commands read ids as codes: none builds a string id column of
+    its records."""
 
     VIEWS = ("paper_id", "theorem_paper", "theorem_id", "tc_src_paper", "tc_src_theorem",
-             "tc_dst_paper", "tc_dst_theorem", "pc_src", "pc_dst",
-             "papers", "theorems", "theorem_citations", "paper_citations")
+             "tc_dst_paper", "tc_dst_theorem", "pc_src", "pc_dst")
 
     @pytest.mark.parametrize("issues", [False, True], ids=["clean", "issues"])
     @pytest.mark.parametrize("command", COMMANDS)
@@ -889,7 +889,7 @@ class TestCommandsReadCodes:
         if issues:
             # Every kind of issue whose detail names ids.
             first, tc = records.papers[0], records.theorem_citations[0]
-            records = GraphRecords(
+            records = ObjectRecords.of(
                 papers=records.papers + (first,),
                 theorems=records.theorems + (records.theorems[0], theorem("ghost", "thm 1")),
                 theorem_citations=records.theorem_citations + (
@@ -910,7 +910,9 @@ class TestCommandsReadCodes:
                                       "--out-dir", str(tmp_path / "out")])
         assert result.exit_code == free.exit_code, result.output
         assert (result.exit_code == 2) == issues
-        for path in (tmp_path / "free").iterdir():
+        free_dir = tmp_path / "free"
+        assert (tmp_path / "out").exists() == free_dir.exists()
+        for path in free_dir.iterdir() if free_dir.exists() else ():
             assert (tmp_path / "out" / path.name).read_bytes() == path.read_bytes()
         if command == "build" and issues:
             kinds = {row[0] for row in read_csv(tmp_path / "out" / "validation.csv")[1:]}

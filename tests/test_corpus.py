@@ -18,13 +18,13 @@ from mathrank.records import (
     PAPER_ID_COLUMNS,
     THEOREM_ID_COLUMNS,
     GraphRecords,
-    PaperCitation,
     YearMonth,
     validate_records,
 )
 
 from conftest import paper, theorem
 from loop_reference import parse_corpus_loop
+from record_objects import ObjectRecords, PaperCitation
 from synthdata import make_random_records, write_corpus
 
 
@@ -51,7 +51,7 @@ class TestParse:
             "author_ids": ["a1"], "first_version_date": "1998-07"})])
         records, errors = parse_corpus(*paths)
         assert not errors
-        (p,) = records.papers
+        (p,) = ObjectRecords.wrap(records).papers
         assert p.paper_id == "math/9807071"
         assert p.msc_primary == "20"
         assert p.author_ids == frozenset({"a1"})
@@ -65,7 +65,7 @@ class TestParse:
             "dst_paper": "math/0002", "dst_theorem": "theorem 1"})])
         records, errors = parse_corpus(*paths)
         assert not errors
-        (c,) = records.theorem_citations
+        (c,) = ObjectRecords.wrap(records).theorem_citations
         assert c.src_key == ("math/0001", "lemma 3.3")
         assert c.dst_key == ("math/0002", "theorem 1")
 
@@ -90,7 +90,7 @@ class TestParse:
             json.dumps(["a", "list"]),
         ])
         records, errors = parse_corpus(*paths)
-        assert [p.paper_id for p in records.papers] == ["ok"]
+        assert [p.paper_id for p in ObjectRecords.wrap(records).papers] == ["ok"]
         assert [e.line_number for e in errors] == [1, 3, 4, 5]
         assert all(e.path.endswith("papers.jsonl") for e in errors)
 
@@ -101,7 +101,7 @@ class TestParse:
         bad = b'{"paper_id": "p1", "theorem_id": "thm \xff"}'
         paths[1].write_bytes(good + b"\n" + bad + b"\n")
         records, errors = parse_corpus(*paths)
-        assert [t.key for t in records.theorems] == [("p1", "thm 1")]
+        assert [t.key for t in ObjectRecords.wrap(records).theorems] == [("p1", "thm 1")]
         assert [(e.line_number, e.path.endswith("theorems.jsonl")) for e in errors] \
             == [(2, True)]
         assert "utf-8" in errors[0].reason
@@ -113,7 +113,7 @@ class TestParse:
             "paper_id": "p1", "theorem_id": "thm 2", "extra": {"x": 1}})])
         records, errors = parse_corpus(*paths)
         assert not errors
-        assert records.theorems[0].key == ("p1", "thm 2")
+        assert ObjectRecords.wrap(records).theorems[0].key == ("p1", "thm 2")
 
     def test_unreadable_file_raises(self, tmp_path):
         paths = corpus_paths(tmp_path)
@@ -127,7 +127,7 @@ class TestParse:
             "", json.dumps({"src_paper": "a", "dst_paper": "b"}), ""])
         records, errors = parse_corpus(*paths)
         assert not errors
-        assert records.paper_citations == (PaperCitation("a", "b"),)
+        assert ObjectRecords.wrap(records).paper_citations == (PaperCitation("a", "b"),)
 
 
 def theorem_line(tid):
@@ -550,7 +550,7 @@ class TestRoundTrip:
         assert reparsed == records
 
     def test_round_trip_preserves_unicode(self, tmp_path):
-        records = GraphRecords(
+        records = ObjectRecords.of(
             papers=[paper("p/é1", authors=("auteur-é",))],
             theorems=[theorem("p/é1", "théorème 1")])
         paths = corpus_paths(tmp_path)
@@ -597,12 +597,12 @@ class TestSnapshot:
     def test_year_2000_keeps_the_nineties(self):
         papers = [paper(f"p{y}", date=(y, m)) for y, m in
                   [(1991, 1), (1995, 6), (2000, 12)]]
-        records = GraphRecords(papers=papers)
+        records = ObjectRecords.of(papers=papers)
         kept = snapshot_filter(records, 2000)
         assert len(kept.papers) == 3
 
     def test_january_next_year_excluded(self):
-        records = GraphRecords(papers=[paper("p1", date=(2001, 1))])
+        records = ObjectRecords.of(papers=[paper("p1", date=(2001, 1))])
         assert not any(snapshot_filter(records, 2000).sizes)
 
     def test_year_before_everything_is_empty(self, tiny_records):
@@ -625,6 +625,19 @@ class TestSnapshot:
             assert set(t.key for t in a.theorems) <= set(t.key for t in b.theorems)
             assert set(a.theorem_citations) <= set(b.theorem_citations)
             assert set(a.paper_citations) <= set(b.paper_citations)
+
+    def test_keeps_the_records_type(self, rng):
+        # The result is built by from_columns of the records' own type.
+        records = make_random_records(rng, n_papers=20, n_theorems=50)
+        plain = GraphRecords(records.codes, records.msc_primary, records.author_ids,
+                             records.year, records.month)
+        for year in (1995, 2005, 2030):
+            kept, kept_plain = snapshot_filter(records, year), snapshot_filter(plain, year)
+            assert type(kept) is ObjectRecords and type(kept_plain) is GraphRecords
+            assert kept == kept_plain
+            assert kept.codes.paper_ids == kept_plain.codes.paper_ids
+            assert kept.codes.theorem_ids == kept_plain.codes.theorem_ids
+            assert [p.paper_id for p in kept.papers] == list(kept_plain.paper_id)
 
     def test_never_dangling(self, rng):
         records = make_random_records(rng, n_papers=20, n_theorems=50)

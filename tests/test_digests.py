@@ -174,7 +174,8 @@ def _run(tmp_path: Path, corpus: str, command: str) -> dict:
     return {"exit": result.exit_code,
             "stdout": digest(result.stdout_bytes),
             "stderr": digest(result.stderr_bytes),
-            "files": {p.name: digest(p.read_bytes()) for p in sorted(out.iterdir())}}
+            "files": {p.name: digest(p.read_bytes())
+                      for p in (sorted(out.iterdir()) if out.exists() else ())}}
 
 
 def _case_id(corpus: str, command: str) -> str:

@@ -2,9 +2,10 @@
 
 A small valid corpus is mutated byte by byte and line by line, and every
 command must then exit 0, 1 or 2 without any other exception. A command
-that exits 2 writes nothing, except that ``build`` writes both its
-validation report and summary or neither; a command that exits 0 or 1
-writes files that decode as UTF-8 and read back through ``csv``.
+that exits 2 writes nothing and makes no directory, except that ``build``
+writes both its validation report and summary or neither; a command that
+exits 0 or 1 writes files that decode as UTF-8 and read back through
+``csv``.
 """
 
 from __future__ import annotations
@@ -125,6 +126,8 @@ def test_mutated_corpus_keeps_exit_contract(mutations):
             written = {p.name for p in out.iterdir()} if out.exists() else set()
             if result.exit_code == 2:
                 assert written in ((set(), BUILD_ON_EXIT_2) if name == "build" else (set(),)), name
+                # An exit 2 that writes no file makes no directory.
+                assert out.exists() == bool(written), name
             for file in written:
                 assert read_back(out / file), (name, file)
 
@@ -173,7 +176,7 @@ def test_refused_cell_in_a_later_table_writes_no_file(tmp_path, monkeypatch):
     assert result.exit_code == 2, result.output
     assert result.output == ("error: cannot write a row to rankings_paper.csv: "
                              "need to escape, but no escapechar set\n")
-    assert not list(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name", COMMANDS)
@@ -190,7 +193,7 @@ def test_unreadable_corpus_exits_two(tmp_path, monkeypatch, name):
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
     assert result.output == f"error: cannot read the corpus: {reason}\n"
-    assert not list(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/mem"), reason="no /proc/self/mem")
@@ -204,4 +207,23 @@ def test_corpus_file_that_fails_to_read_exits_two(tmp_path):
     assert isinstance(result.exception, SystemExit)
     assert result.output.startswith("error: cannot read the corpus: ")
     assert result.output.count("\n") == 1
-    assert not list(out.iterdir())
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_malformed_line_makes_no_directory(tmp_path, name):
+    """A malformed corpus line with a fresh, nested ``--out-dir``: rank,
+    series and impact exit 2 before their write step and make neither
+    directory; build still makes them and writes both of its files."""
+    files = list(corpus())
+    files[0] += b"not json\n"
+    args = write_files(str(tmp_path), files)
+    fresh = tmp_path / "fresh"
+    result = CliRunner().invoke(main, [*COMMANDS[name][0], *args,
+                                       "--out-dir", str(fresh / "out")])
+    assert result.exit_code == 2, result.output
+    if name == "build":
+        assert {p.name for p in (fresh / "out").iterdir()} == BUILD_ON_EXIT_2
+    else:
+        assert result.output.endswith("error: 1 malformed corpus lines\n")
+        assert not fresh.exists()

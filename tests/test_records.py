@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 from mathrank.fields import field_index
 from mathrank.records import (
     GraphRecords,
-    PaperCitation,
-    TheoremCitation,
     ValidationIssue,
     YearMonth,
     intern_codes,
@@ -16,6 +14,7 @@ from mathrank.records import (
 
 from conftest import paper, theorem
 from loop_reference import intern_codes_two_pass
+from record_objects import ObjectRecords, PaperCitation, TheoremCitation
 
 
 # Few short ids, so that columns repeat them and share them.
@@ -56,39 +55,39 @@ class TestYearMonth:
         # Validation's date rule: a year from 1, a month from 1 to 12.
         for date, valid in (((1998, 12), True), ((1998, 13), False), ((1998, 0), False),
                             ((0, 6), False), ((1, 1), True)):
-            report = validate_records(GraphRecords(papers=[paper("p1", date=date)]))
+            report = validate_records(ObjectRecords.of(papers=[paper("p1", date=date)]))
             assert report.is_clean == valid, date
 
 
 class TestValidation:
     def test_empty_corpus_is_clean(self):
-        report = validate_records(GraphRecords())
+        report = validate_records(ObjectRecords.of())
         assert report.is_clean
 
     def test_clean_corpus(self, tiny_records):
         assert validate_records(tiny_records).is_clean
 
     def test_duplicate_paper_ids(self):
-        records = GraphRecords(papers=[paper("p1"), paper("p1")])
+        records = ObjectRecords.of(papers=[paper("p1"), paper("p1")])
         report = validate_records(records)
         assert report.counts() == {"duplicate_paper": 1}
         assert not report.is_clean
         assert report.fatal_issues
 
     def test_duplicate_theorem_keys(self):
-        records = GraphRecords(
+        records = ObjectRecords.of(
             papers=[paper("p1")],
             theorems=[theorem("p1", "thm 1"), theorem("p1", "thm 1")])
         assert validate_records(records).counts() == {"duplicate_theorem": 1}
 
     def test_theorem_of_unknown_paper(self):
-        records = GraphRecords(theorems=[theorem("ghost", "thm 1")])
+        records = ObjectRecords.of(theorems=[theorem("ghost", "thm 1")])
         report = validate_records(records)
         assert report.counts() == {"dangling_theorem": 1}
         assert report.fatal_issues
 
     def test_dangling_theorem_citation(self):
-        records = GraphRecords(
+        records = ObjectRecords.of(
             papers=[paper("p1")],
             theorems=[theorem("p1", "thm 1")],
             theorem_citations=[TheoremCitation("p1", "thm 1", "p1", "thm 9")])
@@ -99,13 +98,13 @@ class TestValidation:
         assert len(report.edge_issues) == 1
 
     def test_dangling_paper_citation(self):
-        records = GraphRecords(
+        records = ObjectRecords.of(
             papers=[paper("p1")],
             paper_citations=[PaperCitation("p1", "missing")])
         assert validate_records(records).counts() == {"dangling_paper_citation": 1}
 
     def test_self_citations_flagged(self):
-        records = GraphRecords(
+        records = ObjectRecords.of(
             papers=[paper("p1")],
             theorems=[theorem("p1", "thm 1")],
             theorem_citations=[TheoremCitation("p1", "thm 1", "p1", "thm 1")],
@@ -113,7 +112,7 @@ class TestValidation:
         assert validate_records(records).counts() == {"self_citation": 2}
 
     def test_malformed_subject_code(self):
-        records = GraphRecords(papers=[paper("p1", msc="5")])
+        records = ObjectRecords.of(papers=[paper("p1", msc="5")])
         report = validate_records(records)
         assert report.counts() == {"malformed_paper": 1}
 
@@ -121,15 +120,15 @@ class TestValidation:
     def test_codes_field_index_rejects_are_issues(self, code):
         # field_index rejects the same codes, so the two rules agree.
         assert field_index(code) == -1
-        (issue,) = validate_records(GraphRecords(papers=[paper("p1", msc=code)])).issues
+        (issue,) = validate_records(ObjectRecords.of(papers=[paper("p1", msc=code)])).issues
         assert issue == ValidationIssue("malformed_paper", f"p1: bad subject code {code!r}")
 
     def test_malformed_date(self):
-        records = GraphRecords(papers=[paper("p1", date=(1998, 13))])
+        records = ObjectRecords.of(papers=[paper("p1", date=(1998, 13))])
         assert validate_records(records).counts() == {"malformed_paper": 1}
 
     def test_issue_details_name_offenders(self):
-        records = GraphRecords(
+        records = ObjectRecords.of(
             papers=[paper("p1")],
             paper_citations=[PaperCitation("p1", "missing")])
         (issue,) = validate_records(records).issues
@@ -140,21 +139,22 @@ class TestCanonicalField:
     CODES = ["53", "06", "99", "ab", "5", "", "123", 60, None, b"60", "٦٠", "53"]
 
     def test_field_index_or_minus_one_per_paper(self):
-        records = GraphRecords(papers=[paper(f"p{i}", msc=c) for i, c in enumerate(self.CODES)])
+        records = ObjectRecords.of(
+            papers=[paper(f"p{i}", msc=c) for i, c in enumerate(self.CODES)])
         field = records.canonical_field
         assert field.dtype == np.int64
         assert field.tolist() == [2, 0, 12, 12, -1, -1, -1, -1, -1, -1, -1, 2]
         assert field.tolist() == [field_index(code) for code in self.CODES]
 
     def test_read_only_and_computed_once(self):
-        records = GraphRecords(papers=[paper("p1", msc="60"), paper("p2", msc="6")])
+        records = ObjectRecords.of(papers=[paper("p1", msc="60"), paper("p2", msc="6")])
         field = records.canonical_field
         with pytest.raises(ValueError):
             field[0] = 0
         assert records.canonical_field is field
 
     def test_no_papers(self):
-        field = GraphRecords().canonical_field
+        field = ObjectRecords.of().canonical_field
         assert field.dtype == np.int64 and field.shape == (0,)
 
 
@@ -170,7 +170,7 @@ class TestColumns:
         again = GraphRecords.from_columns(
             **{name: getattr(tiny_records, name) for name in self.COLUMNS})
         assert again == tiny_records
-        assert again.papers == tiny_records.papers
+        assert ObjectRecords.wrap(again).papers == tiny_records.papers
 
     def test_columns_of_a_table_must_align(self, tiny_records):
         columns = {name: getattr(tiny_records, name) for name in self.COLUMNS}
@@ -192,7 +192,8 @@ class TestColumns:
             return GraphRecords.from_columns(**{**columns, "author_ids": (first, ("b1",))})
 
         repeated, once = with_authors(("b", "a", "a")), with_authors(("a", "b"))
-        assert repeated.papers == once.papers  # the record objects hold sets
+        # The record objects hold sets.
+        assert ObjectRecords.wrap(repeated).papers == ObjectRecords.wrap(once).papers
         assert repeated != once
         assert repeated == with_authors(("b", "a", "a"))
         assert with_authors(("a", "b")) != with_authors(("b", "a"))
@@ -201,7 +202,7 @@ class TestColumns:
     def test_equality_sees_every_column(self, name):
         # Two papers, theorems, theorem citations and paper citations, so
         # that swapping a column's two rows changes it.
-        records = GraphRecords(
+        records = ObjectRecords.of(
             papers=[paper("p1", msc="53", authors=("a1",), date=(1995, 3)),
                     paper("p2", msc="60", authors=("b1",), date=(1999, 11))],
             theorems=[theorem("p1", "thm 1"), theorem("p2", "thm 2")],

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from mathrank.build import build_graph
-from mathrank.records import GraphRecords, PaperCitation, TheoremCitation
 from mathrank.sparsemat import SparseWeightMatrix
 from mathrank.solver import (
     ConvergenceReport,
@@ -23,6 +22,7 @@ from mathrank.solver import (
 from conftest import dense, paper, stored, theorem
 from loop_reference import compute_scores_loop, iterate_once_reduceat, residual
 from oracle import DenseSolver, build_dense
+from record_objects import ObjectRecords, PaperCitation, TheoremCitation
 from synthdata import make_random_records
 
 HP = Hyperparameters()
@@ -130,7 +130,7 @@ class TestColumnNormalize:
 
 class TestInitState:
     def test_uniform_vectors(self):
-        records = GraphRecords(
+        records = ObjectRecords.of(
             papers=[paper("p1", msc="53"), paper("p2", msc="53")],
             theorems=[theorem("p1", f"thm {i}") for i in range(1, 5)])
         state = init_state(build_graph(records))
@@ -142,7 +142,7 @@ class TestInitState:
     def test_thirteen_fields(self, rng):
         codes = ["06", "11", "32", "19", "26", "31", "37",
                  "70", "60", "90", "65", "62", "99"]
-        records = GraphRecords(
+        records = ObjectRecords.of(
             papers=[paper(f"p{i}", msc=c) for i, c in enumerate(codes)],
             theorems=[theorem("p0", "thm 1")])
         state = init_state(build_graph(records))
@@ -155,13 +155,13 @@ class TestInitState:
             assert abs(level.sum() - 1.0) < 1e-12
 
     def test_empty_theorem_level_rejected(self):
-        records = GraphRecords(papers=[paper("p1")])
+        records = ObjectRecords.of(papers=[paper("p1")])
         with pytest.raises(EmptyLevelError, match="theorem"):
             init_state(build_graph(records))
 
     def test_empty_graph_rejected(self):
         with pytest.raises(EmptyLevelError):
-            init_state(build_graph(GraphRecords()))
+            init_state(build_graph(ObjectRecords.of()))
 
 
 LEVELS = ("theorem", "paper", "field")
@@ -194,7 +194,7 @@ class TestIterateOnce:
         assert state.iteration == 1
 
     def test_mutual_citation_symmetry(self):
-        records = GraphRecords(
+        records = ObjectRecords.of(
             papers=[paper("p1")],
             theorems=[theorem("p1", "thm 1"), theorem("p1", "thm 2")],
             theorem_citations=[
@@ -212,7 +212,7 @@ class TestIterateOnce:
     def test_matches_dense_reference_per_entry(self):
         # 2 fields, 3 papers, 4 theorems, one cross-paper theorem citation
         # and one paper citation.
-        records = GraphRecords(
+        records = ObjectRecords.of(
             papers=[paper("p1", msc="53", authors=("a1",)),
                     paper("p2", msc="53", authors=("a2",)),
                     paper("p3", msc="60", authors=("a3",))],
@@ -226,7 +226,7 @@ class TestIterateOnce:
             np.testing.assert_allclose(state.u_f, ref_state[2], atol=1e-12)
 
     def test_paper_with_no_theorems_contributes_zero_max(self):
-        records = GraphRecords(
+        records = ObjectRecords.of(
             papers=[paper("p1", authors=("a1",)), paper("p2", authors=("a2",))],
             theorems=[theorem("p1", "thm 1")],
             paper_citations=[PaperCitation("p1", "p2")])
@@ -241,7 +241,7 @@ class TestIterateOnce:
         # is zero and every other paper's maximum must stay its own.
         ids = ["p1", "p2", "p3", "p4", "p5"]
         owners = [pid for pid in ids if pid not in theoremless]
-        records = GraphRecords(
+        records = ObjectRecords.of(
             papers=[paper(pid, msc=msc, authors=(f"a{pid}",))
                     for pid, msc in zip(ids, ["53", "60", "53", "60", "11"])],
             theorems=[theorem(pid, f"thm {k}") for pid in owners for k in (1, 2)],
@@ -264,7 +264,7 @@ class TestIterateOnce:
             if not theorems:
                 continue
             kept = {t.key for t in theorems}
-            records = GraphRecords(
+            records = ObjectRecords.of(
                 papers=records.papers, theorems=theorems,
                 theorem_citations=[c for c in records.theorem_citations
                                    if c.src_key in kept and c.dst_key in kept],
@@ -286,7 +286,7 @@ class TestIterateOnce:
             theorems += [theorem(pid, "extra") for pid in ids
                          if pid not in owners and pid not in dropped]
             kept = {t.key for t in theorems}
-            records = GraphRecords(
+            records = ObjectRecords.of(
                 papers=records.papers, theorems=theorems,
                 theorem_citations=[c for c in records.theorem_citations
                                    if c.src_key in kept and c.dst_key in kept],
@@ -320,7 +320,7 @@ class TestIterateOnce:
     def test_uniform_papers_give_pure_intra_level_field_update(self):
         # With every paper exactly at the uniform share, the excess term
         # vanishes and the field update reduces to its citation part.
-        records = GraphRecords(
+        records = ObjectRecords.of(
             papers=[paper("p1", msc="53", authors=("a1",)),
                     paper("p2", msc="60", authors=("a2",)),
                     paper("p3", msc="60", authors=("a3",))],
@@ -340,7 +340,7 @@ class TestIterateOnce:
     def test_degenerate_field_level_raises(self):
         # Two isolated papers in different fields, perfectly uniform scores:
         # no field receives citation or excess mass, which is degenerate.
-        records = GraphRecords(
+        records = ObjectRecords.of(
             papers=[paper("p1", msc="53"), paper("p2", msc="60")],
             theorems=[theorem("p1", "thm 1"), theorem("p2", "thm 1")])
         graph = build_graph(records)
@@ -362,7 +362,7 @@ class TestIterateOnce:
             iterate_once(state, graph, normalize_matrices(graph), HP)
 
     def test_empty_theorem_level_rejected(self):
-        graph = build_graph(GraphRecords(papers=[paper("p1")]))
+        graph = build_graph(ObjectRecords.of(papers=[paper("p1")]))
         state = ScoreState(np.empty(0), np.array([1.0]), np.array([1.0]))
         with pytest.raises(EmptyLevelError, match="^theorem level is empty$"):
             iterate_once(state, graph, normalize_matrices(graph), HP)
@@ -484,7 +484,7 @@ class TestComputeScores:
         n = len(records.papers)
         rename = {p.paper_id: f"q{n - 1 - i:04d}" for i, p in
                   enumerate(sorted(records.papers, key=lambda p: p.paper_id))}
-        relabeled = GraphRecords(
+        relabeled = ObjectRecords.of(
             papers=[paper_record.__class__(
                 rename[paper_record.paper_id], paper_record.msc_primary,
                 paper_record.author_ids, paper_record.first_version_date)
@@ -548,7 +548,7 @@ class TestPreparedLoop:
     def test_cycling_graph_hits_small_cap(self):
         # Two papers in two fields citing each other: from a skewed start the
         # field scores swap back and forth.
-        graph = build_graph(GraphRecords(
+        graph = build_graph(ObjectRecords.of(
             papers=[paper("p1", msc="53", authors=("a1",)),
                     paper("p2", msc="60", authors=("a2",))],
             theorems=[theorem("p1", "thm 1"), theorem("p2", "thm 1")],
@@ -560,7 +560,7 @@ class TestPreparedLoop:
 
     def test_no_citations_at_any_level(self, rng):
         # The stacked operator has no entries, so its bincount is int64.
-        records = GraphRecords(
+        records = ObjectRecords.of(
             papers=[paper("p1", msc="53"), paper("p2", msc="60"), paper("p3", msc="60")],
             theorems=[theorem("p1", "thm 1"), theorem("p3", "thm 1"), theorem("p3", "thm 2")])
         graph = build_graph(records)
@@ -568,7 +568,8 @@ class TestPreparedLoop:
         raw = [rng.random(n) for n in (3, 3, 2)]
         assert_same_solve(graph, Hyperparameters(max_iterations=300),
                           ScoreState(*[v / v.sum() for v in raw]))
-        one_field = build_graph(GraphRecords(papers=records.papers[:1], theorems=records.theorems[:1]))
+        one_field = build_graph(ObjectRecords.of(papers=records.papers[:1],
+                                                 theorems=records.theorems[:1]))
         assert assert_same_solve(one_field, HP).converged
 
     def test_one_field_and_one_paper(self, rng):
@@ -576,7 +577,7 @@ class TestPreparedLoop:
         graph = build_graph(one_field)
         assert graph.n_fields == 1
         assert_same_solve(graph, HP)
-        one_paper = GraphRecords(
+        one_paper = ObjectRecords.of(
             papers=[paper("p1", msc="60")],
             theorems=[theorem("p1", f"thm {k}") for k in range(4)],
             theorem_citations=[TheoremCitation("p1", "thm 0", "p1", "thm 1"),
@@ -586,7 +587,7 @@ class TestPreparedLoop:
         assert_same_solve(graph, HP)
 
     def test_degenerate_level_same_error(self):
-        records = GraphRecords(
+        records = ObjectRecords.of(
             papers=[paper("p1", msc="53"), paper("p2", msc="60")],
             theorems=[theorem("p1", "thm 1"), theorem("p2", "thm 1")])
         assert assert_same_solve(build_graph(records), HP) is None
@@ -615,7 +616,7 @@ class TestPreparedLoop:
             compute_scores(graph, HP, initial_state=state)
 
     def test_empty_level_rejected_with_initial_state(self):
-        graph = build_graph(GraphRecords(papers=[paper("p1")]))
+        graph = build_graph(ObjectRecords.of(papers=[paper("p1")]))
         state = ScoreState(np.empty(0), np.array([1.0]), np.array([1.0]))
         with pytest.raises(EmptyLevelError, match="theorem level is empty"):
             compute_scores(graph, HP, initial_state=state)
