@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -27,16 +26,14 @@ YEAR_EMPTY = "empty"
 YEAR_DEGENERATE = "degenerate"
 
 
-@dataclass(frozen=True)
-class RankingRow:
+class RankingRow(NamedTuple):
     rank: int
     entity_id: str
     field: str
     score: float
 
 
-@dataclass(frozen=True)
-class RankingTable:
+class RankingTable(NamedTuple):
     level: str
     grouped: bool
     rows: tuple[RankingRow, ...]
@@ -119,8 +116,7 @@ def rank_entities(
                         rows=tuple(map(RankingRow, *columns)))
 
 
-@dataclass(frozen=True)
-class ImpactMatrix:
+class ImpactMatrix(NamedTuple):
     """Influence each source (cited) field receives from each target (citing)
     field's papers, weighted by the citers' scores."""
 
@@ -160,8 +156,7 @@ def impact_asymmetry(
             for i in range(len(names)) for j in range(len(names)) if i != j]
 
 
-@dataclass(frozen=True)
-class FieldSeries:
+class FieldSeries(NamedTuple):
     """Yearly field scores on cumulative snapshots; 13 canonical columns.
 
     ``scores[k]`` is None for years whose snapshot has an empty or
@@ -218,8 +213,7 @@ def _solve_year(graph: ThreeLevelGraph, hp: Hyperparameters) -> tuple[np.ndarray
     return full, YEAR_OK if report.converged else YEAR_NOT_CONVERGED
 
 
-@dataclass(frozen=True)
-class RatioSeries:
+class RatioSeries(NamedTuple):
     """Cumulative share of papers per field, per year (None when no papers)."""
 
     years: tuple[int, ...]

@@ -53,7 +53,7 @@ def _str_order(strings: Sequence[str]) -> np.ndarray:
 
 def _distinct(values: np.ndarray) -> np.ndarray:
     """The distinct values, ascending."""
-    # Not np.unique on purpose: on numpy 2.4.6, np.unique of 62,500 int64
+    # Not numpy's unique on purpose: on numpy 2.4.6, unique of 62,500 int64
     # values took 12.8 ms where this took 0.78 ms (best of 7 runs).
     values = np.sort(values)
     first = np.ones(values.size, dtype=bool)

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from itertools import compress
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
@@ -52,8 +51,7 @@ from .records import (
 )
 
 
-@dataclass(frozen=True)
-class MalformedLine:
+class MalformedLine(NamedTuple):
     path: str
     line_number: int
     reason: str

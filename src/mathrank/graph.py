@@ -11,7 +11,7 @@ populated fields (those with at least one paper) are part of the graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,8 +19,7 @@ from .fields import FIELD_NAMES
 from .sparsemat import SparseWeightMatrix
 
 
-@dataclass(frozen=True)
-class ThreeLevelGraph:
+class ThreeLevelGraph(NamedTuple):
     paper_vocab: tuple[str, ...]    # the records' paper ids, by code
     theorem_vocab: tuple[str, ...]  # the records' theorem ids, by code
     paper_code: np.ndarray          # paper index -> paper id code

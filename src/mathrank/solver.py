@@ -14,7 +14,7 @@ import operator
 import sys
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -82,15 +82,13 @@ class ScoreState:
         return self.u_t, self.u_p, self.u_f
 
 
-@dataclass(frozen=True)
-class NormalizedMatrices:
+class NormalizedMatrices(NamedTuple):
     t_norm: SparseWeightMatrix
     p_norm: SparseWeightMatrix
     f_norm: SparseWeightMatrix
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(NamedTuple):
     converged: bool
     iterations: int
     residual: float

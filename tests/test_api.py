@@ -1,7 +1,9 @@
-"""The package's public names: a change to ``mathrank.__all__`` is made on
-purpose, here as well."""
+"""The package's public names, and which of its classes are NamedTuples or
+dataclasses: a change to either is made on purpose, here as well."""
 
+import dataclasses
 import importlib
+import pkgutil
 
 import pytest
 
@@ -37,3 +39,44 @@ def test_record_objects_left_the_package():
     # GraphRecords is built from codes or from columns, not from objects.
     with pytest.raises(TypeError):
         mathrank.GraphRecords(papers=(), theorems=())
+
+
+# Plain results are NamedTuples, with their fields in this order.
+RESULT_FIELDS = {
+    "analysis.RankingRow": ("rank", "entity_id", "field", "score"),
+    "analysis.RankingTable": ("level", "grouped", "rows"),
+    "analysis.ImpactMatrix": ("field_indices", "values"),
+    "analysis.FieldSeries": ("years", "scores", "status"),
+    "analysis.RatioSeries": ("years", "ratios"),
+    "corpus.MalformedLine": ("path", "line_number", "reason"),
+    "graph.ThreeLevelGraph": (
+        "paper_vocab", "theorem_vocab", "paper_code", "theorem_code", "field_indices",
+        "t_matrix", "p_matrix", "f_matrix", "theorem_paper", "paper_field"),
+    "records.ValidationIssue": ("kind", "detail"),
+    "records.ValidationReport": ("issues",),
+    "solver.NormalizedMatrices": ("t_norm", "p_norm", "f_norm"),
+    "solver.ConvergenceReport": ("converged", "iterations", "residual", "residual_history"),
+}
+# The classes that do work at construction: they check, convert or freeze
+# their values, or cache on the instance.
+CHECKED = {"solver.Hyperparameters", "solver.ScoreState", "sparsemat.SparseWeightMatrix",
+           "records.IdCodes"}
+
+
+@pytest.mark.parametrize("qualified", sorted(RESULT_FIELDS))
+def test_results_are_named_tuples(qualified):
+    module, name = qualified.split(".")
+    cls = getattr(importlib.import_module(f"mathrank.{module}"), name)
+    assert issubclass(cls, tuple)
+    assert cls._fields == RESULT_FIELDS[qualified]
+
+
+def test_only_checked_classes_are_dataclasses():
+    dataclass_names = set()
+    for module in pkgutil.iter_modules(mathrank.__path__):
+        namespace = vars(importlib.import_module(f"mathrank.{module.name}"))
+        dataclass_names.update(
+            f"{module.name}.{name}" for name, value in namespace.items()
+            if isinstance(value, type) and value.__module__ == f"mathrank.{module.name}"
+            and dataclasses.is_dataclass(value))
+    assert dataclass_names == CHECKED

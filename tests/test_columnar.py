@@ -19,6 +19,7 @@ from mathrank.records import (
     PAPER_ID_COLUMNS,
     THEOREM_ID_COLUMNS,
     GraphRecords,
+    _repeats,
     validate_records,
 )
 
@@ -191,6 +192,45 @@ def test_parsed_ids_numbered_in_order_of_first_appearance(tmp_path, monkeypatch,
     assert codes.n_known_papers == len(dict.fromkeys(records.paper_id))
 
 
+def unique_keys(codes):
+    """``codes.keys`` as np.unique numbers them: the reference for its sort."""
+    radix = max(len(codes.theorem_ids), 1)
+    distinct, key = np.unique(np.concatenate([
+        codes.theorem_paper * radix + codes.theorem_id,
+        codes.tc_src_paper * radix + codes.tc_src_theorem,
+        codes.tc_dst_paper * radix + codes.tc_dst_theorem]), return_inverse=True)
+    theorem, tc_src, tc_dst = np.split(
+        key.reshape(-1), np.cumsum([codes.theorem_id.size, codes.tc_src_theorem.size]))
+    return distinct.size, theorem, tc_src, tc_dst
+
+
+def unique_repeats(keys):
+    """``_repeats`` by np.unique's first occurrences: the reference for its
+    minimum."""
+    repeat = np.ones(keys.size, dtype=bool)
+    repeat[np.unique(keys, return_index=True)[1]] = False
+    return repeat
+
+
+def assert_keys_and_repeats_match_unique(records):
+    codes = records.codes
+    keys = codes.keys
+    count, *columns = unique_keys(codes)
+    assert type(keys.count) is int and keys.count == count
+    for got, want in zip(keys[1:], columns):
+        assert got.dtype == np.int64 and not got.flags.writeable
+        np.testing.assert_array_equal(got, want)
+    for column, bound in ((codes.paper_id, len(codes.paper_ids)), (keys.theorem, keys.count)):
+        np.testing.assert_array_equal(_repeats(column, bound), unique_repeats(column))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_theorem_keys_and_repeats_match_unique_on_dirty_corpora(tmp_path, seed):
+    records, _ = parse_corpus(*write_files(tmp_path, dirty_corpus(
+        np.random.default_rng(seed), fatal=seed % 2 == 1)))
+    assert_keys_and_repeats_match_unique(records)
+
+
 @pytest.fixture(scope="module")
 def perfbench_gen():
     """The benchmark's corpus generator, ``perfbench/gen.py``."""
@@ -199,17 +239,29 @@ def perfbench_gen():
     return gen
 
 
-def test_benchmark_corpora_match_loop_reference(tmp_path, perfbench_gen):
-    # The rank workload's seed-3 corpus, clean and with defects of every kind.
-    seed = 3
-    corpus = perfbench_gen.make_corpus(seed, "rank")
+def benchmark_corpora(tmp_path, gen, seed):
+    """The rank workload's corpus of ``seed``, clean and with defects of every
+    kind: (dirty, the four file paths) for each."""
+    corpus = gen.make_corpus(seed, "rank")
     for dirty in (False, True):
         out = tmp_path / ("dirty" if dirty else "clean")
-        perfbench_gen.write_corpus(out, corpus, seed, dirty)
-        paths = [out / f"{name}.jsonl" for name in perfbench_gen.FILES]
+        gen.write_corpus(out, corpus, seed, dirty)
+        yield dirty, [out / f"{name}.jsonl" for name in gen.FILES]
+
+
+def test_benchmark_corpora_match_loop_reference(tmp_path, perfbench_gen):
+    for dirty, paths in benchmark_corpora(tmp_path, perfbench_gen, seed=3):
         records, errors = parse_corpus(*paths)
         assert bool(errors) == dirty
         assert (records, errors) == parse_corpus_loop(*paths)
+
+
+@pytest.mark.parametrize("seed", [3, 7])
+def test_theorem_keys_and_repeats_match_unique_on_benchmark_corpora(tmp_path, perfbench_gen,
+                                                                    seed):
+    for _, paths in benchmark_corpora(tmp_path, perfbench_gen, seed):
+        records, _ = parse_corpus(*paths)
+        assert_keys_and_repeats_match_unique(records)
 
 
 def test_clean_corpora_match_loop_reference(rng):
