@@ -125,24 +125,24 @@ def build_graph(records: GraphRecords) -> ThreeLevelGraph:
     if report.edge_issues:
         log.warning("dropping %d invalid citation edges", len(report.edge_issues))
 
-    codes = records.codes
-    keys = codes.keys
+    keys = records.theorem_keys
 
     # Papers by id. The papers table holds no id twice, so a paper's code
     # is its row. index_of[code] is a paper's place in the graph, -1 for an
     # id no paper record has.
-    paper_code = np.array(sorted(range(codes.n_known_papers), key=codes.paper_ids.__getitem__),
+    paper_ids = records.paper_ids
+    paper_code = np.array(sorted(range(records.n_known_papers), key=paper_ids.__getitem__),
                           dtype=np.int64)
     n_papers = paper_code.size
-    index_of = np.full(len(codes.paper_ids), -1, dtype=np.int64)
+    index_of = np.full(len(paper_ids), -1, dtype=np.int64)
     index_of[paper_code] = np.arange(n_papers)
 
     # Theorems by (paper_id, theorem_id); theorem_of[key code] is a
     # theorem's place in the graph, -1 for a key no theorem record has.
-    t_order = np.lexsort((_str_order(codes.theorem_ids)[codes.theorem_id],
-                          index_of[codes.theorem_paper]))
-    theorem_code = codes.theorem_id[t_order]
-    theorem_paper = index_of[codes.theorem_paper[t_order]]
+    t_order = np.lexsort((_str_order(records.theorem_ids)[records.theorem_id],
+                          index_of[records.theorem_paper]))
+    theorem_code = records.theorem_id[t_order]
+    theorem_paper = index_of[records.theorem_paper[t_order]]
     n_theorems = theorem_code.size
     theorem_of = np.full(keys.count, -1, dtype=np.int64)
     theorem_of[keys.theorem[t_order]] = np.arange(n_theorems)
@@ -151,7 +151,7 @@ def build_graph(records: GraphRecords) -> ThreeLevelGraph:
     vocab: dict[str, int] = {}
     author = intern_codes(vocab, tuple(chain.from_iterable(records.author_ids)))
     n_authors = max(len(vocab), 1)
-    holder = np.repeat(index_of[codes.paper_id], [len(a) for a in records.author_ids])
+    holder = np.repeat(index_of[records.paper_id], [len(a) for a in records.author_ids])
     paper_author = _distinct(holder * n_authors + author)
     author_ptr = np.zeros(n_papers + 1, dtype=np.int64)
     np.cumsum(np.bincount(paper_author // n_authors, minlength=n_papers), out=author_ptr[1:])
@@ -166,11 +166,11 @@ def build_graph(records: GraphRecords) -> ThreeLevelGraph:
     t_matrix = SparseWeightMatrix((n_theorems, n_theorems), cited, citer, weight)
 
     # Paper-level matrix: entry (cited, citer).
-    cited, citer = _edges(index_of[codes.pc_dst], index_of[codes.pc_src], n_papers)
+    cited, citer = _edges(index_of[records.pc_dst], index_of[records.pc_src], n_papers)
     weight = np.where(share_author(citer, cited), SHARED_AUTHOR_WEIGHT, INDEPENDENT_WEIGHT)
     p_matrix = SparseWeightMatrix((n_papers, n_papers), cited, citer, weight)
 
-    return _assemble((codes.paper_ids, codes.theorem_ids), paper_code, theorem_code,
+    return _assemble((paper_ids, records.theorem_ids), paper_code, theorem_code,
                      records.canonical_field[paper_code],
                      theorem_paper, t_matrix, p_matrix)
 

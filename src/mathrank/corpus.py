@@ -45,7 +45,6 @@ from .records import (
     THEOREM_ID_COLUMNS,
     YEAR_MONTH_PATTERN,
     GraphRecords,
-    IdCodes,
     YearMonth,
     intern_codes,
 )
@@ -168,16 +167,15 @@ def _authors(text: str) -> tuple[str, ...]:
 
 
 _PAPERS = _Table(
-    ("paper_id", "msc_primary", "author_ids", "year", "month"),
+    TABLES[0],
     _line_pattern(f'"paper_id": {_PLAIN_STRING}, "msc_primary": {_PLAIN_STRING}, '
                   f'"author_ids": \\[((?:"{_PLAIN}"(?:, "{_PLAIN}")*)?)\\], '
                   f'"first_version_date": "{YEAR_MONTH_PATTERN}"'),
     _paper_fields, (None, None, _authors, int, int))
-_THEOREMS = _strings_table(("paper_id", "theorem_id"), ("theorem_paper", "theorem_id"))
-_THEOREM_CITATIONS = _strings_table(
-    ("src_paper", "src_theorem", "dst_paper", "dst_theorem"),
-    ("tc_src_paper", "tc_src_theorem", "tc_dst_paper", "tc_dst_theorem"))
-_PAPER_CITATIONS = _strings_table(("src_paper", "dst_paper"), ("pc_src", "pc_dst"))
+_THEOREMS = _strings_table(("paper_id", "theorem_id"), TABLES[1])
+_THEOREM_CITATIONS = _strings_table(("src_paper", "src_theorem", "dst_paper", "dst_theorem"),
+                                    TABLES[2])
+_PAPER_CITATIONS = _strings_table(("src_paper", "dst_paper"), TABLES[3])
 
 _CHUNK_BYTES = 1 << 18
 _NO_CODES = np.empty(0, dtype=np.int64)
@@ -252,10 +250,10 @@ def parse_corpus(
     Returns the parsed records plus a list of malformed lines that were
     skipped. Unreadable files raise OSError.
 
-    Ids are numbered as they are first read (see IdCodes): file by file in
-    the order of the arguments, within a file block by block, and within a
-    block column by column, in line order. So the papers file's ids hold
-    the codes below ``n_known_papers``.
+    Ids are numbered as they are first read (see GraphRecords): file by
+    file in the order of the arguments, within a file block by block, and
+    within a block column by column, in line order. So the papers file's
+    ids hold the codes below ``n_known_papers``.
     """
     errors: list[MalformedLine] = []
     paper_ids: dict[str, int] = {}
@@ -268,9 +266,7 @@ def parse_corpus(
                         (theorem_citations_path, _THEOREM_CITATIONS),
                         (paper_citations_path, _PAPER_CITATIONS)):
         columns.update(_read_table(path, table, errors, vocabularies))
-    others = [columns.pop(name) for name in ("msc_primary", "author_ids", "year", "month")]
-    codes = IdCodes(tuple(paper_ids), tuple(theorem_ids), n_known, **columns)
-    return GraphRecords(codes, *others), errors
+    return GraphRecords(paper_ids, theorem_ids, n_known, **columns), errors
 
 
 def snapshot_filter(records: GraphRecords, year: int) -> GraphRecords:
@@ -283,21 +279,19 @@ def snapshot_filter(records: GraphRecords, year: int) -> GraphRecords:
     does not call it, but ``build.restrict_graph`` of the whole corpus's
     graph to the same papers reproduces ``build_graph`` of its result. The
     result is built by ``from_columns`` of the records' own type from the
-    kept rows of each column, which numbers its ids afresh (see
-    ``IdCodes.of``).
+    kept rows of each column, which numbers its ids afresh.
     """
-    codes = records.codes
     # (year, month) <= (year, 12) as tuples
     keep_papers = (records.year < year) | ((records.year == year) & (records.month <= 12))
-    kept_paper = np.zeros(len(codes.paper_ids), dtype=bool)
-    kept_paper[codes.paper_id[keep_papers]] = True
-    keep_theorems = kept_paper[codes.theorem_paper]
-    keys = codes.keys
+    kept_paper = np.zeros(len(records.paper_ids), dtype=bool)
+    kept_paper[records.paper_id[keep_papers]] = True
+    keep_theorems = kept_paper[records.theorem_paper]
+    keys = records.theorem_keys
     kept_theorem = np.zeros(keys.count, dtype=bool)
     kept_theorem[keys.theorem[keep_theorems]] = True
     masks = (keep_papers, keep_theorems,
              kept_theorem[keys.tc_src] & kept_theorem[keys.tc_dst],
-             kept_paper[codes.pc_src] & kept_paper[codes.pc_dst])
+             kept_paper[records.pc_src] & kept_paper[records.pc_dst])
     return type(records).from_columns(**{
-        name: tuple(compress(getattr(records, name), keep.tolist()))
+        name: tuple(compress(records.column(name), keep.tolist()))
         for table, keep in zip(TABLES, masks) for name in table})

@@ -73,15 +73,42 @@ class TheoremKeys(NamedTuple):
     tc_dst: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class IdCodes:
-    """The id columns of a corpus as integer codes, and each distinct id once.
+# Each table's columns, in the order of its corpus file's fields.
+TABLES = (
+    ("paper_id", "msc_primary", "author_ids", "year", "month"),
+    ("theorem_paper", "theorem_id"),
+    ("tc_src_paper", "tc_src_theorem", "tc_dst_paper", "tc_dst_theorem"),
+    ("pc_src", "pc_dst"),
+)
+_COLUMNS = frozenset(name for table in TABLES for name in table)
 
-    Equal codes mean equal ids. Paper ids are numbered in order of first
+
+@dataclass(frozen=True, eq=False)
+class GraphRecords:
+    """Everything read from a corpus, before graph assembly.
+
+    The records are held as columns, row order as given (file order, for a
+    parsed corpus):
+
+    * papers: ``paper_id``, ``msc_primary``, ``author_ids`` (a tuple of
+      strings per paper) and the first version's ``year`` and ``month``;
+    * theorems: ``theorem_paper`` and ``theorem_id``;
+    * theorem citations: ``tc_src_paper``, ``tc_src_theorem``,
+      ``tc_dst_paper`` and ``tc_dst_theorem``;
+    * paper citations: ``pc_src`` (citing) and ``pc_dst`` (cited).
+
+    Each id column is held as codes, a read-only int64 array that indexes
+    ``paper_ids`` or ``theorem_ids``, which hold each distinct id once:
+    equal codes mean equal ids. Paper ids are numbered in order of first
     appearance, the papers table first, so the ``n_known_papers`` ids of the
     papers table hold the codes below ``n_known_papers``. Theorem ids are
-    numbered in order of first appearance too. Each id column of
-    GraphRecords has a code column of the same name.
+    numbered in order of first appearance too. ``year`` and ``month`` are
+    read-only int64 arrays as well.
+
+    The constructor takes the vocabularies and the code columns, as
+    ``parse_corpus`` reads them; ``from_columns`` takes every column by
+    name, ids as strings, and ``column`` gives one back in that form. A
+    GraphRecords is immutable, so its validation report is computed once.
     """
 
     paper_ids: tuple[str, ...]    # by code
@@ -98,28 +125,58 @@ class IdCodes:
     pc_src: np.ndarray          # paper citations: paper codes
     pc_dst: np.ndarray
 
-    @classmethod
-    def of(cls, columns: dict) -> "IdCodes":
-        """The codes of the id columns of ``columns``, given as strings; ids
-        are numbered column by column, in the order of ``PAPER_ID_COLUMNS``
-        and ``THEOREM_ID_COLUMNS``."""
-        pids: dict[str, int] = {}
-        codes = {"paper_id": intern_codes(pids, tuple(columns["paper_id"]))}
-        n_known = len(pids)
-        for name in PAPER_ID_COLUMNS[1:]:
-            codes[name] = intern_codes(pids, tuple(columns[name]))
-        tids: dict[str, int] = {}
-        for name in THEOREM_ID_COLUMNS:
-            codes[name] = intern_codes(tids, tuple(columns[name]))
-        return cls(tuple(pids), tuple(tids), n_known, **codes)
+    msc_primary: tuple[str, ...]
+    author_ids: tuple[tuple[str, ...], ...]
+    year: np.ndarray
+    month: np.ndarray
 
     def __post_init__(self) -> None:
-        for value in vars(self).values():
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
+        for name in ("paper_ids", "theorem_ids", "msc_primary", "author_ids"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        for name in _ID_COLUMNS + ("year", "month"):
+            # Code arrays are frozen as given; year and month are copied.
+            as_array = np.array if name in ("year", "month") else np.asarray
+            array = as_array(getattr(self, name), dtype=np.int64)
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+        for table in TABLES:
+            if len({len(getattr(self, name)) for name in table}) > 1:
+                raise ValueError(f"columns {', '.join(table)} differ in length")
+
+    @classmethod
+    def from_columns(cls, **columns) -> "GraphRecords":
+        """Records from their columns, passed by name, ids as strings (see
+        the class docstring). Ids are numbered column by column, in the
+        order of ``PAPER_ID_COLUMNS`` and ``THEOREM_ID_COLUMNS``."""
+        if set(columns) != _COLUMNS:
+            raise TypeError(f"GraphRecords columns are {', '.join(sum(TABLES, ()))}")
+        pids: dict[str, int] = {}
+        tids: dict[str, int] = {}
+        codes = {name: intern_codes(tids if name in THEOREM_ID_COLUMNS else pids,
+                                    tuple(columns[name])) for name in _ID_COLUMNS}
+        # The papers table's ids were numbered first, from 0.
+        n_known = int(codes["paper_id"].max(initial=-1)) + 1
+        return cls(pids, tids, n_known, **codes,
+                   **{name: columns[name] for name in TABLES[0][1:]})
+
+    def column(self, name: str):
+        """Column ``name`` in the form ``from_columns`` takes it: an id
+        column as a tuple of its ids, built on each call, and any other
+        column as held."""
+        if name not in _COLUMNS:
+            raise KeyError(name)
+        if name not in _ID_COLUMNS:
+            return getattr(self, name)
+        ids = self.paper_ids if name in PAPER_ID_COLUMNS else self.theorem_ids
+        return tuple(map(ids.__getitem__, getattr(self, name).tolist()))
+
+    @property
+    def sizes(self) -> tuple[int, int, int, int]:
+        """The number of papers, theorems, theorem citations and paper citations."""
+        return self.paper_id.size, self.theorem_id.size, self.tc_src_paper.size, self.pc_src.size
 
     @cached_property
-    def keys(self) -> TheoremKeys:
+    def theorem_keys(self) -> TheoremKeys:
         """The theorem keys of the theorems and both ends of each theorem
         citation (see TheoremKeys)."""
         radix = max(len(self.theorem_ids), 1)
@@ -141,90 +198,6 @@ class IdCodes:
             key, np.cumsum([self.theorem_id.size, self.tc_src_theorem.size]))
         return TheoremKeys(int(np.count_nonzero(new)), theorem, tc_src, tc_dst)
 
-
-def _id_column(name: str, vocabulary: str) -> cached_property:
-    """The id column ``name`` as strings, built from its codes when first
-    asked for: each row refers to the vocabulary's own string."""
-    def strings(self: "GraphRecords") -> tuple[str, ...]:
-        ids = getattr(self.codes, vocabulary)
-        return tuple(map(ids.__getitem__, getattr(self.codes, name).tolist()))
-    return cached_property(strings)
-
-
-# Each table's columns, in the order of its corpus file's fields.
-TABLES = (
-    ("paper_id", "msc_primary", "author_ids", "year", "month"),
-    ("theorem_paper", "theorem_id"),
-    ("tc_src_paper", "tc_src_theorem", "tc_dst_paper", "tc_dst_theorem"),
-    ("pc_src", "pc_dst"),
-)
-_COLUMNS = frozenset(name for table in TABLES for name in table)
-
-
-class GraphRecords:
-    """Everything read from a corpus, before graph assembly.
-
-    The records are held as columns, row order as given (file order, for a
-    parsed corpus):
-
-    * papers: ``paper_id``, ``msc_primary``, ``author_ids`` (a tuple of
-      strings per paper) and the first version's ``year`` and ``month``
-      (read-only int64 arrays);
-    * theorems: ``theorem_paper`` and ``theorem_id``;
-    * theorem citations: ``tc_src_paper``, ``tc_src_theorem``,
-      ``tc_dst_paper`` and ``tc_dst_theorem``;
-    * paper citations: ``pc_src`` (citing) and ``pc_dst`` (cited).
-
-    The ids are held as ``codes`` (see IdCodes): a code column per id
-    column and one string per distinct id. The id columns above are tuples
-    of those strings, built when first asked for; the commands read the
-    codes. ``GraphRecords(codes, msc_primary, author_ids, year, month)``
-    takes the codes and the papers' other columns, as ``parse_corpus``
-    reads them; ``from_columns`` takes every column by name, ids as
-    strings. A GraphRecords is immutable, so its validation report is
-    computed once.
-    """
-
-    paper_id = _id_column("paper_id", "paper_ids")
-    theorem_paper = _id_column("theorem_paper", "paper_ids")
-    theorem_id = _id_column("theorem_id", "theorem_ids")
-    tc_src_paper = _id_column("tc_src_paper", "paper_ids")
-    tc_src_theorem = _id_column("tc_src_theorem", "theorem_ids")
-    tc_dst_paper = _id_column("tc_dst_paper", "paper_ids")
-    tc_dst_theorem = _id_column("tc_dst_theorem", "theorem_ids")
-    pc_src = _id_column("pc_src", "paper_ids")
-    pc_dst = _id_column("pc_dst", "paper_ids")
-
-    def __init__(self, codes: IdCodes, msc_primary, author_ids, year, month) -> None:
-        year, month = np.array(year, dtype=np.int64), np.array(month, dtype=np.int64)
-        year.setflags(write=False)
-        month.setflags(write=False)
-        for name, value in (("codes", codes), ("msc_primary", tuple(msc_primary)),
-                            ("author_ids", tuple(author_ids)), ("year", year),
-                            ("month", month)):
-            object.__setattr__(self, name, value)
-        for table in TABLES:
-            if len({len(getattr(codes if name in _ID_COLUMNS else self, name))
-                    for name in table}) > 1:
-                raise ValueError(f"columns {', '.join(table)} differ in length")
-
-    @classmethod
-    def from_columns(cls, **columns) -> "GraphRecords":
-        """Records from their columns, passed by name, ids as strings (see
-        the class docstring)."""
-        if set(columns) != _COLUMNS:
-            raise TypeError(f"GraphRecords columns are {', '.join(sum(TABLES, ()))}")
-        return cls(IdCodes.of(columns), *(columns[name] for name in TABLES[0][1:]))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GraphRecords is immutable")
-
-    @property
-    def sizes(self) -> tuple[int, int, int, int]:
-        """The number of papers, theorems, theorem citations and paper citations."""
-        c = self.codes
-        return c.paper_id.size, c.theorem_id.size, c.tc_src_paper.size, c.pc_src.size
-
     @cached_property
     def canonical_field(self) -> np.ndarray:
         """Each paper's canonical field index (``fields.field_index`` of its
@@ -239,8 +212,8 @@ class GraphRecords:
     def __eq__(self, other) -> bool:
         if not isinstance(other, GraphRecords):
             return NotImplemented
-        return all(np.array_equal(getattr(self, name), getattr(other, name))
-                   if name in ("year", "month") else getattr(self, name) == getattr(other, name)
+        return all(np.array_equal(self.column(name), other.column(name))
+                   if name in ("year", "month") else self.column(name) == other.column(name)
                    for table in TABLES for name in table)
 
     def __repr__(self) -> str:
@@ -315,8 +288,7 @@ def _find_issues(records: GraphRecords) -> ValidationReport:
     are visited to word their issues, in row order and, within a row, in the
     order the checks are listed.
     """
-    c = records.codes
-    pids, tids = c.paper_ids, c.theorem_ids
+    pids, tids = records.paper_ids, records.theorem_ids
     issues: list[ValidationIssue] = []
 
     def add(kind, detail):
@@ -326,12 +298,12 @@ def _find_issues(records: GraphRecords) -> ValidationReport:
         return f"{pids[paper[i]]}:{tids[theorem_id[i]]}"
 
     msc = records.msc_primary
-    dup_paper = _repeats(c.paper_id, len(pids))
+    dup_paper = _repeats(records.paper_id, len(pids))
     bad_code = records.canonical_field < 0
     year, month = records.year, records.month
     bad_date = ~((year >= 1) & (month >= 1) & (month <= 12))
     for i in np.flatnonzero(dup_paper | bad_code | bad_date).tolist():
-        pid = pids[c.paper_id[i]]
+        pid = pids[records.paper_id[i]]
         if dup_paper[i]:
             add("duplicate_paper", pid)
         if bad_code[i]:
@@ -340,11 +312,11 @@ def _find_issues(records: GraphRecords) -> ValidationReport:
             add("malformed_paper",
                 f"{pid}: bad date {YearMonth(int(year[i]), int(month[i]))}")
 
-    keys = c.keys
+    keys = records.theorem_keys
     dup_theorem = _repeats(keys.theorem, keys.count)
-    unknown_paper = c.theorem_paper >= c.n_known_papers
+    unknown_paper = records.theorem_paper >= records.n_known_papers
     for i in np.flatnonzero(dup_theorem | unknown_paper).tolist():
-        key = theorem(c.theorem_paper, c.theorem_id, i)
+        key = theorem(records.theorem_paper, records.theorem_id, i)
         if dup_theorem[i]:
             add("duplicate_theorem", key)
         if unknown_paper[i]:
@@ -355,26 +327,26 @@ def _find_issues(records: GraphRecords) -> ValidationReport:
     self_tc = keys.tc_src == keys.tc_dst
     src_unknown, dst_unknown = ~known[keys.tc_src], ~known[keys.tc_dst]
     for i in np.flatnonzero(self_tc | src_unknown | dst_unknown).tolist():
-        src = theorem(c.tc_src_paper, c.tc_src_theorem, i)
+        src = theorem(records.tc_src_paper, records.tc_src_theorem, i)
         if self_tc[i]:
             add("self_citation", f"theorem {src} cites itself")
             continue
         if src_unknown[i]:
             add("dangling_theorem_citation", f"src theorem {src} unknown")
         if dst_unknown[i]:
-            add("dangling_theorem_citation",
-                f"dst theorem {theorem(c.tc_dst_paper, c.tc_dst_theorem, i)} unknown")
+            dst = theorem(records.tc_dst_paper, records.tc_dst_theorem, i)
+            add("dangling_theorem_citation", f"dst theorem {dst} unknown")
 
-    self_pc = c.pc_src == c.pc_dst
-    src_unknown = c.pc_src >= c.n_known_papers
-    dst_unknown = c.pc_dst >= c.n_known_papers
+    self_pc = records.pc_src == records.pc_dst
+    src_unknown = records.pc_src >= records.n_known_papers
+    dst_unknown = records.pc_dst >= records.n_known_papers
     for i in np.flatnonzero(self_pc | src_unknown | dst_unknown).tolist():
         if self_pc[i]:
-            add("self_citation", f"paper {pids[c.pc_src[i]]} cites itself")
+            add("self_citation", f"paper {pids[records.pc_src[i]]} cites itself")
             continue
         if src_unknown[i]:
-            add("dangling_paper_citation", f"src paper {pids[c.pc_src[i]]} unknown")
+            add("dangling_paper_citation", f"src paper {pids[records.pc_src[i]]} unknown")
         if dst_unknown[i]:
-            add("dangling_paper_citation", f"dst paper {pids[c.pc_dst[i]]} unknown")
+            add("dangling_paper_citation", f"dst paper {pids[records.pc_dst[i]]} unknown")
 
     return ValidationReport(tuple(issues))

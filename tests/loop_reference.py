@@ -156,18 +156,18 @@ def snapshot_filter_loop(records: GraphRecords, year: int) -> GraphRecords:
     """The rows of the papers first versioned by December of ``year``, then
     of the theorems whose paper id is a kept paper's, then of the citations
     whose ends are all kept, one row at a time and in row order."""
-    papers = [row for row in zip(records.paper_id, records.msc_primary, records.author_ids,
-                                 records.year.tolist(), records.month.tolist())
+    papers = [row for row in zip(records.column("paper_id"), records.msc_primary,
+                                 records.author_ids, records.year.tolist(),
+                                 records.month.tolist())
               if (row[3], row[4]) <= (year, 12)]
     kept_papers = {row[0] for row in papers}
-    theorems = [row for row in zip(records.theorem_paper, records.theorem_id)
+    theorems = [row for row in zip(*map(records.column, TABLES[1]))
                 if row[0] in kept_papers]
     kept_theorems = set(theorems)
     theorem_citations = [
-        row for row in zip(records.tc_src_paper, records.tc_src_theorem,
-                           records.tc_dst_paper, records.tc_dst_theorem)
+        row for row in zip(*map(records.column, TABLES[2]))
         if row[:2] in kept_theorems and row[2:] in kept_theorems]
-    paper_citations = [row for row in zip(records.pc_src, records.pc_dst)
+    paper_citations = [row for row in zip(*map(records.column, TABLES[3]))
                        if row[0] in kept_papers and row[1] in kept_papers]
     return _from_rows([papers, theorems, theorem_citations, paper_citations])
 
@@ -269,7 +269,7 @@ def build_graph_loop(records: GraphRecords) -> ThreeLevelGraph:
     theorem_index = {t.key: i for i, t in enumerate(theorems)}
 
     # Ids as codes into the records' vocabularies.
-    vocabs = records.codes.paper_ids, records.codes.theorem_ids
+    vocabs = records.paper_ids, records.theorem_ids
     paper_code, theorem_code = ({name: code for code, name in enumerate(v)} for v in vocabs)
 
     n_papers = len(papers)

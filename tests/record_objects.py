@@ -2,7 +2,7 @@
 row: the four record classes and ``ObjectRecords``, a GraphRecords that is
 built from them and views its rows as them."""
 
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields
 from functools import cached_property
 
 from mathrank.records import TABLES, GraphRecords, YearMonth
@@ -72,26 +72,24 @@ class ObjectRecords(GraphRecords):
     @classmethod
     def wrap(cls, records: GraphRecords) -> "ObjectRecords":
         """The same records, sharing their codes: no id is interned again."""
-        return cls(records.codes, records.msc_primary, records.author_ids,
-                   records.year, records.month)
+        return cls(**{f.name: getattr(records, f.name) for f in fields(GraphRecords)})
 
     @cached_property
     def papers(self) -> tuple[PaperRecord, ...]:
         return tuple(
             PaperRecord(pid, msc, frozenset(authors), YearMonth(y, m))
             for pid, msc, authors, y, m in zip(
-                self.paper_id, self.msc_primary, self.author_ids,
+                self.column("paper_id"), self.msc_primary, self.author_ids,
                 self.year.tolist(), self.month.tolist()))
 
     @cached_property
     def theorems(self) -> tuple[TheoremRecord, ...]:
-        return tuple(map(TheoremRecord, self.theorem_paper, self.theorem_id))
+        return tuple(map(TheoremRecord, *map(self.column, TABLES[1])))
 
     @cached_property
     def theorem_citations(self) -> tuple[TheoremCitation, ...]:
-        return tuple(map(TheoremCitation, self.tc_src_paper, self.tc_src_theorem,
-                         self.tc_dst_paper, self.tc_dst_theorem))
+        return tuple(map(TheoremCitation, *map(self.column, TABLES[2])))
 
     @cached_property
     def paper_citations(self) -> tuple[PaperCitation, ...]:
-        return tuple(map(PaperCitation, self.pc_src, self.pc_dst))
+        return tuple(map(PaperCitation, *map(self.column, TABLES[3])))

@@ -7,7 +7,7 @@ import json
 
 import numpy as np
 
-from mathrank.records import GraphRecords, YearMonth
+from mathrank.records import TABLES, GraphRecords, YearMonth
 from mathrank.solver import ScoreState
 
 from record_objects import (
@@ -55,21 +55,20 @@ def write_corpus(records: GraphRecords, papers_path, theorems_path, theorem_cita
             "first_version_date": str(YearMonth(year, month)),
         }
         for pid, msc, authors, year, month in zip(
-            records.paper_id, records.msc_primary, records.author_ids,
+            records.column("paper_id"), records.msc_primary, records.author_ids,
             records.year.tolist(), records.month.tolist())
     ))
     _write_lines(theorems_path, (
         {"paper_id": pid, "theorem_id": tid}
-        for pid, tid in zip(records.theorem_paper, records.theorem_id)
+        for pid, tid in zip(*map(records.column, TABLES[1]))
     ))
     _write_lines(theorem_citations_path, (
         {"src_paper": sp, "src_theorem": st, "dst_paper": dp, "dst_theorem": dt}
-        for sp, st, dp, dt in zip(records.tc_src_paper, records.tc_src_theorem,
-                                  records.tc_dst_paper, records.tc_dst_theorem)
+        for sp, st, dp, dt in zip(*map(records.column, TABLES[2]))
     ))
     _write_lines(paper_citations_path, (
         {"src_paper": src, "dst_paper": dst}
-        for src, dst in zip(records.pc_src, records.pc_dst)
+        for src, dst in zip(*map(records.column, TABLES[3]))
     ))
 
 

@@ -380,7 +380,8 @@ class TestFieldSeriesMatchesSnapshots:
     def test_papers_out_of_id_order_bitwise(self, rng):
         # Each year's papers are taken by their rows in the papers table.
         records = shuffled(make_random_records(rng, n_papers=30, n_theorems=45), rng)
-        assert list(records.paper_id) != sorted(records.paper_id)
+        paper_ids = records.column("paper_id")
+        assert list(paper_ids) != sorted(paper_ids)
         hp = Hyperparameters(max_iterations=500)
         assert_bitwise_reference(field_series(records, range(1990, 2025), hp), records, hp)
 

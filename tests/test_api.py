@@ -41,6 +41,13 @@ def test_record_objects_left_the_package():
         mathrank.GraphRecords(papers=(), theorems=())
 
 
+def test_records_hold_each_id_once():
+    # One records class: the ids are its own code columns.
+    assert not hasattr(importlib.import_module("mathrank.records"), "IdCodes")
+    fields = {f.name for f in dataclasses.fields(mathrank.GraphRecords)}
+    assert "codes" not in fields and not hasattr(mathrank.GraphRecords, "codes")
+
+
 # Plain results are NamedTuples, with their fields in this order.
 RESULT_FIELDS = {
     "analysis.RankingRow": ("rank", "entity_id", "field", "score"),
@@ -60,7 +67,7 @@ RESULT_FIELDS = {
 # The classes that do work at construction: they check, convert or freeze
 # their values, or cache on the instance.
 CHECKED = {"solver.Hyperparameters", "solver.ScoreState", "sparsemat.SparseWeightMatrix",
-           "records.IdCodes"}
+           "records.GraphRecords"}
 
 
 @pytest.mark.parametrize("qualified", sorted(RESULT_FIELDS))

@@ -175,11 +175,10 @@ class TestBuildErrors:
         parsed, malformed = parse_corpus(*paths)
         assert not malformed
         for recs in (records, parsed):
-            codes = recs.codes
-            assert len(codes.paper_ids) == codes.n_known_papers + 3
+            assert len(recs.paper_ids) == recs.n_known_papers + 3
             graph = build_graph(recs)
-            assert graph.paper_ids == tuple(sorted(recs.paper_id))
-            row = {pid: r for r, pid in enumerate(recs.paper_id)}
+            assert graph.paper_ids == tuple(sorted(recs.column("paper_id")))
+            row = {pid: r for r, pid in enumerate(recs.column("paper_id"))}
             assert graph.paper_code.tolist() == [row[pid] for pid in graph.paper_ids]
 
     def test_self_citation_dropped(self):
@@ -381,8 +380,8 @@ class TestRestrictGraph:
         full = build_graph(records)
         keep = np.arange(full.n_papers) % 2 == 0
         for g in (full, restrict_graph(full, keep), restrict_graph(full, ~keep)):
-            assert g.paper_vocab is records.codes.paper_ids
-            assert g.theorem_vocab is records.codes.theorem_ids
+            assert g.paper_vocab is records.paper_ids
+            assert g.theorem_vocab is records.theorem_ids
 
     @pytest.mark.parametrize("seed", range(4))
     def test_graph_arrays_are_read_only(self, seed):

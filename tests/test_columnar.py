@@ -17,6 +17,7 @@ from mathrank.corpus import parse_corpus, snapshot_filter
 from mathrank.fields import field_index
 from mathrank.records import (
     PAPER_ID_COLUMNS,
+    TABLES,
     THEOREM_ID_COLUMNS,
     GraphRecords,
     _repeats,
@@ -161,9 +162,9 @@ def test_snapshot_filter_matches_loop_reference_on_dirty_corpora(tmp_path, seed)
         assert snap == want
         # Numbered as from_columns numbers the kept columns.
         for name in ("paper_ids", "theorem_ids", "n_known_papers"):
-            assert getattr(snap.codes, name) == getattr(want.codes, name)
+            assert getattr(snap, name) == getattr(want, name)
         for name in PAPER_ID_COLUMNS + THEOREM_ID_COLUMNS:
-            assert getattr(snap.codes, name).tolist() == getattr(want.codes, name).tolist()
+            assert getattr(snap, name).tolist() == getattr(want, name).tolist()
 
 
 @pytest.mark.parametrize("chunk_bytes", [None, 1, 7, 64, 127, 128, 129],
@@ -178,29 +179,29 @@ def test_parsed_ids_numbered_in_order_of_first_appearance(tmp_path, monkeypatch,
     paths = write_files(tmp_path, dirty_corpus(rng, seed % 2 == 1))
     records, errors = parse_corpus(*paths)
     assert (records, errors) == parse_corpus_loop(*paths)
-    codes = records.codes
-    for names, ids in ((PAPER_ID_COLUMNS, codes.paper_ids),
-                       (THEOREM_ID_COLUMNS, codes.theorem_ids)):
+    for names, ids in ((PAPER_ID_COLUMNS, records.paper_ids),
+                       (THEOREM_ID_COLUMNS, records.theorem_ids)):
         # The first table's ids first, as they first appear; each id once,
         # and only the ids some row holds.
-        first = tuple(dict.fromkeys(getattr(records, names[0])))
+        first = tuple(dict.fromkeys(records.column(names[0])))
         assert ids[:len(first)] == first
         assert len(set(ids)) == len(ids)
-        assert set(ids) == set().union(*(getattr(records, name) for name in names))
+        assert set(ids) == set().union(*map(records.column, names))
         for name in names:
-            assert tuple(ids[k] for k in getattr(codes, name).tolist()) == getattr(records, name)
-    assert codes.n_known_papers == len(dict.fromkeys(records.paper_id))
+            assert tuple(ids[k] for k in getattr(records, name).tolist()) == records.column(name)
+    assert records.n_known_papers == len(dict.fromkeys(records.column("paper_id")))
 
 
-def unique_keys(codes):
-    """``codes.keys`` as np.unique numbers them: the reference for its sort."""
-    radix = max(len(codes.theorem_ids), 1)
+def unique_keys(records):
+    """``records.theorem_keys`` as np.unique numbers them: the reference for
+    its sort."""
+    radix = max(len(records.theorem_ids), 1)
     distinct, key = np.unique(np.concatenate([
-        codes.theorem_paper * radix + codes.theorem_id,
-        codes.tc_src_paper * radix + codes.tc_src_theorem,
-        codes.tc_dst_paper * radix + codes.tc_dst_theorem]), return_inverse=True)
+        records.theorem_paper * radix + records.theorem_id,
+        records.tc_src_paper * radix + records.tc_src_theorem,
+        records.tc_dst_paper * radix + records.tc_dst_theorem]), return_inverse=True)
     theorem, tc_src, tc_dst = np.split(
-        key.reshape(-1), np.cumsum([codes.theorem_id.size, codes.tc_src_theorem.size]))
+        key.reshape(-1), np.cumsum([records.theorem_id.size, records.tc_src_theorem.size]))
     return distinct.size, theorem, tc_src, tc_dst
 
 
@@ -213,14 +214,14 @@ def unique_repeats(keys):
 
 
 def assert_keys_and_repeats_match_unique(records):
-    codes = records.codes
-    keys = codes.keys
-    count, *columns = unique_keys(codes)
+    keys = records.theorem_keys
+    count, *columns = unique_keys(records)
     assert type(keys.count) is int and keys.count == count
     for got, want in zip(keys[1:], columns):
         assert got.dtype == np.int64 and not got.flags.writeable
         np.testing.assert_array_equal(got, want)
-    for column, bound in ((codes.paper_id, len(codes.paper_ids)), (keys.theorem, keys.count)):
+    for column, bound in ((records.paper_id, len(records.paper_ids)),
+                          (keys.theorem, keys.count)):
         np.testing.assert_array_equal(_repeats(column, bound), unique_repeats(column))
 
 
@@ -262,6 +263,17 @@ def test_theorem_keys_and_repeats_match_unique_on_benchmark_corpora(tmp_path, pe
     for _, paths in benchmark_corpora(tmp_path, perfbench_gen, seed):
         records, _ = parse_corpus(*paths)
         assert_keys_and_repeats_match_unique(records)
+
+
+@pytest.mark.parametrize("seed", [3, 7])
+def test_columns_round_trip_on_benchmark_corpora(tmp_path, perfbench_gen, seed):
+    # The reader numbers ids block by block and from_columns column by
+    # column, so equality must compare the ids, not their codes.
+    for _, paths in benchmark_corpora(tmp_path, perfbench_gen, seed):
+        records, _ = parse_corpus(*paths)
+        again = GraphRecords.from_columns(
+            **{name: records.column(name) for table in TABLES for name in table})
+        assert again == records
 
 
 def test_clean_corpora_match_loop_reference(rng):
@@ -339,7 +351,8 @@ class TestValidationEdgeCases:
         assert validate_records(records).is_clean
         graph = build_graph(records)
         assert graph.paper_ids == tuple(sorted(ids))
-        assert theorem_keys(graph) == sorted(zip(records.theorem_paper, records.theorem_id))
+        assert theorem_keys(graph) == sorted(zip(records.column("theorem_paper"),
+                                                 records.column("theorem_id")))
         assert_same_graph(graph, build_graph_loop(records))
 
 

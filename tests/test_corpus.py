@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import io
 import itertools
@@ -254,7 +255,7 @@ def assert_matches_loop_reference(tmp_path, table, data, values, bad_lines):
     write_empty(paths)
     paths[index].write_bytes(for_table(data, keys))
     records, errors = parse_corpus(*paths)
-    assert list(getattr(records, column)) == values
+    assert list(records.column(column)) == values
     assert [e.line_number for e in errors] == bad_lines
     assert (records, errors) == parse_corpus_loop(*paths)
 
@@ -366,7 +367,7 @@ class TestParseEdgeCases:
         assert_block_lines(paths[index], [per_chunk, per_chunk, 500])
         records, errors = parse_corpus(*paths)
         assert [e.line_number for e in errors] == bad
-        assert len(getattr(records, column)) == n - len(bad)
+        assert len(records.column(column)) == n - len(bad)
         assert (records, errors) == parse_corpus_loop(*paths)
 
     def test_deeply_nested_line_is_malformed(self, tmp_path):
@@ -374,7 +375,7 @@ class TestParseEdgeCases:
         write_empty(paths)
         paths[1].write_bytes(A + b"\n" + b"[" * 200_000 + b"\n" + B + b"\n")
         records, errors = parse_corpus(*paths)
-        assert list(records.theorem_id) == ["a", "b"]
+        assert list(records.column("theorem_id")) == ["a", "b"]
         assert errors == [MalformedLine(str(paths[1]), 2, "JSON nested too deeply")]
         # The per-line json.loads of the loop reference cannot parse it at all.
         with pytest.raises(RecursionError):
@@ -388,7 +389,7 @@ class TestParseEdgeCases:
             "paper_id": "p1", "msc_primary": "20", "author_ids": [],
             "first_version_date": date})])
         records, errors = parse_corpus(*paths)
-        assert not records.paper_id
+        assert not records.column("paper_id")
         assert [e.reason for e in errors] == [f"expected YYYY-MM, got {date!r}"]
 
 
@@ -461,7 +462,7 @@ PAPER_EDGE_CASES = [
 
 
 def paper_rows(records):
-    return list(zip(records.paper_id, records.author_ids, records.year.tolist(),
+    return list(zip(records.column("paper_id"), records.author_ids, records.year.tolist(),
                     records.month.tolist()))
 
 
@@ -506,7 +507,7 @@ class TestParsePapers:
         assert_block_lines(paths[0], [per_chunk, per_chunk, 500])
         records, errors = parse_corpus(*paths)
         assert [e.line_number for e in errors] == bad
-        assert len(records.paper_id) == n - len(bad)
+        assert len(records.column("paper_id")) == n - len(bad)
         assert (records, errors) == parse_corpus_loop(*paths)
 
 
@@ -584,13 +585,12 @@ class TestMemory:
         # A string per id and row took about 200 bytes a row; the code arrays
         # take 8 to 32.
         assert held < 64 * rows
-        codes = parsed.codes
-        for names, ids in ((PAPER_ID_COLUMNS, codes.paper_ids),
-                           (THEOREM_ID_COLUMNS, codes.theorem_ids)):
+        for names, ids in ((PAPER_ID_COLUMNS, parsed.paper_ids),
+                           (THEOREM_ID_COLUMNS, parsed.theorem_ids)):
             assert len(set(ids)) == len(ids)
             for name in names:
-                assert all(s is ids[k] for s, k in zip(getattr(parsed, name),
-                                                        getattr(codes, name).tolist()))
+                assert all(s is ids[k] for s, k in zip(parsed.column(name),
+                                                        getattr(parsed, name).tolist()))
 
 
 class TestSnapshot:
@@ -629,15 +629,22 @@ class TestSnapshot:
     def test_keeps_the_records_type(self, rng):
         # The result is built by from_columns of the records' own type.
         records = make_random_records(rng, n_papers=20, n_theorems=50)
-        plain = GraphRecords(records.codes, records.msc_primary, records.author_ids,
-                             records.year, records.month)
+        plain = GraphRecords(**{f.name: getattr(records, f.name)
+                                for f in dataclasses.fields(GraphRecords)})
         for year in (1995, 2005, 2030):
             kept, kept_plain = snapshot_filter(records, year), snapshot_filter(plain, year)
             assert type(kept) is ObjectRecords and type(kept_plain) is GraphRecords
             assert kept == kept_plain
-            assert kept.codes.paper_ids == kept_plain.codes.paper_ids
-            assert kept.codes.theorem_ids == kept_plain.codes.theorem_ids
-            assert [p.paper_id for p in kept.papers] == list(kept_plain.paper_id)
+            assert kept.paper_ids == kept_plain.paper_ids
+            assert kept.theorem_ids == kept_plain.theorem_ids
+            assert [p.paper_id for p in kept.papers] == list(kept_plain.column("paper_id"))
+
+    def test_caches_only_the_theorem_keys(self, rng):
+        # The kept rows' ids are read as strings, and none is kept.
+        records = make_random_records(rng, n_papers=20, n_theorems=50)
+        before = set(vars(records))
+        snapshot_filter(records, 2005)
+        assert set(vars(records)) - before == {"theorem_keys"}
 
     def test_never_dangling(self, rng):
         records = make_random_records(rng, n_papers=20, n_theorems=50)

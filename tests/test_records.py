@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from mathrank.fields import field_index
 from mathrank.records import (
+    PAPER_ID_COLUMNS,
     GraphRecords,
     ValidationIssue,
     YearMonth,
@@ -23,7 +26,7 @@ IDS = st.text(alphabet="ab\x00é\U0001d538", max_size=2)
 
 @given(st.lists(IDS, unique=True), st.lists(st.lists(IDS, max_size=12), max_size=4))
 def test_intern_codes_matches_two_pass(known, columns):
-    # Columns interned one after another into one vocabulary, as IdCodes
+    # Columns interned one after another into one vocabulary, as from_columns
     # does: a later column sees some ids first and repeats others.
     vocab = {s: code for code, s in enumerate(known)}
     reference = dict(vocab)
@@ -164,16 +167,16 @@ class TestColumns:
                "tc_dst_paper", "tc_dst_theorem", "pc_src", "pc_dst")
 
     def test_columns_hold_the_records(self, tiny_records):
-        assert tiny_records.paper_id == ("p1", "p2")
+        assert tiny_records.column("paper_id") == ("p1", "p2")
         assert tiny_records.year.tolist() == [1995, 1999]
-        assert tiny_records.tc_dst_theorem == ("thm 1",)
+        assert tiny_records.column("tc_dst_theorem") == ("thm 1",)
         again = GraphRecords.from_columns(
-            **{name: getattr(tiny_records, name) for name in self.COLUMNS})
+            **{name: tiny_records.column(name) for name in self.COLUMNS})
         assert again == tiny_records
         assert ObjectRecords.wrap(again).papers == tiny_records.papers
 
     def test_columns_of_a_table_must_align(self, tiny_records):
-        columns = {name: getattr(tiny_records, name) for name in self.COLUMNS}
+        columns = {name: tiny_records.column(name) for name in self.COLUMNS}
         with pytest.raises(ValueError, match="differ in length"):
             GraphRecords.from_columns(**{**columns, "month": [1]})
         with pytest.raises(TypeError):
@@ -184,9 +187,27 @@ class TestColumns:
             tiny_records.paper_id = ()
         with pytest.raises(ValueError):
             tiny_records.year[0] = 2000
+        with pytest.raises(ValueError):
+            tiny_records.paper_id[0] = 1
+
+    def test_column_names_the_columns(self, tiny_records):
+        assert tiny_records.column("msc_primary") is tiny_records.msc_primary
+        with pytest.raises(KeyError):
+            tiny_records.column("paper_ids")
+
+    def test_equality_compares_ids_not_codes(self, tiny_records):
+        # The same rows with p1 and p2 numbered the other way round.
+        fields = {f.name: getattr(tiny_records, f.name)
+                  for f in dataclasses.fields(GraphRecords)}
+        swap = np.array([1, 0])
+        renumbered = GraphRecords(**{
+            **fields, "paper_ids": tiny_records.paper_ids[::-1],
+            **{name: swap[fields[name]] for name in PAPER_ID_COLUMNS}})
+        assert renumbered.paper_id.tolist() != tiny_records.paper_id.tolist()
+        assert renumbered == tiny_records
 
     def test_equality_compares_columns(self, tiny_records):
-        columns = {name: getattr(tiny_records, name) for name in self.COLUMNS}
+        columns = {name: tiny_records.column(name) for name in self.COLUMNS}
 
         def with_authors(first):
             return GraphRecords.from_columns(**{**columns, "author_ids": (first, ("b1",))})
@@ -209,7 +230,7 @@ class TestColumns:
             theorem_citations=[TheoremCitation("p2", "thm 2", "p1", "thm 1"),
                                TheoremCitation("p1", "thm 1", "p2", "thm 2")],
             paper_citations=[PaperCitation("p2", "p1"), PaperCitation("p1", "p2")])
-        columns = {n: getattr(records, n) for n in self.COLUMNS}
+        columns = {n: records.column(n) for n in self.COLUMNS}
         column = columns[name]
         swapped = column[::-1] if isinstance(column, np.ndarray) else tuple(reversed(column))
         assert GraphRecords.from_columns(**{**columns, name: swapped}) != records
