@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import click
@@ -140,9 +141,9 @@ def corpus_options(f):
 
 def hyperparameter_options(f):
     hp = Hyperparameters()
-    f = click.option("--max-iter", default=hp.max_iterations, show_default=True,
-                     help="Iteration cap.")(f)
-    f = click.option("--tol", default=hp.tolerance, show_default=True,
+    f = click.option("--max-iter", "max_iterations", default=hp.max_iterations,
+                     show_default=True, help="Iteration cap.")(f)
+    f = click.option("--tol", "tolerance", default=hp.tolerance, show_default=True,
                      help="l1 convergence tolerance.")(f)
     f = click.option("--alpha-f", default=hp.alpha_f, show_default=True)(f)
     f = click.option("--beta-p", default=hp.beta_p, show_default=True)(f)
@@ -156,27 +157,27 @@ def out_dir_option(f):
                         type=click.Path(file_okay=False), help="Output directory.")(f)
 
 
-def _make_hp(alpha_t, alpha_p, beta_p, alpha_f, tol, max_iter) -> Hyperparameters:
+def _make_hp(options) -> Hyperparameters:
+    """The Hyperparameters of a command's options, named as its fields."""
     try:
-        return Hyperparameters(
-            alpha_t=alpha_t, alpha_p=alpha_p, beta_p=beta_p, alpha_f=alpha_f,
-            tolerance=tol, max_iterations=max_iter)
+        return Hyperparameters(**{f.name: options[f.name] for f in fields(Hyperparameters)})
     except ValueError as exc:
         raise click.UsageError(str(exc))
 
 
-def _read_corpus(papers_path, theorems_path, thm_cites_path, paper_cites_path):
-    """parse_corpus, exiting with code 2 on a file that cannot be read."""
+def _read_corpus(options):
+    """parse_corpus of a command's four corpus paths, exiting with code 2
+    on a file that cannot be read."""
     try:
-        return parse_corpus(papers_path, theorems_path, thm_cites_path, paper_cites_path)
+        return parse_corpus(options["papers_path"], options["theorems_path"],
+                            options["thm_cites_path"], options["paper_cites_path"])
     except OSError as exc:
         _fail(f"cannot read the corpus: {exc}")
 
 
-def _load_valid_corpus(papers_path, theorems_path, thm_cites_path, paper_cites_path):
+def _load_valid_corpus(options):
     """Parse and validate, exiting with code 2 on any corpus defect."""
-    records, malformed = _read_corpus(
-        papers_path, theorems_path, thm_cites_path, paper_cites_path)
+    records, malformed = _read_corpus(options)
     if malformed:
         for m in malformed[:10]:
             click.echo(f"malformed line {m.path}:{m.line_number}: {m.reason}", err=True)
@@ -217,10 +218,10 @@ def main():
 @main.command()
 @corpus_options
 @out_dir_option
-def build(papers_path, theorems_path, thm_cites_path, paper_cites_path, out_dir):
+def build(**options):
     """Validate a corpus and write a graph summary plus a validation report."""
-    records, malformed = _read_corpus(
-        papers_path, theorems_path, thm_cites_path, paper_cites_path)
+    out_dir = options["out_dir"]
+    records, malformed = _read_corpus(options)
     report = validate_records(records)
 
     kinds = ["malformed_line"] * len(malformed) + [i.kind for i in report.issues]
@@ -257,23 +258,20 @@ def build(papers_path, theorems_path, thm_cites_path, paper_cites_path, out_dir)
 @click.option("--group-by-field", is_flag=True, help="Rank within each field.")
 @click.option("--level", "level_choice", type=click.Choice(_RANK_LEVELS),
               default=None, help="Restrict output to one level (default: all).")
-def rank(papers_path, theorems_path, thm_cites_path, paper_cites_path,
-         alpha_t, alpha_p, beta_p, alpha_f, tol, max_iter,
-         out_dir, top_k, group_by_field, level_choice):
+def rank(**options):
     """Run the full pipeline and write per-level ranking tables."""
-    hp = _make_hp(alpha_t, alpha_p, beta_p, alpha_f, tol, max_iter)
+    hp = _make_hp(options)
+    top_k, level_choice = options["top_k"], options["level_choice"]
     if top_k < 1:
         raise click.UsageError(f"--top-k must be >= 1, got {top_k}")
-    records = _load_valid_corpus(
-        papers_path, theorems_path, thm_cites_path, paper_cites_path)
-    graph = build_graph(records)
+    graph = build_graph(_load_valid_corpus(options))
     state, comments, warning = _solve(graph, hp)
     # A generator, so that each level's columns are formatted before the
     # next level's are made.
-    _write_tables(out_dir, ((f"rankings_{level}.csv", ("rank", "id", "field", "score"),
-                             "{},{},{},{:.12g}",
-                             ranking_columns(graph, state, level, top_k, group_by_field))
-                            for level in ((level_choice,) if level_choice else _RANK_LEVELS)),
+    _write_tables(options["out_dir"],
+                  ((f"rankings_{level}.csv", ("rank", "id", "field", "score"), "{},{},{},{:.12g}",
+                    ranking_columns(graph, state, level, top_k, options["group_by_field"]))
+                   for level in ((level_choice,) if level_choice else _RANK_LEVELS)),
                   comments, warning)
 
 
@@ -283,25 +281,23 @@ def rank(papers_path, theorems_path, thm_cites_path, paper_cites_path,
 @out_dir_option
 @click.option("--from-year", required=True, type=int, help="First snapshot year.")
 @click.option("--to-year", required=True, type=int, help="Last snapshot year (inclusive).")
-def series(papers_path, theorems_path, thm_cites_path, paper_cites_path,
-           alpha_t, alpha_p, beta_p, alpha_f, tol, max_iter,
-           out_dir, from_year, to_year):
+def series(**options):
     """Write yearly field-score and cumulative category-ratio tables."""
-    hp = _make_hp(alpha_t, alpha_p, beta_p, alpha_f, tol, max_iter)
-    if to_year < from_year:
+    hp = _make_hp(options)
+    if options["to_year"] < options["from_year"]:
         raise click.UsageError("--to-year must be >= --from-year")
-    records = _load_valid_corpus(
-        papers_path, theorems_path, thm_cites_path, paper_cites_path)
-    years = range(from_year, to_year + 1)
+    records = _load_valid_corpus(options)
+    years = range(options["from_year"], options["to_year"] + 1)
 
     fs = field_series(records, years, hp)
     rs = category_ratios(records, years)
     status = [YEAR_EMPTY if ratios is None else YEAR_OK for ratios in rs.ratios]
     bad_years = [y for y, s in zip(fs.years, fs.status) if s == YEAR_NOT_CONVERGED]
-    _write_tables(out_dir, [("field_scores.csv", _SERIES_HEADER, _SERIES_ROW,
-                             [fs.years, fs.status, *_field_columns(fs.scores)]),
-                            ("category_ratios.csv", _SERIES_HEADER, _SERIES_ROW,
-                             [rs.years, status, *_field_columns(rs.ratios)])],
+    _write_tables(options["out_dir"],
+                  [("field_scores.csv", _SERIES_HEADER, _SERIES_ROW,
+                    [fs.years, fs.status, *_field_columns(fs.scores)]),
+                   ("category_ratios.csv", _SERIES_HEADER, _SERIES_ROW,
+                    [rs.years, status, *_field_columns(rs.ratios)])],
                   warning=f"solver did not converge for years {bad_years}" if bad_years else None)
 
 
@@ -309,23 +305,21 @@ def series(papers_path, theorems_path, thm_cites_path, paper_cites_path,
 @corpus_options
 @hyperparameter_options
 @out_dir_option
-def impact(papers_path, theorems_path, thm_cites_path, paper_cites_path,
-           alpha_t, alpha_p, beta_p, alpha_f, tol, max_iter, out_dir):
+def impact(**options):
     """Write the field-to-field impact matrix and pairwise asymmetry ratios."""
-    hp = _make_hp(alpha_t, alpha_p, beta_p, alpha_f, tol, max_iter)
-    records = _load_valid_corpus(
-        papers_path, theorems_path, thm_cites_path, paper_cites_path)
-    graph = build_graph(records)
+    hp = _make_hp(options)
+    graph = build_graph(_load_valid_corpus(options))
     norm = normalize_matrices(graph)
     state, comments, warning = _solve(graph, hp)
     matrix = field_impact(graph, norm, state.u_p)
     pairs = impact_asymmetry(matrix)
-    _write_tables(out_dir, [("impact_matrix.csv", ("field", *FIELD_NAMES),
-                             "{}" + ",{:.12g}" * len(FIELD_NAMES),
-                             [FIELD_NAMES, *matrix.expand_canonical().T.tolist()]),
-                            ("impact_asymmetry.csv", ("source", "target", "ratio"), "{},{},{}",
-                             [[src for src, _, _ in pairs], [dst for _, dst, _ in pairs],
-                              ["" if ratio is None else _fmt(ratio) for _, _, ratio in pairs]])],
+    _write_tables(options["out_dir"],
+                  [("impact_matrix.csv", ("field", *FIELD_NAMES),
+                    "{}" + ",{:.12g}" * len(FIELD_NAMES),
+                    [FIELD_NAMES, *matrix.expand_canonical().T.tolist()]),
+                   ("impact_asymmetry.csv", ("source", "target", "ratio"), "{},{},{}",
+                    [[src for src, _, _ in pairs], [dst for _, dst, _ in pairs],
+                     ["" if ratio is None else _fmt(ratio) for _, _, ratio in pairs]])],
                   comments, warning)
 
 

@@ -46,6 +46,7 @@ from .records import (
     YEAR_MONTH_PATTERN,
     GraphRecords,
     YearMonth,
+    _repeats,
     intern_codes,
 )
 
@@ -269,6 +270,18 @@ def parse_corpus(
     return GraphRecords(paper_ids, theorem_ids, n_known, **columns), errors
 
 
+def _renumber(ids: tuple[str, ...], columns: dict, names: tuple[str, ...]) -> tuple[str, ...]:
+    """The ids whose codes the columns ``names`` of ``columns`` hold,
+    numbered in order of first appearance column by column; those columns
+    are replaced by their codes in this numbering."""
+    codes = np.concatenate([columns[name] for name in names])
+    old = codes[~_repeats(codes, len(ids))]
+    new = np.empty(len(ids), dtype=np.int64)
+    new[old] = np.arange(old.size)
+    columns.update((name, new[columns[name]]) for name in names)
+    return tuple(map(ids.__getitem__, old.tolist()))
+
+
 def snapshot_filter(records: GraphRecords, year: int) -> GraphRecords:
     """Restrict the corpus to papers first versioned by December of ``year``.
 
@@ -278,8 +291,11 @@ def snapshot_filter(records: GraphRecords, year: int) -> GraphRecords:
     This is the reference definition of a yearly snapshot: ``field_series``
     does not call it, but ``build.restrict_graph`` of the whole corpus's
     graph to the same papers reproduces ``build_graph`` of its result. The
-    result is built by ``from_columns`` of the records' own type from the
-    kept rows of each column, which numbers its ids afresh.
+    result, of the records' own type, holds the kept rows of each column.
+    Its ids are numbered afresh over the kept codes, in order of first
+    appearance column by column in the order of ``PAPER_ID_COLUMNS`` and
+    ``THEOREM_ID_COLUMNS``, so the papers table's ids come first. No id
+    string is built.
     """
     # (year, month) <= (year, 12) as tuples
     keep_papers = (records.year < year) | ((records.year == year) & (records.month <= 12))
@@ -292,6 +308,12 @@ def snapshot_filter(records: GraphRecords, year: int) -> GraphRecords:
     masks = (keep_papers, keep_theorems,
              kept_theorem[keys.tc_src] & kept_theorem[keys.tc_dst],
              kept_paper[records.pc_src] & kept_paper[records.pc_dst])
-    return type(records).from_columns(**{
-        name: tuple(compress(records.column(name), keep.tolist()))
-        for table, keep in zip(TABLES, masks) for name in table})
+    columns = {name: column[keep] if isinstance(column, np.ndarray)
+               else tuple(compress(column, keep.tolist()))
+               for table, keep in zip(TABLES, masks)
+               for name, column in zip(table, map(records.__getattribute__, table))}
+    paper_ids = _renumber(records.paper_ids, columns, PAPER_ID_COLUMNS)
+    theorem_ids = _renumber(records.theorem_ids, columns, THEOREM_ID_COLUMNS)
+    # The papers table's ids were numbered first, from 0.
+    n_known = int(columns["paper_id"].max(initial=-1)) + 1
+    return type(records)(paper_ids, theorem_ids, n_known, **columns)

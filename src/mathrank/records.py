@@ -80,7 +80,6 @@ TABLES = (
     ("tc_src_paper", "tc_src_theorem", "tc_dst_paper", "tc_dst_theorem"),
     ("pc_src", "pc_dst"),
 )
-_COLUMNS = frozenset(name for table in TABLES for name in table)
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,9 +105,8 @@ class GraphRecords:
     read-only int64 arrays as well.
 
     The constructor takes the vocabularies and the code columns, as
-    ``parse_corpus`` reads them; ``from_columns`` takes every column by
-    name, ids as strings, and ``column`` gives one back in that form. A
-    GraphRecords is immutable, so its validation report is computed once.
+    ``parse_corpus`` reads them. A GraphRecords is immutable, so its
+    validation report is computed once.
     """
 
     paper_ids: tuple[str, ...]    # by code
@@ -142,33 +140,6 @@ class GraphRecords:
         for table in TABLES:
             if len({len(getattr(self, name)) for name in table}) > 1:
                 raise ValueError(f"columns {', '.join(table)} differ in length")
-
-    @classmethod
-    def from_columns(cls, **columns) -> "GraphRecords":
-        """Records from their columns, passed by name, ids as strings (see
-        the class docstring). Ids are numbered column by column, in the
-        order of ``PAPER_ID_COLUMNS`` and ``THEOREM_ID_COLUMNS``."""
-        if set(columns) != _COLUMNS:
-            raise TypeError(f"GraphRecords columns are {', '.join(sum(TABLES, ()))}")
-        pids: dict[str, int] = {}
-        tids: dict[str, int] = {}
-        codes = {name: intern_codes(tids if name in THEOREM_ID_COLUMNS else pids,
-                                    tuple(columns[name])) for name in _ID_COLUMNS}
-        # The papers table's ids were numbered first, from 0.
-        n_known = int(codes["paper_id"].max(initial=-1)) + 1
-        return cls(pids, tids, n_known, **codes,
-                   **{name: columns[name] for name in TABLES[0][1:]})
-
-    def column(self, name: str):
-        """Column ``name`` in the form ``from_columns`` takes it: an id
-        column as a tuple of its ids, built on each call, and any other
-        column as held."""
-        if name not in _COLUMNS:
-            raise KeyError(name)
-        if name not in _ID_COLUMNS:
-            return getattr(self, name)
-        ids = self.paper_ids if name in PAPER_ID_COLUMNS else self.theorem_ids
-        return tuple(map(ids.__getitem__, getattr(self, name).tolist()))
 
     @property
     def sizes(self) -> tuple[int, int, int, int]:
@@ -208,13 +179,6 @@ class GraphRecords:
                             count=len(self.msc_primary))
         field.setflags(write=False)
         return field
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GraphRecords):
-            return NotImplemented
-        return all(np.array_equal(self.column(name), other.column(name))
-                   if name in ("year", "month") else self.column(name) == other.column(name)
-                   for table in TABLES for name in table)
 
     def __repr__(self) -> str:
         return ("GraphRecords({} papers, {} theorems, {} theorem citations, "

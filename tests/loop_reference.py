@@ -138,7 +138,7 @@ def _from_rows(tables: list[list[tuple]]) -> GraphRecords:
     columns = {}
     for names, rows in zip(TABLES, tables):
         columns.update(zip(names, zip(*rows)) if rows else dict.fromkeys(names, ()))
-    return GraphRecords.from_columns(**columns)
+    return ObjectRecords.from_columns(**columns)
 
 
 def parse_corpus_loop(papers_path, theorems_path, theorem_citations_path,
@@ -156,6 +156,7 @@ def snapshot_filter_loop(records: GraphRecords, year: int) -> GraphRecords:
     """The rows of the papers first versioned by December of ``year``, then
     of the theorems whose paper id is a kept paper's, then of the citations
     whose ends are all kept, one row at a time and in row order."""
+    records = ObjectRecords.wrap(records)
     papers = [row for row in zip(records.column("paper_id"), records.msc_primary,
                                  records.author_ids, records.year.tolist(),
                                  records.month.tolist())

@@ -1,11 +1,24 @@
 """Corpus records as objects, one per corpus line, for tests written row by
 row: the four record classes and ``ObjectRecords``, a GraphRecords that is
-built from them and views its rows as them."""
+built from them, or from its columns with ids as strings, and views its
+rows as them."""
 
 from dataclasses import astuple, dataclass, fields
 from functools import cached_property
 
-from mathrank.records import TABLES, GraphRecords, YearMonth
+import numpy as np
+
+from mathrank.records import (
+    PAPER_ID_COLUMNS,
+    TABLES,
+    THEOREM_ID_COLUMNS,
+    GraphRecords,
+    YearMonth,
+    intern_codes,
+)
+
+_ID_COLUMNS = PAPER_ID_COLUMNS + THEOREM_ID_COLUMNS
+_COLUMNS = frozenset(name for table in TABLES for name in table)
 
 
 @dataclass(frozen=True)
@@ -53,8 +66,29 @@ class PaperCitation:
 
 
 class ObjectRecords(GraphRecords):
-    """GraphRecords with its rows as record objects, built when first asked
-    for. ``snapshot_filter`` of one returns one."""
+    """GraphRecords with its columns by name, ids as strings, and its rows
+    as record objects, built when first asked for. ``snapshot_filter`` of
+    one returns one.
+
+    An ObjectRecords equals any GraphRecords whose columns, ids as strings,
+    are equal: equality compares ids, not their codes.
+    """
+
+    @classmethod
+    def from_columns(cls, **columns) -> "ObjectRecords":
+        """Records from their columns, passed by name, ids as strings (see
+        GraphRecords). Ids are numbered column by column, in the order of
+        ``PAPER_ID_COLUMNS`` and ``THEOREM_ID_COLUMNS``."""
+        if set(columns) != _COLUMNS:
+            raise TypeError(f"GraphRecords columns are {', '.join(sum(TABLES, ()))}")
+        pids: dict[str, int] = {}
+        tids: dict[str, int] = {}
+        codes = {name: intern_codes(tids if name in THEOREM_ID_COLUMNS else pids,
+                                    tuple(columns[name])) for name in _ID_COLUMNS}
+        # The papers table's ids were numbered first, from 0.
+        n_known = int(codes["paper_id"].max(initial=-1)) + 1
+        return cls(pids, tids, n_known, **codes,
+                   **{name: columns[name] for name in TABLES[0][1:]})
 
     @classmethod
     def of(cls, papers=(), theorems=(), theorem_citations=(),
@@ -73,6 +107,25 @@ class ObjectRecords(GraphRecords):
     def wrap(cls, records: GraphRecords) -> "ObjectRecords":
         """The same records, sharing their codes: no id is interned again."""
         return cls(**{f.name: getattr(records, f.name) for f in fields(GraphRecords)})
+
+    def column(self, name: str):
+        """Column ``name`` in the form ``from_columns`` takes it: an id
+        column as a tuple of its ids, built on each call, and any other
+        column as held."""
+        if name not in _COLUMNS:
+            raise KeyError(name)
+        if name not in _ID_COLUMNS:
+            return getattr(self, name)
+        ids = self.paper_ids if name in PAPER_ID_COLUMNS else self.theorem_ids
+        return tuple(map(ids.__getitem__, getattr(self, name).tolist()))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GraphRecords):
+            return NotImplemented
+        other = ObjectRecords.wrap(other)
+        return all(np.array_equal(self.column(name), other.column(name))
+                   if name in ("year", "month") else self.column(name) == other.column(name)
+                   for table in TABLES for name in table)
 
     @cached_property
     def papers(self) -> tuple[PaperRecord, ...]:

@@ -47,6 +47,7 @@ def write_corpus(records: GraphRecords, papers_path, theorems_path, theorem_cita
                  paper_citations_path) -> None:
     """Write records out in the line-delimited format (``parse_corpus``
     round-trips)."""
+    records = ObjectRecords.wrap(records)
     _write_lines(papers_path, (
         {
             "paper_id": pid,

@@ -48,6 +48,14 @@ def test_records_hold_each_id_once():
     assert "codes" not in fields and not hasattr(mathrank.GraphRecords, "codes")
 
 
+def test_records_have_no_string_form():
+    # Ids become strings only in the reader and where text is written; the
+    # tests' ObjectRecords builds and compares records by string columns.
+    for name in ("from_columns", "column"):
+        assert not hasattr(mathrank.GraphRecords, name)
+    assert "__eq__" not in vars(mathrank.GraphRecords)
+
+
 # Plain results are NamedTuples, with their fields in this order.
 RESULT_FIELDS = {
     "analysis.RankingRow": ("rank", "entity_id", "field", "score"),

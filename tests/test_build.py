@@ -177,8 +177,9 @@ class TestBuildErrors:
         for recs in (records, parsed):
             assert len(recs.paper_ids) == recs.n_known_papers + 3
             graph = build_graph(recs)
-            assert graph.paper_ids == tuple(sorted(recs.column("paper_id")))
-            row = {pid: r for r, pid in enumerate(recs.column("paper_id"))}
+            paper_ids = ObjectRecords.wrap(recs).column("paper_id")
+            assert graph.paper_ids == tuple(sorted(paper_ids))
+            row = {pid: r for r, pid in enumerate(paper_ids)}
             assert graph.paper_code.tolist() == [row[pid] for pid in graph.paper_ids]
 
     def test_self_citation_dropped(self):

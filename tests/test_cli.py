@@ -15,8 +15,8 @@ from click.testing import CliRunner
 import mathrank.cli
 from mathrank.build import build_graph
 from mathrank.cli import main
+from mathrank.corpus import parse_corpus
 from mathrank.fields import FIELD_NAMES, field_index
-from mathrank.records import GraphRecords
 from mathrank.solver import Hyperparameters, compute_scores, normalize_matrices
 from mathrank.sparsemat import SparseWeightMatrix
 from mathrank.analysis import field_impact
@@ -876,7 +876,9 @@ class TestCommandsClassifyOnce:
 
 class TestCommandsReadCodes:
     """The commands read ids as codes: none builds a string id column of
-    its records."""
+    its records. GraphRecords has no string form (``test_api.py`` pins
+    that), so each command is handed its parsed records as ObjectRecords,
+    which have one, and must not use it."""
 
     @pytest.mark.parametrize("issues", [False, True], ids=["clean", "issues"])
     @pytest.mark.parametrize("command", COMMANDS)
@@ -901,7 +903,12 @@ class TestCommandsReadCodes:
         def refuse(self, name):
             raise AssertionError("a command built a string column of its records")
 
-        monkeypatch.setattr(GraphRecords, "column", refuse)
+        def parse_as_objects(*paths):
+            records, malformed = parse_corpus(*paths)
+            return ObjectRecords.wrap(records), malformed
+
+        monkeypatch.setattr(mathrank.cli, "parse_corpus", parse_as_objects)
+        monkeypatch.setattr(ObjectRecords, "column", refuse)
         result = runner.invoke(main, [*COMMANDS[command], *args,
                                       "--out-dir", str(tmp_path / "out")])
         assert result.exit_code == free.exit_code, result.output

@@ -19,7 +19,6 @@ from mathrank.records import (
     PAPER_ID_COLUMNS,
     TABLES,
     THEOREM_ID_COLUMNS,
-    GraphRecords,
     _repeats,
     validate_records,
 )
@@ -32,6 +31,7 @@ from loop_reference import (
     theorem_keys,
     validate_records_loop,
 )
+from record_objects import ObjectRecords
 from synthdata import CODE_POOL, make_random_records
 from test_build import assert_same_graph
 from test_cli import corpus_args
@@ -158,13 +158,16 @@ def test_snapshot_filter_matches_loop_reference_on_dirty_corpora(tmp_path, seed)
     records, _ = parse_corpus(*write_files(tmp_path, dirty_corpus(
         np.random.default_rng(seed), fatal=seed % 2 == 1)))
     for year in range(1990, 2025):
-        snap, want = snapshot_filter(records, year), snapshot_filter_loop(records, year)
-        assert snap == want
-        # Numbered as from_columns numbers the kept columns.
-        for name in ("paper_ids", "theorem_ids", "n_known_papers"):
-            assert getattr(snap, name) == getattr(want, name)
-        for name in PAPER_ID_COLUMNS + THEOREM_ID_COLUMNS:
-            assert getattr(snap, name).tolist() == getattr(want, name).tolist()
+        assert_same_snapshot(snapshot_filter(records, year), snapshot_filter_loop(records, year))
+
+
+def assert_same_snapshot(snap, want):
+    assert snap == want
+    # Numbered as from_columns numbers the kept columns.
+    for name in ("paper_ids", "theorem_ids", "n_known_papers"):
+        assert getattr(snap, name) == getattr(want, name)
+    for name in PAPER_ID_COLUMNS + THEOREM_ID_COLUMNS:
+        assert getattr(snap, name).tolist() == getattr(want, name).tolist()
 
 
 @pytest.mark.parametrize("chunk_bytes", [None, 1, 7, 64, 127, 128, 129],
@@ -179,17 +182,18 @@ def test_parsed_ids_numbered_in_order_of_first_appearance(tmp_path, monkeypatch,
     paths = write_files(tmp_path, dirty_corpus(rng, seed % 2 == 1))
     records, errors = parse_corpus(*paths)
     assert (records, errors) == parse_corpus_loop(*paths)
+    strings = ObjectRecords.wrap(records)
     for names, ids in ((PAPER_ID_COLUMNS, records.paper_ids),
                        (THEOREM_ID_COLUMNS, records.theorem_ids)):
         # The first table's ids first, as they first appear; each id once,
         # and only the ids some row holds.
-        first = tuple(dict.fromkeys(records.column(names[0])))
+        first = tuple(dict.fromkeys(strings.column(names[0])))
         assert ids[:len(first)] == first
         assert len(set(ids)) == len(ids)
-        assert set(ids) == set().union(*map(records.column, names))
+        assert set(ids) == set().union(*map(strings.column, names))
         for name in names:
-            assert tuple(ids[k] for k in getattr(records, name).tolist()) == records.column(name)
-    assert records.n_known_papers == len(dict.fromkeys(records.column("paper_id")))
+            assert tuple(ids[k] for k in getattr(records, name).tolist()) == strings.column(name)
+    assert records.n_known_papers == len(dict.fromkeys(strings.column("paper_id")))
 
 
 def unique_keys(records):
@@ -240,10 +244,10 @@ def perfbench_gen():
     return gen
 
 
-def benchmark_corpora(tmp_path, gen, seed):
-    """The rank workload's corpus of ``seed``, clean and with defects of every
-    kind: (dirty, the four file paths) for each."""
-    corpus = gen.make_corpus(seed, "rank")
+def benchmark_corpora(tmp_path, gen, seed, size="rank"):
+    """The ``size`` workload's corpus of ``seed``, clean and with defects of
+    every kind: (dirty, the four file paths) for each."""
+    corpus = gen.make_corpus(seed, size)
     for dirty in (False, True):
         out = tmp_path / ("dirty" if dirty else "clean")
         gen.write_corpus(out, corpus, seed, dirty)
@@ -271,9 +275,21 @@ def test_columns_round_trip_on_benchmark_corpora(tmp_path, perfbench_gen, seed):
     # column, so equality must compare the ids, not their codes.
     for _, paths in benchmark_corpora(tmp_path, perfbench_gen, seed):
         records, _ = parse_corpus(*paths)
-        again = GraphRecords.from_columns(
-            **{name: records.column(name) for table in TABLES for name in table})
+        strings = ObjectRecords.wrap(records)
+        again = ObjectRecords.from_columns(
+            **{name: strings.column(name) for table in TABLES for name in table})
         assert again == records
+
+
+@pytest.mark.parametrize("size", ["rank", "series"])
+@pytest.mark.parametrize("seed", [3, 7])
+def test_snapshot_filter_matches_loop_reference_on_benchmark_corpora(tmp_path, perfbench_gen,
+                                                                     seed, size):
+    for _, paths in benchmark_corpora(tmp_path, perfbench_gen, seed, size):
+        records, _ = parse_corpus(*paths)
+        for year in range(1990, 2025):
+            assert_same_snapshot(snapshot_filter(records, year),
+                                 snapshot_filter_loop(records, year))
 
 
 def test_clean_corpora_match_loop_reference(rng):
@@ -289,7 +305,7 @@ def columns(**overrides):
     base = dict(paper_id=(), msc_primary=(), author_ids=(), year=(), month=(),
                 theorem_paper=(), theorem_id=(), tc_src_paper=(), tc_src_theorem=(),
                 tc_dst_paper=(), tc_dst_theorem=(), pc_src=(), pc_dst=())
-    return GraphRecords.from_columns(**{**base, **overrides})
+    return ObjectRecords.from_columns(**{**base, **overrides})
 
 
 def two_papers(**overrides):

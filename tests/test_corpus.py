@@ -255,7 +255,7 @@ def assert_matches_loop_reference(tmp_path, table, data, values, bad_lines):
     write_empty(paths)
     paths[index].write_bytes(for_table(data, keys))
     records, errors = parse_corpus(*paths)
-    assert list(records.column(column)) == values
+    assert list(ObjectRecords.wrap(records).column(column)) == values
     assert [e.line_number for e in errors] == bad_lines
     assert (records, errors) == parse_corpus_loop(*paths)
 
@@ -367,7 +367,7 @@ class TestParseEdgeCases:
         assert_block_lines(paths[index], [per_chunk, per_chunk, 500])
         records, errors = parse_corpus(*paths)
         assert [e.line_number for e in errors] == bad
-        assert len(records.column(column)) == n - len(bad)
+        assert len(ObjectRecords.wrap(records).column(column)) == n - len(bad)
         assert (records, errors) == parse_corpus_loop(*paths)
 
     def test_deeply_nested_line_is_malformed(self, tmp_path):
@@ -375,7 +375,7 @@ class TestParseEdgeCases:
         write_empty(paths)
         paths[1].write_bytes(A + b"\n" + b"[" * 200_000 + b"\n" + B + b"\n")
         records, errors = parse_corpus(*paths)
-        assert list(records.column("theorem_id")) == ["a", "b"]
+        assert list(ObjectRecords.wrap(records).column("theorem_id")) == ["a", "b"]
         assert errors == [MalformedLine(str(paths[1]), 2, "JSON nested too deeply")]
         # The per-line json.loads of the loop reference cannot parse it at all.
         with pytest.raises(RecursionError):
@@ -389,7 +389,7 @@ class TestParseEdgeCases:
             "paper_id": "p1", "msc_primary": "20", "author_ids": [],
             "first_version_date": date})])
         records, errors = parse_corpus(*paths)
-        assert not records.column("paper_id")
+        assert not ObjectRecords.wrap(records).column("paper_id")
         assert [e.reason for e in errors] == [f"expected YYYY-MM, got {date!r}"]
 
 
@@ -462,8 +462,8 @@ PAPER_EDGE_CASES = [
 
 
 def paper_rows(records):
-    return list(zip(records.column("paper_id"), records.author_ids, records.year.tolist(),
-                    records.month.tolist()))
+    return list(zip(ObjectRecords.wrap(records).column("paper_id"), records.author_ids,
+                    records.year.tolist(), records.month.tolist()))
 
 
 class TestParsePapers:
@@ -507,7 +507,7 @@ class TestParsePapers:
         assert_block_lines(paths[0], [per_chunk, per_chunk, 500])
         records, errors = parse_corpus(*paths)
         assert [e.line_number for e in errors] == bad
-        assert len(records.column("paper_id")) == n - len(bad)
+        assert len(ObjectRecords.wrap(records).column("paper_id")) == n - len(bad)
         assert (records, errors) == parse_corpus_loop(*paths)
 
 
@@ -585,11 +585,12 @@ class TestMemory:
         # A string per id and row took about 200 bytes a row; the code arrays
         # take 8 to 32.
         assert held < 64 * rows
+        strings = ObjectRecords.wrap(parsed)
         for names, ids in ((PAPER_ID_COLUMNS, parsed.paper_ids),
                            (THEOREM_ID_COLUMNS, parsed.theorem_ids)):
             assert len(set(ids)) == len(ids)
             for name in names:
-                assert all(s is ids[k] for s, k in zip(parsed.column(name),
+                assert all(s is ids[k] for s, k in zip(strings.column(name),
                                                         getattr(parsed, name).tolist()))
 
 
@@ -627,7 +628,7 @@ class TestSnapshot:
             assert set(a.paper_citations) <= set(b.paper_citations)
 
     def test_keeps_the_records_type(self, rng):
-        # The result is built by from_columns of the records' own type.
+        # The result is of the records' own type.
         records = make_random_records(rng, n_papers=20, n_theorems=50)
         plain = GraphRecords(**{f.name: getattr(records, f.name)
                                 for f in dataclasses.fields(GraphRecords)})
@@ -637,10 +638,11 @@ class TestSnapshot:
             assert kept == kept_plain
             assert kept.paper_ids == kept_plain.paper_ids
             assert kept.theorem_ids == kept_plain.theorem_ids
-            assert [p.paper_id for p in kept.papers] == list(kept_plain.column("paper_id"))
+            assert ([p.paper_id for p in kept.papers]
+                    == list(ObjectRecords.wrap(kept_plain).column("paper_id")))
 
     def test_caches_only_the_theorem_keys(self, rng):
-        # The kept rows' ids are read as strings, and none is kept.
+        # The snapshot reads the codes; only the theorem keys are cached.
         records = make_random_records(rng, n_papers=20, n_theorems=50)
         before = set(vars(records))
         snapshot_filter(records, 2005)

@@ -170,7 +170,7 @@ class TestColumns:
         assert tiny_records.column("paper_id") == ("p1", "p2")
         assert tiny_records.year.tolist() == [1995, 1999]
         assert tiny_records.column("tc_dst_theorem") == ("thm 1",)
-        again = GraphRecords.from_columns(
+        again = ObjectRecords.from_columns(
             **{name: tiny_records.column(name) for name in self.COLUMNS})
         assert again == tiny_records
         assert ObjectRecords.wrap(again).papers == tiny_records.papers
@@ -178,9 +178,9 @@ class TestColumns:
     def test_columns_of_a_table_must_align(self, tiny_records):
         columns = {name: tiny_records.column(name) for name in self.COLUMNS}
         with pytest.raises(ValueError, match="differ in length"):
-            GraphRecords.from_columns(**{**columns, "month": [1]})
+            ObjectRecords.from_columns(**{**columns, "month": [1]})
         with pytest.raises(TypeError):
-            GraphRecords.from_columns(**{**columns, "extra": ()})
+            ObjectRecords.from_columns(**{**columns, "extra": ()})
 
     def test_immutable(self, tiny_records):
         with pytest.raises(AttributeError):
@@ -210,7 +210,7 @@ class TestColumns:
         columns = {name: tiny_records.column(name) for name in self.COLUMNS}
 
         def with_authors(first):
-            return GraphRecords.from_columns(**{**columns, "author_ids": (first, ("b1",))})
+            return ObjectRecords.from_columns(**{**columns, "author_ids": (first, ("b1",))})
 
         repeated, once = with_authors(("b", "a", "a")), with_authors(("a", "b"))
         # The record objects hold sets.
@@ -233,5 +233,5 @@ class TestColumns:
         columns = {n: records.column(n) for n in self.COLUMNS}
         column = columns[name]
         swapped = column[::-1] if isinstance(column, np.ndarray) else tuple(reversed(column))
-        assert GraphRecords.from_columns(**{**columns, name: swapped}) != records
-        assert GraphRecords.from_columns(**columns) == records
+        assert ObjectRecords.from_columns(**{**columns, name: swapped}) != records
+        assert ObjectRecords.from_columns(**columns) == records

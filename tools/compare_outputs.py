@@ -36,6 +36,7 @@ CORPORA = {
     "rank-3": (3, "rank", False),
     "rank-3-dirty": (3, "rank", True),
     "series-3": (3, "series", False),
+    "series-3-dirty": (3, "series", True),
     "series-7": (7, "series", False),
 }
 SERIES = ["series", "--from-year", "1990", "--to-year", "2024"]
@@ -45,11 +46,13 @@ CASES = {
     "rank-all": ("rank-3", ["rank", "--top-k", "100000000"]),        # 0
     "rank-grouped": ("rank-3", ["rank", "--top-k", "5", "--group-by-field"]),  # 0
     "rank-capped": ("rank-3", ["rank", "--max-iter", "3"]),           # 1
+    "rank-dirty": ("rank-3-dirty", ["rank"]),                         # 2
     "build": ("rank-3", ["build"]),                                   # 0
     "build-dirty": ("rank-3-dirty", ["build"]),                       # 2
     "impact": ("rank-3", ["impact"]),                                 # 0
     "series-3": ("series-3", SERIES),                                 # 0
     "series-7": ("series-7", SERIES),  # 1, with the 1991,not_converged row
+    "series-dirty": ("series-3-dirty", SERIES),                       # 2
 }
 
 
