@@ -262,12 +262,11 @@ def parse_corpus(
     vocabularies = {**dict.fromkeys(PAPER_ID_COLUMNS, paper_ids),
                     **dict.fromkeys(THEOREM_ID_COLUMNS, theorem_ids)}
     columns = _read_table(papers_path, _PAPERS, errors, vocabularies)
-    n_known = len(paper_ids)
     for path, table in ((theorems_path, _THEOREMS),
                         (theorem_citations_path, _THEOREM_CITATIONS),
                         (paper_citations_path, _PAPER_CITATIONS)):
         columns.update(_read_table(path, table, errors, vocabularies))
-    return GraphRecords(paper_ids, theorem_ids, n_known, **columns), errors
+    return GraphRecords(paper_ids, theorem_ids, **columns), errors
 
 
 def _renumber(ids: tuple[str, ...], columns: dict, names: tuple[str, ...]) -> tuple[str, ...]:
@@ -314,6 +313,4 @@ def snapshot_filter(records: GraphRecords, year: int) -> GraphRecords:
                for name, column in zip(table, map(records.__getattribute__, table))}
     paper_ids = _renumber(records.paper_ids, columns, PAPER_ID_COLUMNS)
     theorem_ids = _renumber(records.theorem_ids, columns, THEOREM_ID_COLUMNS)
-    # The papers table's ids were numbered first, from 0.
-    n_known = int(columns["paper_id"].max(initial=-1)) + 1
-    return type(records)(paper_ids, theorem_ids, n_known, **columns)
+    return type(records)(paper_ids, theorem_ids, **columns)

@@ -98,20 +98,21 @@ class GraphRecords:
 
     Each id column is held as codes, a read-only int64 array that indexes
     ``paper_ids`` or ``theorem_ids``, which hold each distinct id once:
-    equal codes mean equal ids. Paper ids are numbered in order of first
-    appearance, the papers table first, so the ``n_known_papers`` ids of the
-    papers table hold the codes below ``n_known_papers``. Theorem ids are
-    numbered in order of first appearance too. ``year`` and ``month`` are
-    read-only int64 arrays as well.
+    equal codes mean equal ids. The papers table's ids are numbered first:
+    its codes are exactly 0 to ``n_known_papers - 1``, and any higher paper
+    code is an id that only theorems or citations name. ``year`` and
+    ``month`` are read-only int64 arrays as well.
 
     The constructor takes the vocabularies and the code columns, as
-    ``parse_corpus`` reads them. A GraphRecords is immutable, so its
-    validation report is computed once.
+    ``parse_corpus`` reads them. It raises ValueError if a vocabulary
+    repeats an id, an id column holds a code outside its vocabulary, the
+    papers table's codes skip one below their maximum, or a table's columns
+    differ in length. A GraphRecords is immutable, so its validation report
+    is computed once.
     """
 
     paper_ids: tuple[str, ...]    # by code
     theorem_ids: tuple[str, ...]  # by code
-    n_known_papers: int
 
     paper_id: np.ndarray        # papers: paper code
     theorem_paper: np.ndarray   # theorems: paper code
@@ -140,6 +141,25 @@ class GraphRecords:
         for table in TABLES:
             if len({len(getattr(self, name)) for name in table}) > 1:
                 raise ValueError(f"columns {', '.join(table)} differ in length")
+        for vocabulary in ("paper_ids", "theorem_ids"):
+            ids = getattr(self, vocabulary)
+            if len(set(ids)) < len(ids):
+                raise ValueError(f"{vocabulary} repeats an id")
+        for name in _ID_COLUMNS:
+            codes = getattr(self, name)
+            bound = len(self.paper_ids if name in PAPER_ID_COLUMNS else self.theorem_ids)
+            if codes.size and not 0 <= codes.min() <= codes.max() < bound:
+                raise ValueError(f"{name} holds a code outside [0, {bound})")
+        known = np.zeros(self.n_known_papers, dtype=bool)
+        known[self.paper_id] = True
+        if not known.all():
+            raise ValueError("paper_id codes skip a code below their maximum")
+
+    @cached_property
+    def n_known_papers(self) -> int:
+        """The number of distinct papers in the papers table, whose codes
+        are 0 to ``n_known_papers - 1``."""
+        return int(self.paper_id.max(initial=-1)) + 1
 
     @property
     def sizes(self) -> tuple[int, int, int, int]:

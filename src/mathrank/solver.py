@@ -251,6 +251,10 @@ def compute_scores(
     vector ``[u_t, u_p, u_f]`` in reused buffers. States are bitwise equal to
     those of a loop of ``iterate_once``, and the residual of a step is the
     largest per-level l1 distance from the state before it.
+
+    Once a state repeats exactly, the run cycles up to the cap, so the solve
+    stops at the repeat and returns what running to the cap returns; a cap
+    whose residual history cannot be held raises MemoryError.
     """
     if hp is None:
         hp = Hyperparameters()
@@ -261,12 +265,26 @@ def compute_scores(
         u = _stacked(initial_state, graph, "initial_state")
     history: list[float] = []
     converged = False
-    for residual, levels in islice(_steps(graph, normalize_matrices(graph), hp, u),
-                                   hp.max_iterations):
+    steps = _steps(graph, normalize_matrices(graph), hp, u)
+    # Brent's cycle finding: a copy of the state at each power-of-two step
+    # from step 64 (most solves that converge stop before it), compared with
+    # later states only where a residual repeats exactly.
+    saved, saved_residual, save_at = (), np.nan, 64
+    for residual, levels in islice(steps, hp.max_iterations):
         history.append(residual)
         if residual < hp.tolerance:
             converged = True
             break
+        if residual == saved_residual and all(map(np.array_equal, levels, saved)):
+            # Each step is a function of the state alone, so the run repeats
+            # with this period to the cap: step to the cap's place in it.
+            period = len(history) - save_at // 2
+            for residual, levels in islice(steps, (hp.max_iterations - len(history)) % period):
+                history.append(residual)
+            history += history[-period:] * ((hp.max_iterations - len(history)) // period)
+            break
+        if len(history) == save_at:
+            saved, saved_residual, save_at = tuple(map(np.copy, levels)), residual, 2 * save_at
     iterations = initial_state.iteration + len(history)
     return ScoreState(*levels, iteration=iterations), ConvergenceReport(
         converged=converged,

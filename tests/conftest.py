@@ -1,3 +1,6 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -68,3 +71,11 @@ def singleton_records():
         papers=[paper("p1", msc="60")],
         theorems=[theorem("p1", "thm 1")],
     )
+
+
+@pytest.fixture(scope="session")
+def perfbench_gen():
+    """The benchmark's corpus generator, ``perfbench/gen.py``."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import gen
+    return gen

@@ -85,9 +85,7 @@ class ObjectRecords(GraphRecords):
         tids: dict[str, int] = {}
         codes = {name: intern_codes(tids if name in THEOREM_ID_COLUMNS else pids,
                                     tuple(columns[name])) for name in _ID_COLUMNS}
-        # The papers table's ids were numbered first, from 0.
-        n_known = int(codes["paper_id"].max(initial=-1)) + 1
-        return cls(pids, tids, n_known, **codes,
+        return cls(pids, tids, **codes,
                    **{name: columns[name] for name in TABLES[0][1:]})
 
     @classmethod
@@ -105,19 +103,30 @@ class ObjectRecords(GraphRecords):
 
     @classmethod
     def wrap(cls, records: GraphRecords) -> "ObjectRecords":
-        """The same records, sharing their codes: no id is interned again."""
+        """The same records, sharing their codes: no id is interned again.
+        Records of this class are returned as they are, with what they
+        have cached."""
+        if isinstance(records, cls):
+            return records
         return cls(**{f.name: getattr(records, f.name) for f in fields(GraphRecords)})
 
     def column(self, name: str):
         """Column ``name`` in the form ``from_columns`` takes it: an id
-        column as a tuple of its ids, built on each call, and any other
-        column as held."""
+        column as a tuple of its ids, built when first asked for, and any
+        other column as held."""
         if name not in _COLUMNS:
             raise KeyError(name)
         if name not in _ID_COLUMNS:
             return getattr(self, name)
-        ids = self.paper_ids if name in PAPER_ID_COLUMNS else self.theorem_ids
-        return tuple(map(ids.__getitem__, getattr(self, name).tolist()))
+        if name not in self._id_strings:
+            ids = self.paper_ids if name in PAPER_ID_COLUMNS else self.theorem_ids
+            self._id_strings[name] = tuple(map(ids.__getitem__, getattr(self, name).tolist()))
+        return self._id_strings[name]
+
+    @cached_property
+    def _id_strings(self) -> dict[str, tuple[str, ...]]:
+        """The id columns built so far, by name."""
+        return {}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GraphRecords):

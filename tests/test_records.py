@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from mathrank.fields import field_index
 from mathrank.records import (
     PAPER_ID_COLUMNS,
+    THEOREM_ID_COLUMNS,
     GraphRecords,
     ValidationIssue,
     YearMonth,
@@ -235,3 +236,47 @@ class TestColumns:
         swapped = column[::-1] if isinstance(column, np.ndarray) else tuple(reversed(column))
         assert ObjectRecords.from_columns(**{**columns, name: swapped}) != records
         assert ObjectRecords.from_columns(**columns) == records
+
+
+class TestConstructor:
+    """GraphRecords holds only codes its vocabularies name, and numbers the
+    papers table's ids first."""
+
+    @staticmethod
+    def fields(records, **changes):
+        return {**{f.name: getattr(records, f.name) for f in dataclasses.fields(GraphRecords)},
+                **changes}
+
+    def test_n_known_papers_is_derived(self, tiny_records):
+        assert "n_known_papers" not in self.fields(tiny_records)
+        with pytest.raises(TypeError):
+            GraphRecords(**self.fields(tiny_records), n_known_papers=2)
+        assert tiny_records.n_known_papers == 2
+        assert ObjectRecords.of().n_known_papers == 0
+        # A paper only a citation names is numbered after the papers table's.
+        cited = ObjectRecords.of(papers=[paper("p1"), paper("p1")],
+                                 paper_citations=[PaperCitation("p1", "p9")])
+        assert cited.paper_ids == ("p1", "p9") and cited.n_known_papers == 1
+
+    @pytest.mark.parametrize("name", PAPER_ID_COLUMNS + THEOREM_ID_COLUMNS)
+    @pytest.mark.parametrize("outside", ["negative", "past_vocabulary"])
+    def test_code_outside_its_vocabulary(self, tiny_records, name, outside):
+        bound = len(tiny_records.theorem_ids if name in THEOREM_ID_COLUMNS
+                    else tiny_records.paper_ids)
+        codes = getattr(tiny_records, name).copy()
+        codes[-1] = -1 if outside == "negative" else bound
+        with pytest.raises(ValueError, match=rf"^{name} holds a code outside \[0, {bound}\)$"):
+            GraphRecords(**self.fields(tiny_records, **{name: codes}))
+
+    def test_papers_table_skips_a_code(self, tiny_records):
+        # Code 1 names a paper outside the papers table, below its code 2.
+        fields = self.fields(tiny_records, paper_ids=("p1", "p9", "p2"),
+                             paper_id=np.array([0, 2]))
+        with pytest.raises(ValueError, match="^paper_id codes skip a code below their maximum$"):
+            GraphRecords(**fields)
+
+    @pytest.mark.parametrize("vocabulary,ids", [("paper_ids", ("p1", "p1")),
+                                                ("theorem_ids", ("thm 1", "thm 1"))])
+    def test_vocabulary_repeats_an_id(self, tiny_records, vocabulary, ids):
+        with pytest.raises(ValueError, match=f"^{vocabulary} repeats an id$"):
+            GraphRecords(**self.fields(tiny_records, **{vocabulary: ids}))

@@ -5,7 +5,9 @@ import sys
 import numpy as np
 import pytest
 
-from mathrank.build import build_graph
+import mathrank.solver
+from mathrank.build import build_graph, restrict_graph
+from mathrank.corpus import parse_corpus
 from mathrank.sparsemat import SparseWeightMatrix
 from mathrank.solver import (
     ConvergenceReport,
@@ -557,6 +559,34 @@ class TestPreparedLoop:
         report = assert_same_solve(graph, Hyperparameters(max_iterations=60), start)
         assert not report.converged and report.iterations == 60
         assert len(report.residual_history) == 60 and report.residual > 1.9
+
+    def test_cycling_snapshot_stops_at_a_repeat(self, tmp_path, perfbench_gen, monkeypatch):
+        # The seed-7 series corpus's 1991 snapshot cycles from the uniform
+        # start: its state first repeats exactly at step 1,345, with period 2.
+        # Caps at and past the repeat, of either parity, give what running to
+        # the cap gives, and the solve stops well short of the default cap.
+        perfbench_gen.write_corpus(tmp_path, perfbench_gen.make_corpus(7, "series"), 7)
+        records, _ = parse_corpus(*(tmp_path / f"{name}.jsonl"
+                                    for name in perfbench_gen.FILES))
+        full = build_graph(records)
+        graph = restrict_graph(full, records.year[full.paper_code] <= 1991)
+        steps, taken = mathrank.solver._steps, []
+
+        def counted(*args):
+            for step in steps(*args):
+                taken[-1] += 1
+                yield step
+
+        monkeypatch.setattr(mathrank.solver, "_steps", counted)
+        for cap in (1345, 1346, 2049, 2050, 2051, 2052, 2053, 10_000):
+            taken.append(0)
+            report = assert_same_solve(graph, Hyperparameters(max_iterations=cap))
+            assert not report.converged and report.iterations == cap
+        assert taken[-1] < 3 * 1345
+        # A cap whose history cannot be held raises MemoryError at the
+        # repeat: the repeated list is refused before anything is allocated.
+        with pytest.raises(MemoryError):
+            compute_scores(graph, Hyperparameters(max_iterations=sys.maxsize))
 
     def test_no_citations_at_any_level(self, rng):
         # The stacked operator has no entries, so its bincount is int64.

@@ -37,7 +37,10 @@ CORPORA = {
     "rank-3-dirty": (3, "rank", True),
     "series-3": (3, "series", False),
     "series-3-dirty": (3, "series", True),
+    "series-2": (2, "series", False),
+    "series-5": (5, "series", False),
     "series-7": (7, "series", False),
+    "series-9": (9, "series", False),
 }
 SERIES = ["series", "--from-year", "1990", "--to-year", "2024"]
 # Each case's corpus and command; the exit code each gives at the time of
@@ -51,7 +54,12 @@ CASES = {
     "build-dirty": ("rank-3-dirty", ["build"]),                       # 2
     "impact": ("rank-3", ["impact"]),                                 # 0
     "series-3": ("series-3", SERIES),                                 # 0
-    "series-7": ("series-7", SERIES),  # 1, with the 1991,not_converged row
+    # 1, each with the not_converged row of a year that cycles (1992 for
+    # seed 5, 1991 for the others).
+    "series-2": ("series-2", SERIES),
+    "series-5": ("series-5", SERIES),
+    "series-7": ("series-7", SERIES),
+    "series-9": ("series-9", SERIES),
     "series-dirty": ("series-3-dirty", SERIES),                       # 2
 }
 
