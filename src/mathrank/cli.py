@@ -41,6 +41,10 @@ from .solver import DegenerateLevelError, Hyperparameters, compute_scores, norma
 _RANK_LEVELS = ("theorem", "paper", "field")
 _SERIES_HEADER = ("year", "status", *FIELD_NAMES)
 _SERIES_ROW = ",".join(["{}"] * len(_SERIES_HEADER))
+# The error line of a command that runs out of memory while it builds or
+# solves, as a solve does whose iteration cap's residual history cannot be
+# held (see compute_scores).
+_NO_MEMORY = "out of memory (--max-iter {})"
 
 
 def _fmt(x: float) -> str:
@@ -194,13 +198,16 @@ def _solve(graph, hp: Hyperparameters):
     """Solve, returning the state, the comment lines for the output files
     and the warning to print once they are written.
 
-    A graph the solver rejects exits 2. A run that hit the iteration cap
-    gets a comment line and a warning; one that converged gets neither.
+    A graph the solver rejects exits 2, and so does a solve that runs out
+    of memory. A run that hit the iteration cap gets a comment line and a
+    warning; one that converged gets neither.
     """
     try:
         state, report = compute_scores(graph, hp)
     except (ValueError, DegenerateLevelError) as exc:
         _fail(str(exc))
+    except MemoryError:
+        _fail(_NO_MEMORY.format(hp.max_iterations))
     if report.converged:
         return state, (), None
     return (state,
@@ -289,7 +296,10 @@ def series(**options):
     records = _load_valid_corpus(options)
     years = range(options["from_year"], options["to_year"] + 1)
 
-    fs = field_series(records, years, hp)
+    try:
+        fs = field_series(records, years, hp)
+    except MemoryError:
+        _fail(_NO_MEMORY.format(hp.max_iterations))
     rs = category_ratios(records, years)
     status = [YEAR_EMPTY if ratios is None else YEAR_OK for ratios in rs.ratios]
     bad_years = [y for y, s in zip(fs.years, fs.status) if s == YEAR_NOT_CONVERGED]

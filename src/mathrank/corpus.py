@@ -35,7 +35,7 @@ import json
 import re
 from itertools import compress
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -57,109 +57,10 @@ class MalformedLine(NamedTuple):
     reason: str
 
 
-def _json_object(line: str) -> dict:
-    """The JSON object on one stripped, non-empty line."""
-    try:
-        obj = json.loads(line)
-    except RecursionError:
-        raise ValueError("JSON nested too deeply") from None
-    if not isinstance(obj, dict):
-        raise ValueError("record must be a JSON object")
-    return obj
-
-
-def _require_encodable(key: str, text: str) -> None:
-    """Raise ValueError if field ``key``'s text holds a lone surrogate (a JSON
-    escape such as ``\\ud800``), which UTF-8 cannot encode and so no output
-    file can hold."""
-    try:
-        text.encode("utf-8")
-    except UnicodeEncodeError:
-        raise ValueError(f"field {key!r} holds a lone surrogate") from None
-
-
-def _string_fields(*keys: str) -> Callable[[dict], tuple[str, ...]]:
-    """A reader of a record's string fields ``keys``, in that order.
-
-    A missing field raises KeyError, and a value that is not a string or
-    holds a lone surrogate ValueError, for the first offending field in key
-    order.
-    """
-    def read(obj: dict) -> tuple[str, ...]:
-        values = []
-        for key in keys:
-            value = obj[key]
-            if not isinstance(value, str):
-                raise ValueError(f"field {key!r} must be a string")
-            _require_encodable(key, value)
-            values.append(value)
-        return tuple(values)
-
-    return read
-
-
-_paper_strings = _string_fields("paper_id", "msc_primary", "first_version_date")
-
-
-def _paper_fields(obj: dict) -> tuple:
-    authors = obj["author_ids"]
-    if not isinstance(authors, list) or not all(isinstance(a, str) for a in authors):
-        raise ValueError("field 'author_ids' must be a list of strings")
-    _require_encodable("author_ids", "".join(authors))
-    paper_id, msc_primary, date = _paper_strings(obj)
-    year, month = YearMonth.parse(date)
-    return paper_id, msc_primary, tuple(authors), year, month
-
-
-def _read_line(raw: bytes, fields: Callable[[dict], tuple], path: str | Path, lineno: int,
-               errors: list[MalformedLine]) -> tuple | None:
-    """``fields`` of the record on one line, or None for a blank line or for
-    a malformed one, which is reported in ``errors``.
-
-    Files are read as bytes and split at LF only, so that a CR, U+2028 or
-    U+0085 inside a line does not split it. The line is decoded here, so
-    that a line that is not UTF-8 is reported like any other malformed line.
-    Only JSON whitespace (space, tab, CR, LF) may stand around the object.
-    """
-    try:
-        line = raw.decode("utf-8").strip(" \t\r\n")
-        if line:
-            return fields(_json_object(line))
-    except (ValueError, KeyError) as exc:
-        errors.append(MalformedLine(str(path), lineno, str(exc)))
-    return None
-
-
 # A JSON string that json.loads returns as written: no quote, no backslash
 # escape, no control character, and none of the U+DC80-U+DCFF that the
 # "surrogateescape" decoding gives the bytes of a line that is not UTF-8.
 _PLAIN = r'[^"\\\x00-\x1f\udc80-\udcff]*'
-_PLAIN_STRING = f'"({_PLAIN})"'
-
-
-class _Table(NamedTuple):
-    """How one corpus file is read: the columns it fills, the pattern of its
-    canonical lines (compiled when first read), the reader of any other
-    line's record, and per column the conversion of the captured text (None:
-    the text as is)."""
-
-    names: tuple[str, ...]
-    pattern: str
-    fields: Callable[[dict], tuple]
-    convert: tuple
-
-
-def _line_pattern(body: str) -> str:
-    """Matches a canonical line, an object of ``body``, with its LF (or the
-    end of the text), as one group per value of ``body``. ``split`` by it
-    leaves every other line, whole, in the text between matches."""
-    return rf"(?m)^\{{{body}\}}\r?(?:\n|\Z)"
-
-
-def _strings_table(keys: tuple[str, ...], names: tuple[str, ...]) -> _Table:
-    """A table of string fields ``keys``, in columns ``names``."""
-    body = ", ".join(f'"{key}": {_PLAIN_STRING}' for key in keys)
-    return _Table(names, _line_pattern(body), _string_fields(*keys), (None,) * len(keys))
 
 
 def _authors(text: str) -> tuple[str, ...]:
@@ -167,16 +68,96 @@ def _authors(text: str) -> tuple[str, ...]:
     return tuple(text[1:-1].split('", "')) if text else ()
 
 
-_PAPERS = _Table(
-    TABLES[0],
-    _line_pattern(f'"paper_id": {_PLAIN_STRING}, "msc_primary": {_PLAIN_STRING}, '
-                  f'"author_ids": \\[((?:"{_PLAIN}"(?:, "{_PLAIN}")*)?)\\], '
-                  f'"first_version_date": "{YEAR_MONTH_PATTERN}"'),
-    _paper_fields, (None, None, _authors, int, int))
-_THEOREMS = _strings_table(("paper_id", "theorem_id"), TABLES[1])
-_THEOREM_CITATIONS = _strings_table(("src_paper", "src_theorem", "dst_paper", "dst_theorem"),
-                                    TABLES[2])
-_PAPER_CITATIONS = _strings_table(("src_paper", "dst_paper"), TABLES[3])
+# The kinds of field: a string, a list of strings and an ASCII ``YYYY-MM``
+# date. Per kind, the pattern of its canonical value, with one group per
+# column it fills, and per column the conversion of the captured text (None:
+# the text as is).
+_KINDS = {
+    "string": (f'"({_PLAIN})"', (None,)),
+    "list": (rf'\[((?:"{_PLAIN}"(?:, "{_PLAIN}")*)?)\]', (_authors,)),
+    "date": (f'"{YEAR_MONTH_PATTERN}"', (int, int)),
+}
+
+
+class _Table(NamedTuple):
+    """How one corpus file is read: the columns it fills, its fields in file
+    order as (JSON key, kind), the pattern of its canonical lines (compiled
+    when first read) and per column the conversion of the captured text."""
+
+    names: tuple[str, ...]
+    fields: tuple[tuple[str, str], ...]
+    pattern: str
+    convert: tuple
+
+
+def _table(names: tuple[str, ...], *fields: tuple[str, str]) -> _Table:
+    """The table of ``fields`` in columns ``names``. Its pattern matches a
+    canonical line with its LF (or the end of the text), as one group per
+    column; ``split`` by it leaves every other line, whole, in the text
+    between matches."""
+    body = ", ".join(f'"{key}": {_KINDS[kind][0]}' for key, kind in fields)
+    return _Table(names, fields, rf"(?m)^\{{{body}\}}\r?(?:\n|\Z)",
+                  tuple(c for _, kind in fields for c in _KINDS[kind][1]))
+
+
+_PAPERS = _table(TABLES[0], ("paper_id", "string"), ("msc_primary", "string"),
+                 ("author_ids", "list"), ("first_version_date", "date"))
+_THEOREMS = _table(TABLES[1], ("paper_id", "string"), ("theorem_id", "string"))
+_THEOREM_CITATIONS = _table(TABLES[2], ("src_paper", "string"), ("src_theorem", "string"),
+                            ("dst_paper", "string"), ("dst_theorem", "string"))
+_PAPER_CITATIONS = _table(TABLES[3], ("src_paper", "string"), ("dst_paper", "string"))
+
+
+def _field(obj: dict, key: str, kind: str) -> tuple:
+    """The column values of a record's field ``key`` of ``kind``.
+
+    A missing field raises KeyError, and a value not of its kind or holding
+    a lone surrogate (a JSON escape such as ``\\ud800``, which UTF-8 cannot
+    encode and so no output file can hold) ValueError.
+    """
+    value = obj[key]
+    items = value if kind == "list" else [value]
+    if not isinstance(items, list) or not all(isinstance(item, str) for item in items):
+        raise ValueError(f"field {key!r} must be a "
+                         f"{'list of strings' if kind == 'list' else 'string'}")
+    try:
+        "".join(items).encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValueError(f"field {key!r} holds a lone surrogate") from None
+    if kind == "date":
+        return YearMonth.parse(value)
+    return (tuple(items) if kind == "list" else value,)
+
+
+def _read_line(raw: bytes, table: _Table, path: str | Path, lineno: int,
+               errors: list[MalformedLine]) -> tuple | None:
+    """The column values of the record on one line, or None for a blank line
+    or for a malformed one, which is reported in ``errors``.
+
+    Files are read as bytes and split at LF only, so that a CR, U+2028 or
+    U+0085 inside a line does not split it. The line is decoded here, so
+    that a line that is not UTF-8 is reported like any other malformed line.
+    Only JSON whitespace (space, tab, CR, LF) may stand around the object.
+    A list field is checked before the others, which are checked in file
+    order: of a line's defects, the first so checked is reported.
+    """
+    try:
+        line = raw.decode("utf-8").strip(" \t\r\n")
+        if not line:
+            return None
+        obj = json.loads(line)
+        if not isinstance(obj, dict):
+            raise ValueError("record must be a JSON object")
+        values = {key: _field(obj, key, kind)
+                  for key, kind in sorted(table.fields, key=lambda field: field[1] != "list")}
+        return tuple(value for key, _ in table.fields for value in values[key])
+    except RecursionError:
+        reason = "JSON nested too deeply"
+    except (ValueError, KeyError) as exc:
+        reason = str(exc)
+    errors.append(MalformedLine(str(path), lineno, reason))
+    return None
+
 
 _CHUNK_BYTES = 1 << 18
 _NO_CODES = np.empty(0, dtype=np.int64)
@@ -222,8 +203,8 @@ def _read_table(path: str | Path, table: _Table, errors: list[MalformedLine],
                 # Each line with its LF: a UTF-8 sequence cut short by the LF is
                 # reported as the file's bytes give it.
                 for line in re.findall(r"[^\n]*\n|[^\n]+", between[stop]):
-                    row = _read_line(line.encode("utf-8", "surrogateescape"), table.fields,
-                                     path, first + stop + others, errors)
+                    row = _read_line(line.encode("utf-8", "surrogateescape"), table, path,
+                                     first + stop + others, errors)
                     others += 1
                     if row is not None:
                         for target, value in zip(targets, row):

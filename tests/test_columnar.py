@@ -2,6 +2,7 @@
 (``loop_reference.py``), on random corpora with defects of every kind."""
 
 import json
+from functools import cache
 
 import numpy as np
 import pytest
@@ -160,12 +161,13 @@ def test_snapshot_filter_matches_loop_reference_on_dirty_corpora(tmp_path, seed)
 
 
 def assert_same_snapshot(snap, want):
-    assert snap == want
-    # Numbered as from_columns numbers the kept columns.
-    for name in ("paper_ids", "theorem_ids", "n_known_papers"):
-        assert getattr(snap, name) == getattr(want, name)
-    for name in PAPER_ID_COLUMNS + THEOREM_ID_COLUMNS:
-        assert getattr(snap, name).tolist() == getattr(want, name).tolist()
+    # Numbered as from_columns numbers the kept columns. Equal vocabularies
+    # and codes make equal id columns, so every column is compared as it is
+    # held, and no id string is built.
+    for name in ("paper_ids", "theorem_ids", "n_known_papers", "msc_primary", "author_ids"):
+        assert getattr(snap, name) == getattr(want, name), name
+    for name in PAPER_ID_COLUMNS + THEOREM_ID_COLUMNS + ("year", "month"):
+        assert getattr(snap, name).tolist() == getattr(want, name).tolist(), name
 
 
 @pytest.mark.parametrize("chunk_bytes", [None, 1, 7, 64, 127, 128, 129],
@@ -234,36 +236,43 @@ def test_theorem_keys_and_repeats_match_unique_on_dirty_corpora(tmp_path, seed):
     assert_keys_and_repeats_match_unique(records)
 
 
-def benchmark_corpora(tmp_path, gen, seed, size="rank"):
+@pytest.fixture(scope="module")
+def benchmark_corpora(tmp_path_factory, perfbench_gen):
     """The ``size`` workload's corpus of ``seed``, clean and with defects of
-    every kind: (dirty, the four file paths) for each."""
-    corpus = gen.make_corpus(seed, size)
-    for dirty in (False, True):
-        out = tmp_path / ("dirty" if dirty else "clean")
-        gen.write_corpus(out, corpus, seed, dirty)
-        yield dirty, [out / f"{name}.jsonl" for name in gen.FILES]
+    every kind: (dirty, the four file paths) for each. Each is written once
+    for this module's tests."""
+    @cache
+    def corpora(seed: int, size: str = "rank") -> tuple:
+        corpus = perfbench_gen.make_corpus(seed, size)
+        written = []
+        for dirty in (False, True):
+            out = tmp_path_factory.mktemp(f"{size}-{seed}-{'dirty' if dirty else 'clean'}")
+            perfbench_gen.write_corpus(out, corpus, seed, dirty)
+            written.append((dirty, [out / f"{name}.jsonl" for name in perfbench_gen.FILES]))
+        return tuple(written)
+
+    return corpora
 
 
-def test_benchmark_corpora_match_loop_reference(tmp_path, perfbench_gen):
-    for dirty, paths in benchmark_corpora(tmp_path, perfbench_gen, seed=3):
+def test_benchmark_corpora_match_loop_reference(benchmark_corpora):
+    for dirty, paths in benchmark_corpora(3):
         records, errors = parse_corpus(*paths)
         assert bool(errors) == dirty
         assert (records, errors) == parse_corpus_loop(*paths)
 
 
 @pytest.mark.parametrize("seed", [3, 7])
-def test_theorem_keys_and_repeats_match_unique_on_benchmark_corpora(tmp_path, perfbench_gen,
-                                                                    seed):
-    for _, paths in benchmark_corpora(tmp_path, perfbench_gen, seed):
+def test_theorem_keys_and_repeats_match_unique_on_benchmark_corpora(benchmark_corpora, seed):
+    for _, paths in benchmark_corpora(seed):
         records, _ = parse_corpus(*paths)
         assert_keys_and_repeats_match_unique(records)
 
 
 @pytest.mark.parametrize("seed", [3, 7])
-def test_columns_round_trip_on_benchmark_corpora(tmp_path, perfbench_gen, seed):
+def test_columns_round_trip_on_benchmark_corpora(benchmark_corpora, seed):
     # The reader numbers ids block by block and from_columns column by
     # column, so equality must compare the ids, not their codes.
-    for _, paths in benchmark_corpora(tmp_path, perfbench_gen, seed):
+    for _, paths in benchmark_corpora(seed):
         records, _ = parse_corpus(*paths)
         strings = ObjectRecords.wrap(records)
         again = ObjectRecords.from_columns(
@@ -273,9 +282,9 @@ def test_columns_round_trip_on_benchmark_corpora(tmp_path, perfbench_gen, seed):
 
 @pytest.mark.parametrize("size", ["rank", "series"])
 @pytest.mark.parametrize("seed", [3, 7])
-def test_snapshot_filter_matches_loop_reference_on_benchmark_corpora(tmp_path, perfbench_gen,
-                                                                     seed, size):
-    for _, paths in benchmark_corpora(tmp_path, perfbench_gen, seed, size):
+def test_snapshot_filter_matches_loop_reference_on_benchmark_corpora(benchmark_corpora, seed,
+                                                                     size):
+    for _, paths in benchmark_corpora(seed, size):
         records, _ = parse_corpus(*paths)
         # Each id column's strings are built once, not once a year.
         strings = ObjectRecords.wrap(records)

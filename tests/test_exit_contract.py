@@ -14,6 +14,7 @@ import csv
 import errno
 import io
 import os
+import sys
 import tempfile
 from functools import cache
 from pathlib import Path
@@ -26,6 +27,7 @@ from hypothesis import strategies as st
 
 import mathrank.cli
 from mathrank.cli import main
+from mathrank.corpus import parse_corpus, snapshot_filter
 
 from synthdata import make_random_records, write_corpus
 
@@ -227,3 +229,27 @@ def test_malformed_line_makes_no_directory(tmp_path, name):
     else:
         assert result.output.endswith("error: 1 malformed corpus lines\n")
         assert not fresh.exists()
+
+
+@pytest.mark.parametrize("name", ["rank", "series", "impact"])
+def test_cap_whose_history_cannot_be_held_exits_two(tmp_path, perfbench_gen, name):
+    """The seed-7 series corpus's 1991 snapshot cycles (see test_solver), so
+    the cap sys.maxsize asks for a residual history no memory holds. Every
+    command that solves exits 2 with one line and makes no directory:
+    series on the whole corpus, rank and impact on the snapshot's files."""
+    perfbench_gen.write_corpus(tmp_path, perfbench_gen.make_corpus(7, "series"), 7)
+    paths = [tmp_path / f"{file}.jsonl" for file in perfbench_gen.FILES]
+    command = ["series", "--from-year", "1991", "--to-year", "1991"]
+    if name != "series":
+        snapshot = snapshot_filter(parse_corpus(*paths)[0], 1991)
+        paths = [tmp_path / f"1991_{file}.jsonl" for file in perfbench_gen.FILES]
+        write_corpus(snapshot, *paths)
+        command = [name]
+    args = [arg for option, path in zip(OPTIONS, paths) for arg in (option, str(path))]
+    out = tmp_path / "fresh" / "out"
+    result = CliRunner().invoke(main, [*command, *args, "--max-iter", str(sys.maxsize),
+                                       "--out-dir", str(out)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.output == f"error: out of memory (--max-iter {sys.maxsize})\n"
+    assert not (tmp_path / "fresh").exists()
